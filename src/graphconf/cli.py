@@ -125,8 +125,10 @@ def _parse_sinks(text):
 
 def load_graph(path):
     with open(path) as fh:
-        data = json.load(fh)
-    return graph_from_payload(data)
+        try:
+            return graph_from_payload(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"bad graph file {path}: {exc}") from exc
 
 
 def graph_from_payload(data):
@@ -141,9 +143,9 @@ def graph_to_payload(graph):
 
 
 def load_family(path):
-    with open(path) as fh:
-        data = json.load(fh)
     try:
+        with open(path) as fh:
+            data = json.load(fh)
         kind = data["kind"]
         summands = []
         for item in data["summands"]:
@@ -156,7 +158,7 @@ def load_family(path):
             ))
         base = graph_from_payload(data["base"]) if data.get("base") else None
         return FamilyDescriptor(kind, base, tuple(summands))
-    except (KeyError, TypeError, GraphError) as exc:
+    except (KeyError, TypeError, GraphError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad family payload: {exc}") from exc
 
 

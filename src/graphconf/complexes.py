@@ -24,6 +24,7 @@ Both use the boundary convention, moves ordered by particle label,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .graphs import Graph, GraphError, Subgraph, subdivide
 from .linalg import SparseIntMatrix
@@ -142,11 +143,6 @@ class CubeComplex:
 
     # -- boundary --------------------------------------------------------
 
-    def _faces(self, cell, q):
-        if self.kind == MODEL_KIND:
-            return _model_faces(self.graph, cell)
-        return _oracle_faces(self.graph, cell)
-
     def boundary(self, q):
         """Boundary matrix C_q -> C_(q-1); rows index (q-1)-cells."""
         if q < 0:
@@ -156,20 +152,12 @@ class CubeComplex:
             return SparseIntMatrix(rows, len(self.cells[q]) if q <= self.top_dimension else 0)
         if q in self._boundaries:
             return self._boundaries[q]
-        index = self._index[q - 1]
-        cols = []
-        for cell in self.cells[q]:
-            col = {}
-            for sign, face0, face1 in self._faces(cell, q):
-                i0 = index[face0]
-                i1 = index[face1]
-                col[i1] = col.get(i1, 0) + sign
-                if not col[i1]:
-                    del col[i1]
-                col[i0] = col.get(i0, 0) - sign
-                if not col[i0]:
-                    del col[i0]
-            cols.append(col)
+        if self.kind == MODEL_KIND:
+            faces = partial(_model_faces, self.graph)
+        else:
+            vid = {v: i for i, v in enumerate(self.graph.vertices)}
+            faces = partial(_oracle_faces, self.graph, vid=vid)
+        cols = _boundary_columns(self.cells[q], faces, self._index[q - 1])
         mat = SparseIntMatrix.from_columns(len(self.cells[q - 1]), cols)
         self._boundaries[q] = mat
         return mat
@@ -179,6 +167,27 @@ class CubeComplex:
             if not self.boundary(q - 1).multiply(self.boundary(q)).is_zero():
                 return False
         return True
+
+
+def _boundary_columns(cells, faces, index, dropped=()):
+    """Signed boundary columns of ``cells``, with rows numbered by ``index``
+    and the rows in ``dropped`` left out."""
+    cols = []
+    for cell in cells:
+        col = {}
+        for sign, face0, face1 in faces(cell):
+            i1 = index[face1]
+            if i1 not in dropped:
+                col[i1] = col.get(i1, 0) + sign
+                if not col[i1]:
+                    del col[i1]
+            i0 = index[face0]
+            if i0 not in dropped:
+                col[i0] = col.get(i0, 0) - sign
+                if not col[i0]:
+                    del col[i0]
+        cols.append(col)
+    return cols
 
 
 # -- main model ---------------------------------------------------------
@@ -377,9 +386,10 @@ def _oracle_cells_by_dim(graph, n, budget=None):
     return cells_by_dim
 
 
-def _oracle_faces(graph, cell):
-    n_vertices = graph.n_vertices
-    vid = {v: i for i, v in enumerate(graph.vertices)}
+def _oracle_faces(graph, cell, vid):
+    """Yield (sign, face0, face1) per edge slot of an oracle cell; ``vid``
+    numbers the vertices of the graph."""
+    n_vertices = len(vid)
     faces = []
     axis = 0
     for slot, loc in enumerate(cell):

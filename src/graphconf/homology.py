@@ -5,8 +5,10 @@ subcomplex inclusions and graph automorphisms."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .complexes import CubeComplex, _oracle_cells_by_dim, _oracle_faces
+from .complexes import (CubeComplex, _boundary_columns, _oracle_cells_by_dim,
+                        _oracle_faces)
 from .graphs import subdivide
 from .linalg import (
     SparseIntMatrix,
@@ -141,81 +143,56 @@ def project_to_homology(presentation, zvec):
     return presentation.project(zvec)
 
 
-def betti_numbers(complex_, qmax=None):
-    """Rational Betti numbers b_0..b_qmax via exact boundary ranks."""
-    top = complex_.top_dimension
+def _betti_from_boundaries(f, columns_of, qmax):
+    """Betti numbers b_0..b_qmax of a complex with f_q cells in degree q.
+
+    ``columns_of(q, dropped)`` returns the columns of d_q without the rows
+    in ``dropped``.  The loop runs bottom-up and drops from d_(q+1) the rows
+    of the pivot columns P that the elimination of d_q found.  Those columns
+    are linearly independent, so no nonzero q-cycle is supported on P, and
+    deleting the coordinates in P is injective on Z_q.  The image of
+    d_(q+1) lies in Z_q, so its rank is unchanged by the deletion.  For
+    q = 1, P is the spanning forest of the 1-skeleton.
+    """
+    top = len(f) - 1
     if qmax is None:
         qmax = top
-    ranks = {0: 0, top + 1: 0}
+    ranks = [0] * (top + 2)            # ranks[q] = rank d_q; d_0 = 0
+    pivots = []
     for q in range(1, min(top, qmax + 1) + 1):
-        cols = [dict(c) for c in complex_.boundary(q).columns()]
-        ranks[q] = rank_of_columns(cols)
-    out = []
-    for q in range(qmax + 1):
-        f_q = len(complex_.cells[q]) if q <= top else 0
-        out.append(f_q - ranks.get(q, 0) - ranks.get(q + 1, 0))
-    return out
+        dropped = set(pivots)
+        pivots = []
+        ranks[q] = rank_of_columns(columns_of(q, dropped), pivots)
+    return [f[q] - ranks[q] - ranks[q + 1] if q <= top else 0
+            for q in range(qmax + 1)]
+
+
+def betti_numbers(complex_, qmax=None):
+    """Rational Betti numbers b_0..b_qmax via exact boundary ranks."""
+
+    def columns_of(q, dropped):
+        return [{r: v for r, v in col.items() if r not in dropped}
+                for col in complex_.boundary(q).columns()]
+
+    return _betti_from_boundaries(complex_.f_vector(), columns_of, qmax)
 
 
 def oracle_betti_numbers(graph, n, qmax=None, budget=None):
     """Betti numbers of the discretized cross-check model, streamed so the
     boundary matrices are freed dimension by dimension."""
-    if n == 0:
-        return [1] + [0] * (qmax or 0)
     fine = subdivide(graph, n + 1)
     cells_by_dim = _oracle_cells_by_dim(fine, n, budget)
-    top = len(cells_by_dim) - 1
-    while top > 0 and not cells_by_dim[top]:
-        top -= 1
-    if qmax is None:
-        qmax = top
     f = [len(cs) for cs in cells_by_dim]
-    ranks = {0: 0}
+    while len(f) > 1 and not f[-1]:
+        f.pop()
+    vid = {v: i for i, v in enumerate(fine.vertices)}
+    faces = partial(_oracle_faces, fine, vid=vid)
 
-    prev_index = {cell: i for i, cell in enumerate(cells_by_dim[0])}
-    for q in range(1, min(top, qmax + 1) + 1):
-        if q == 1:
-            # incidence matrix: rank = f_0 - number of components
-            parent = list(range(f[0]))
+    def columns_of(q, dropped):
+        index = {cell: i for i, cell in enumerate(cells_by_dim[q - 1])}
+        return _boundary_columns(cells_by_dim[q], faces, index, dropped)
 
-            def find(x):
-                root = x
-                while parent[root] != root:
-                    root = parent[root]
-                while parent[x] != root:
-                    parent[x], x = root, parent[x]
-                return root
-
-            r1 = 0
-            for cell in cells_by_dim[1]:
-                ((_, f0, f1),) = _oracle_faces(fine, cell)
-                a, b = find(prev_index[f0]), find(prev_index[f1])
-                if a != b:
-                    parent[a] = b
-                    r1 += 1
-            ranks[1] = r1
-        else:
-            cols = []
-            for cell in cells_by_dim[q]:
-                col = {}
-                for sign, f0, f1 in _oracle_faces(fine, cell):
-                    i0, i1 = prev_index[f0], prev_index[f1]
-                    col[i1] = col.get(i1, 0) + sign
-                    if not col[i1]:
-                        del col[i1]
-                    col[i0] = col.get(i0, 0) - sign
-                    if not col[i0]:
-                        del col[i0]
-                cols.append(col)
-            ranks[q] = rank_of_columns(cols)
-            del cols
-        prev_index = {cell: i for i, cell in enumerate(cells_by_dim[q])}
-
-    out = []
-    for q in range(qmax + 1):
-        out.append(f[q] - ranks.get(q, 0) - ranks.get(q + 1, 0) if q <= top
-                   else 0)
-    return out
+    return _betti_from_boundaries(f, columns_of, qmax)
 
 
 # -- generation (span) checks ----------------------------------------------

@@ -177,9 +177,10 @@ def vec_scale_add(a, sa, b, sb):
 # -- rank ------------------------------------------------------------------
 
 
-def _incidence_rank(columns):
+def _incidence_rank(columns, pivots):
     """Rank of a matrix whose every column is e_i - e_j: vertices minus
-    components of the graph the columns draw on the row indices."""
+    components of the graph the columns {j: col} draw on the row indices.
+    When ``pivots`` is a list, the spanning forest's edges are appended."""
     parent = {}
 
     def find(x):
@@ -191,7 +192,7 @@ def _incidence_rank(columns):
         return root
 
     rank = 0
-    for col in columns:
+    for j, col in columns.items():
         (r1, _), (r2, _) = col.items()
         for r in (r1, r2):
             if r not in parent:
@@ -200,6 +201,8 @@ def _incidence_rank(columns):
         if a != b:
             parent[a] = b
             rank += 1
+            if pivots is not None:
+                pivots.append(j)
     return rank
 
 
@@ -213,14 +216,18 @@ def _looks_like_incidence(columns):
     return True
 
 
-def rank_of_columns(columns):
-    """Exact rank over the rationals of the matrix with the given columns."""
+def rank_of_columns(columns, pivots=None):
+    """Exact rank over the rationals of the matrix with the given columns.
+
+    When ``pivots`` is a list, the indices of the pivot columns are appended
+    to it: those columns alone have full rank.
+    """
     cols = {}
     for j, col in enumerate(columns):
         if col:
             cols[j] = col
     if _looks_like_incidence(cols.values()):
-        return _incidence_rank(cols.values())
+        return _incidence_rank(cols, pivots)
 
     cols = {j: dict(c) for j, c in cols.items()}
     row_sup = {}
@@ -299,6 +306,8 @@ def rank_of_columns(columns):
             row_sup[rr].discard(j)
         del cols[j]
         rank += 1
+        if pivots is not None:
+            pivots.append(j)
     return rank
 
 

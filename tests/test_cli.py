@@ -118,6 +118,19 @@ class TestExitCodes:
         assert main(["model", "--graph", graph_file, "--n", "2",
                      "--sinks", "0", "--oracle"]) == 2
 
+    def test_malformed_graph_json_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"vertices": [0, 1], "edges": [[0, 1]')
+        assert main(["homology", "--graph", str(path), "--n", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_malformed_family_json_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "broken_family.json"
+        path.write_text("{kind: wedge}")
+        assert main(["rep-stability", "--family", str(path), "--n", "2",
+                     "--q", "1", "--window", "2..3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_backwards_window_is_config_error(self, capsys, star_family_file):
         assert main(["rep-stability", "--family", star_family_file,
                      "--n", "2", "--q", "1", "--window", "7..5"]) == 2

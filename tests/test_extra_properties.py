@@ -11,6 +11,7 @@ from graphconf import (
     ModelError,
     SummandSpec,
     betti_numbers,
+    build_abrams_oracle,
     build_model,
     generation_degree_check,
     homology,
@@ -26,6 +27,7 @@ from graphconf import (
     star_cycle,
     wedge_family,
 )
+from graphconf.linalg import rank_of_columns
 
 
 def random_connected_graph(rng, n_vertices, extra_edges):
@@ -59,6 +61,57 @@ class TestRandomizedAgreement:
             g = random_connected_graph(rng, rng.randint(2, 5),
                                        rng.randint(0, 2))
             assert build_model(g, 2).boundary_square_is_zero()
+
+
+def unpruned_betti(complex_, qmax):
+    """f_q - rank d_q - rank d_(q+1) from the full boundary matrices."""
+    top = complex_.top_dimension
+
+    def rk(q):
+        if not 1 <= q <= top:
+            return 0
+        return rank_of_columns([dict(c) for c in complex_.boundary(q).columns()])
+
+    return [len(complex_.cells[q]) - rk(q) - rk(q + 1) if q <= top else 0
+            for q in range(qmax + 1)]
+
+
+class TestPrunedBetti:
+    """The Betti loop drops the rows the previous boundary pivoted on; the
+    answers must equal those of the unpruned ranks."""
+
+    def test_random_graphs_match_unpruned_ranks(self):
+        rng = random.Random(2026)
+        for trial in range(30):
+            g = random_connected_graph(rng, rng.randint(2, 5),
+                                       rng.randint(0, 3))
+            n = rng.randint(0, 2)
+            qmax = rng.randint(0, n + 2)
+            sinks = [v for v in g.vertices if rng.random() < 0.3]
+            model = build_model(g, n, sinks)
+            oracle = build_abrams_oracle(g, n)
+            context = (trial, g.edges, n, qmax, sinks)
+            assert betti_numbers(model, qmax) == unpruned_betti(model, qmax), context
+            assert oracle_betti_numbers(g, n, qmax) == \
+                unpruned_betti(oracle, qmax), context
+            assert betti_numbers(model) == \
+                unpruned_betti(model, model.top_dimension), context
+            assert oracle_betti_numbers(g, n) == \
+                unpruned_betti(oracle, oracle.top_dimension), context
+
+    def test_qmax_beyond_top_dimension_pads_with_zeros(self):
+        g = make_cycle_graph(3)
+        model = build_model(g, 1)
+        assert model.top_dimension == 1
+        assert betti_numbers(model, 4) == [1, 1, 0, 0, 0]
+        assert oracle_betti_numbers(g, 1, 4) == [1, 1, 0, 0, 0]
+
+    def test_no_particles(self):
+        g = make_star(3)
+        assert betti_numbers(build_model(g, 0)) == [1]
+        assert betti_numbers(build_model(g, 0), 2) == [1, 0, 0]
+        assert oracle_betti_numbers(g, 0) == [1]
+        assert oracle_betti_numbers(g, 0, 2) == [1, 0, 0]
 
 
 class TestReversedEdgeAutomorphism:

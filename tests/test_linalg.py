@@ -181,6 +181,40 @@ class TestRank:
     def test_zero(self):
         assert rank(SparseIntMatrix(4, 4)) == 0
 
+    def test_pivot_columns_have_full_rank(self):
+        rng = random.Random(11)
+        for _ in range(80):
+            rows = rng.randint(1, 6)
+            cols = rng.randint(1, 7)
+            dense = random_dense(rng, rows, cols, density=0.6)
+            columns = [dict(c) for c in SparseIntMatrix.from_dense(dense).columns()]
+            pivots = []
+            rk = rank_of_columns(columns, pivots)
+            assert rk == len(pivots) == len(set(pivots)) == fraction_rank(dense)
+            assert rank_of_columns(columns) == rk
+            assert fraction_rank([[row[j] for j in pivots] for row in dense]) == rk
+
+    def test_incidence_pivots_are_a_spanning_forest(self):
+        import networkx as nx
+
+        rng = random.Random(12)
+        for _ in range(60):
+            nv = rng.randint(2, 9)
+            edges = [tuple(rng.sample(range(nv), 2))
+                     for _ in range(rng.randint(1, 12))]
+            columns = [{a: -1, b: 1} for a, b in edges]
+            pivots = []
+            rk = rank_of_columns(columns, pivots)
+            assert rk == len(pivots) == len(set(pivots))
+            full = nx.Graph(edges)
+            forest = nx.Graph([edges[j] for j in pivots])
+            assert forest.number_of_edges() == rk
+            assert nx.is_forest(forest)
+            assert ({frozenset(c) for c in nx.connected_components(forest)}
+                    == {frozenset(c) for c in nx.connected_components(full)})
+            dense = [[col.get(r, 0) for col in columns] for r in range(nv)]
+            assert fraction_rank([[row[j] for j in pivots] for row in dense]) == rk
+
 
 class TestKernel:
     def test_kernel_vectors_are_kernel(self):
