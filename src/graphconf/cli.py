@@ -33,6 +33,7 @@ from .complexes import (
     build_model,
 )
 from .graphs import (
+    WEDGE_FI,
     FamilyDescriptor,
     Graph,
     GraphError,
@@ -401,6 +402,9 @@ def _cmd_tree_generators(config):
 
 def _cmd_rep_stability(config):
     descriptor = load_family(config.family_path)
+    if descriptor.kind != WEDGE_FI:
+        raise ConfigError("rep-stability needs a wedge family: only there "
+                          "does S_k act by permuting the summand copies")
     if descriptor.arity != 1:
         raise ConfigError("rep-stability windows run over one-coordinate "
                           "families; decompose product actions via the library")

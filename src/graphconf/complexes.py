@@ -344,10 +344,9 @@ def _oracle_cells_by_dim(graph, n, budget=None):
     assignment = []
     total = 0
 
-    def place(p):
+    def place(p, dim):
         nonlocal total
         if p > n:
-            dim = sum(1 for loc in assignment if loc >= n_vertices)
             cells_by_dim[dim].append(tuple(assignment))
             total += 1
             if budget is not None and total > budget:
@@ -360,7 +359,7 @@ def _oracle_cells_by_dim(graph, n, budget=None):
                     continue
                 blocked.add(loc)
                 assignment.append(loc)
-                place(p + 1)
+                place(p + 1, dim)
                 assignment.pop()
                 blocked.discard(loc)
             else:
@@ -374,13 +373,13 @@ def _oracle_cells_by_dim(graph, n, budget=None):
                 blocked.add(a)
                 blocked.add(b)
                 assignment.append(loc)
-                place(p + 1)
+                place(p + 1, dim + 1)
                 assignment.pop()
                 blocked.discard(a)
                 blocked.discard(b)
                 used_edges.discard(e)
 
-    place(1)
+    place(1, 0)
     for q in range(len(cells_by_dim)):
         cells_by_dim[q].sort()
     return cells_by_dim

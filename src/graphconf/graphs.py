@@ -658,12 +658,8 @@ def support_subgraphs(instance, degrees):
         if d < 0 or d > k:
             raise GraphError("degrees must satisfy 0 <= d <= size componentwise")
     base_v, base_e = instance.base_part()
-    per_coord_choices = [
-        list(combinations(range(1, k + 1), d))
-        for d, k in zip(degrees, instance.sizes)
-    ]
     out = []
-    for choice in product(*per_coord_choices):
+    for choice in _copy_choices(instance, degrees):
         verts = set(base_v)
         edges = set(base_e)
         for i, copies in enumerate(choice, start=1):
@@ -672,6 +668,34 @@ def support_subgraphs(instance, degrees):
                 edges.update(dict(instance.copy_emap(i, m)).values())
         out.append(Subgraph(instance.graph, frozenset(verts), frozenset(edges)))
     return out
+
+
+def _copy_choices(instance, degrees):
+    """The copies each degree-``degrees`` support takes, per coordinate."""
+    return product(*(combinations(range(1, k + 1), int(d))
+                     for d, k in zip(degrees, instance.sizes)))
+
+
+def support_orbits(instance, degrees):
+    """``support_subgraphs`` as orbits: (representative, [(vertex map, edge
+    map) of an automorphism carrying it onto each further support]).  Wedge
+    families permute the copies of each coordinate, so all supports form one
+    orbit; in interval and circle members each support is its own orbit."""
+    supports = support_subgraphs(instance, degrees)
+    if instance.descriptor.kind != WEDGE_FI:
+        return [(sub, []) for sub in supports]
+    maps = []
+    for choice in list(_copy_choices(instance, degrees))[1:]:
+        vmap = {v: v for v in instance.graph.vertices}
+        emap = {e: e for e in range(instance.graph.n_edges)}
+        for coord, (copies, k) in enumerate(zip(choice, instance.sizes), 1):
+            rest = tuple(m for m in range(1, k + 1) if m not in copies)
+            cv, ce = instance.summand_automorphism(
+                coord, dict(zip(range(1, k + 1), copies + rest)))
+            vmap = {v: cv[w] for v, w in vmap.items()}
+            emap = {e: ce[f] for e, f in emap.items()}
+        maps.append((vmap, emap))
+    return [(supports[0], maps)]
 
 
 def support_embeddings(descriptor, degrees, sizes):

@@ -62,7 +62,6 @@ class HomologyPresentation:
     _image_cols: list = field(repr=False, default_factory=list)
     _u_rows: dict = field(repr=False, default_factory=dict)
     _free_rows: list = field(repr=False, default_factory=list)
-    _pivots: list = field(repr=False, default_factory=list)   # (row, divisor)
 
     def is_cycle(self, zvec):
         return not self.complex.boundary(self.q).apply(zvec)
@@ -134,7 +133,6 @@ def homology(complex_, q, basis=True):
         _image_cols=image_cols,
         _u_rows=u_rows or {},
         _free_rows=free_rows,
-        _pivots=[(r, d) for r, _, d in pivots],
     )
 
 
@@ -274,15 +272,16 @@ class ChainMap:
         self.vertex_map = vertex_map
         self.edge_map = edge_map
         self.reversed_edges = reversed_edges
-        self._images = []
-        for q, cells in enumerate(complex_.cells):
-            index = complex_._index[q]
-            try:
-                self._images.append(
-                    [index[self._map_cell(cell)] for cell in cells])
-            except KeyError as exc:
-                raise HomologyError(
-                    "automorphism does not preserve the complex") from exc
+        self._images = [[] for _ in complex_.cells]   # built on first use
+
+    def images(self, q, indices):
+        """Indices of the images of the degree-q cells numbered ``indices``."""
+        cells, index = self.complex.cells[q], self.complex._index[q]
+        try:
+            return [index[self._map_cell(cells[i])] for i in indices]
+        except KeyError as exc:
+            raise HomologyError(
+                "automorphism does not preserve the complex") from exc
 
     def _map_cell(self, cell):
         vkey, ekey, moves = cell
@@ -299,11 +298,13 @@ class ChainMap:
     def matrix(self, q):
         if q > self.complex.top_dimension:
             return SparseIntMatrix(0, 0)
-        images = self._images[q]
-        cols = [{img: 1} for img in images]
-        return SparseIntMatrix.from_columns(len(images), cols)
+        f = len(self.complex.cells[q])
+        return SparseIntMatrix.from_columns(
+            f, [self.apply(q, {i: 1}) for i in range(f)])
 
     def apply(self, q, vec):
+        if not self._images[q]:
+            self._images[q] = self.images(q, range(len(self.complex.cells[q])))
         images = self._images[q]
         return {images[i]: v for i, v in vec.items()}
 

@@ -430,18 +430,21 @@ def kernel_with_coords(matrix):
 
 
 def _chain_fix(pivots, u_rows, uinv_cols):
-    """Enforce the divisibility chain on the recorded pivots in place."""
+    """Enforce the divisibility chain on the recorded pivots in place.  A unit
+    divides everything, so only non-unit pivots are paired up (by row
+    operations on pivot rows alone); the final sort puts the units first."""
 
     def entry(table, r):
         if r not in table:
             table[r] = {r: 1}
         return table[r]
 
+    slots = [i for i, (_, _, d) in enumerate(pivots) if d != 1]
     changed = True
     while changed:
         changed = False
-        for i in range(len(pivots)):
-            for k in range(i + 1, len(pivots)):
+        for a, i in enumerate(slots):
+            for k in slots[a + 1:]:
                 r1, c1, d1 = pivots[i]
                 r2, c2, d2 = pivots[k]
                 if d2 % d1 == 0:

@@ -14,12 +14,13 @@ from .graphs import (
     GraphError,
     Subgraph,
     realize_family,
-    support_subgraphs,
+    support_orbits,
 )
 from .homology import (
     GeneratedCheck,
     generated_check,
     homology,
+    permutation_action_map,
     push_cycle,
 )
 from .linalg import kernel_with_coords
@@ -575,9 +576,17 @@ class GenerationReport:
 
 
 def _degree_candidates(instance, model, q, degrees):
+    """Pushed cycle lattices of the supports: one kernel per support orbit,
+    carried to the other supports by the automorphisms' chain maps."""
     out = []
-    for sub in support_subgraphs(instance, degrees):
-        out.extend(pushed_cycle_space(model, sub, q))
+    for rep, maps in support_orbits(instance, degrees):
+        basis = pushed_cycle_space(model, rep, q)
+        out.extend(basis)
+        cells = sorted({i for vec in basis for i in vec})
+        for vmap, emap in maps:
+            chain_map = permutation_action_map(model, vmap, emap)
+            image = dict(zip(cells, chain_map.images(q, cells)))
+            out.extend({image[i]: v for i, v in vec.items()} for vec in basis)
     return out
 
 

@@ -146,6 +146,18 @@ class TestExitCodes:
         assert main(["rep-stability", "--family", str(path), "--n", "2",
                      "--q", "1", "--window", "2..3"]) == 2
 
+    @pytest.mark.parametrize("kind", ["interval", "circle"])
+    def test_rep_stability_rejects_interval_and_circle_families(
+            self, capsys, tmp_path, triangle, kind):
+        # S_k acts on wedge families only; elsewhere there is no action
+        from graphconf import circle_family, interval_family
+        fam = (interval_family if kind == "interval" else circle_family)(triangle)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(family_to_payload(fam)))
+        assert main(["rep-stability", "--family", str(path), "--n", "2",
+                     "--q", "1", "--window", "2..3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_budget_exceeded(self, capsys, graph_file):
         code = main(["model", "--graph", graph_file, "--n", "3",
                      "--budget", "5"])

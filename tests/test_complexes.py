@@ -113,6 +113,24 @@ class TestOracle:
             full = betti_numbers(build_abrams_oracle(g, n), min(n, 2))
             assert oracle_betti_numbers(g, n, min(n, 2)) == full
 
+    def test_cells_match_brute_force(self, star3, triangle, interval):
+        # every n-tuple of locations whose closures are pairwise disjoint,
+        # by dimension (edge slots), in sorted order
+        for g, n in ((star3, 2), (triangle, 2), (interval, 3), (star3, 3)):
+            cx = build_abrams_oracle(g, n)
+            fine = cx.graph
+            nv = fine.n_vertices
+            vid = {v: i for i, v in enumerate(fine.vertices)}
+            ends = [{vid[a], vid[b]} for a, b in fine.edges]
+            by_dim = [[] for _ in range(n + 1)]
+            for cell in product(range(nv + fine.n_edges), repeat=n):
+                closures = [{loc} if loc < nv else ends[loc - nv] for loc in cell]
+                if sum(map(len, closures)) == len(set().union(*closures)):
+                    by_dim[sum(loc >= nv for loc in cell)].append(cell)
+            while not by_dim[-1]:
+                by_dim.pop()
+            assert [list(cs) for cs in cx.cells] == by_dim
+
     def test_zero_particles(self, star3):
         cx = build_abrams_oracle(star3, 0)
         assert cx.f_vector() == [1]

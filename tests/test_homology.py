@@ -3,6 +3,7 @@ import random
 import pytest
 
 from graphconf import (
+    ChainMap,
     HomologyError,
     betti_numbers,
     build_model,
@@ -21,6 +22,8 @@ from graphconf import (
     wedge,
     Subgraph,
 )
+from graphconf.complexes import MODEL_KIND, CubeComplex
+from graphconf.linalg import SparseIntMatrix
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +227,27 @@ class TestPermutationAction:
         with pytest.raises(HomologyError):
             permutation_action_map(cx, {0: 1, 1: 0})
 
+    def test_image_tables_built_per_degree(self, star3_model):
+        cm = permutation_action_map(star3_model, {0: 0, 1: 3, 2: 1, 3: 2})
+        degrees = range(len(star3_model.cells))
+        assert [len(t) for t in cm._images] == [0 for _ in degrees]
+        cm.apply(1, {0: 1})
+        assert [bool(t) for t in cm._images] == [q == 1 for q in degrees]
+        assert cm._images[1] == cm.images(1, range(len(star3_model.cells[1])))
+        assert cm.images(1, [4, 0]) == [cm._images[1][4], cm._images[1][0]]
+        assert cm.commutes_with_boundary()
+        assert all(len(t) == len(star3_model.cells[q])
+                   for q, t in enumerate(cm._images))
+
+    def test_missing_image_raises_on_first_use(self, star3_model):
+        # centre and leaf swapped on the vertices only: a particle moving
+        # to the centre now meets the particle parked there
+        cm = ChainMap(star3_model, {0: 1, 1: 0, 2: 2, 3: 3},
+                      {0: 0, 1: 1, 2: 2}, set())
+        cm.apply(0, {0: 1})
+        with pytest.raises(HomologyError):
+            cm.matrix(1)
+
     def test_chain_maps_push_cycles(self, star3_model):
         pres = homology(star3_model, 1)
         cm = permutation_action_map(star3_model, {0: 0, 1: 3, 2: 1, 3: 2})
@@ -242,3 +266,53 @@ def test_oracle_model_independence_small():
     for g, n in ((make_path_graph(2), 2), (make_cycle_graph(4), 2)):
         assert betti_numbers(build_model(g, n), 2) == \
             oracle_betti_numbers(g, n, 2)
+
+
+def torsion_complex(rng, diag, free, steps=15):
+    """Chain complex Z^k -> Z^(k+free+1) -> Z, k = len(diag), whose H_1 is
+    Z^free plus the cyclic groups Z/d, written in a basis of C_1 scrambled
+    by random elementary operations (and C_2 by random column operations)."""
+    k = len(diag)
+    n1 = k + free + 1
+    d2 = [[diag[j] if i == j else 0 for j in range(k)] for i in range(n1)]
+    d1 = [[0] * (n1 - 1) + [1]]
+    for _ in range(steps):
+        c = rng.choice((-2, -1, 1, 2))
+        i, j = rng.sample(range(n1), 2)
+        # new C_1 basis: d2 <- E d2 and d1 <- d1 E^-1, E = I + c e_i e_j^T
+        d2[i] = [a + c * b for a, b in zip(d2[i], d2[j])]
+        d1[0][j] -= c * d1[0][i]
+        a, b = rng.sample(range(k), 2)
+        for row in d2:
+            row[a] += c * row[b]
+    cells = [[("v",)], [("e", i) for i in range(n1)], [("f", j) for j in range(k)]]
+    cx = CubeComplex(make_path_graph(1), 1, (), MODEL_KIND, cells)
+    cx._boundaries = {1: SparseIntMatrix.from_dense(d1),
+                      2: SparseIntMatrix.from_dense(d2)}
+    return cx
+
+
+class TestTorsionPresentation:
+    """Smith pivots mixing units and non-units: the free-row projector and
+    the basis cycles must still invert each other and kill boundaries."""
+
+    def test_projector_with_mixed_pivots(self):
+        rng = random.Random(29)
+        for _ in range(6):
+            cx = torsion_complex(rng, (2, 1, 3, 1, 4, 6), free=2)
+            assert cx.boundary(1).multiply(cx.boundary(2)).is_zero()
+            pres = homology(cx, 1)
+            assert (pres.betti, pres.torsion) == (2, (2, 6, 12))
+            for i, vec in enumerate(pres.cycle_basis):
+                assert pres.project(vec) == tuple(int(i == j) for j in range(2))
+            for col in cx.boundary(2).columns():
+                assert pres.project(col) == (0, 0)
+            a = [rng.randint(-3, 3) for _ in range(2)]
+            z = {}
+            terms = list(zip(a, pres.cycle_basis)) + [
+                (rng.randint(-3, 3), col) for col in cx.boundary(2).columns()]
+            for coeff, vec in terms:
+                for cell, v in vec.items():
+                    z[cell] = z.get(cell, 0) + coeff * v
+            z = {c: v for c, v in z.items() if v}
+            assert pres.project(z) == tuple(a)

@@ -160,6 +160,64 @@ class TestSmith:
                     assert dot == (1 if i == j else 0)
 
 
+def scrambled(rng, dense, steps=12):
+    """``dense`` times random unimodular matrices on both sides."""
+    m = [list(row) for row in dense]
+    rows, cols = len(m), len(m[0])
+    for _ in range(steps):
+        c = rng.choice((-2, -1, 1, 2))
+        i, j = rng.sample(range(rows), 2)
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        i, j = rng.sample(range(cols), 2)
+        for row in m:
+            row[i] += c * row[j]
+    return m
+
+
+class TestSmithWithUnits:
+    """The divisor chain is fixed over the non-unit pivots alone; the units
+    must still land in front and the transforms stay inverse."""
+
+    DIAG = (2, 1, 3, 1, 4, 6)
+
+    def test_diagonal_and_scrambled(self):
+        rng = random.Random(17)
+        size = len(self.DIAG)
+        diag = [[self.DIAG[i] if i == j else 0 for j in range(size)]
+                for i in range(size)]
+        cases = [diag] + [scrambled(rng, diag) for _ in range(8)]
+        for dense in cases:
+            divisors = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            assert divisors == minors_gcd_divisors(dense) == [1, 1, 1, 2, 6, 12]
+
+    def test_random_mixed_pivots(self):
+        rng = random.Random(19)
+        for _ in range(30):
+            rows, cols = rng.randint(2, 5), rng.randint(2, 5)
+            entries = [rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(min(rows, cols))]
+            dense = [[entries[i] if i == j and i < len(entries) else 0
+                      for j in range(cols)] for i in range(rows)]
+            dense = scrambled(rng, dense, steps=rng.randint(0, 8))
+            assert smith_normal_form(SparseIntMatrix.from_dense(dense)) == \
+                minors_gcd_divisors(dense)
+
+    def test_transforms_inverse(self):
+        rng = random.Random(23)
+        size = len(self.DIAG)
+        diag = [[self.DIAG[i] if i == j else 0 for j in range(size)]
+                for i in range(size)]
+        for dense in [diag] + [scrambled(rng, diag) for _ in range(6)]:
+            pivots, u_rows, uinv_cols = smith_diagonalize(
+                SparseIntMatrix.from_dense(dense), track_u=True)
+            assert [d for *_, d in pivots] == [1, 1, 1, 2, 6, 12]
+            for i in range(size):
+                row = u_rows.get(i, {i: 1})
+                for j in range(size):
+                    col = uinv_cols.get(j, {j: 1})
+                    dot = sum(v * col.get(k, 0) for k, v in row.items())
+                    assert dot == (1 if i == j else 0)
+
+
 class TestRank:
     def test_matches_fraction_oracle(self):
         rng = random.Random(5)

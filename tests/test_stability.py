@@ -1,6 +1,11 @@
+from itertools import product
+
 import pytest
 
 from graphconf import (
+    Graph,
+    SparseIntMatrix,
+    SummandSpec,
     StabilityError,
     build_model,
     dimension_polynomial_check,
@@ -16,10 +21,16 @@ from graphconf import (
     make_star,
     product_cycle,
     realize_family,
+    smith_normal_form,
     star_cycle,
+    subcomplex_supported_in,
+    support_subgraphs,
     verify_tree_generators,
+    wedge_family,
 )
+from graphconf.graphs import support_orbits
 from graphconf.linalg import rank_of_columns
+from graphconf.stability import _degree_candidates, pushed_cycle_space
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +245,69 @@ class TestGenerationDegree:
         data = rep.to_dict()
         assert data["generates_over_Z"] is True
         assert data["f_vector"][0] > 0
+
+
+def transport_family(name):
+    point = Graph(vertices=(0,), edges=(), basepoint=0)
+    segment = make_path_graph(1)
+    if name == "star":
+        return wedge_family(point, [SummandSpec(segment, (0,), (0,))])
+    if name == "triangles":
+        return wedge_family(point, [SummandSpec(make_cycle_graph(3), (0,), (0,))])
+    if name == "pair":
+        return wedge_family(point, [SummandSpec(segment, (0,), (0,)),
+                                    SummandSpec(segment, (0,), (0,))])
+    if name == "subtree":
+        return wedge_family(make_path_graph(3), [
+            SummandSpec(make_star(3), (0, 1), (1, 2), (0,), (1,))])
+    return interval_family(make_cycle_graph(3))
+
+
+class TestSupportOrbits:
+    """Candidates carried from one support per orbit by automorphisms must
+    be cycles on their own support, span each support's cycle lattice, and
+    give the per-support kernels' span verdicts."""
+
+    @pytest.mark.parametrize("name,n,sizes", [
+        ("star", 2, (4,)), ("star", 3, (4,)), ("triangles", 2, (3,)),
+        ("pair", 2, (2, 3)), ("subtree", 2, (3,)), ("interval", 2, (3,)),
+    ])
+    def test_transported_candidates(self, name, n, sizes):
+        inst = realize_family(transport_family(name), sizes)
+        model = build_model(inst.graph, n)
+        pres = homology(model, 1, basis=False)
+        verdicts = []
+        for degrees in product(*(range(k + 1) for k in sizes)):
+            supports = support_subgraphs(inst, degrees)
+            orbits = support_orbits(inst, degrees)
+            assert sum(1 + len(maps) for _, maps in orbits) == len(supports)
+            assert len(orbits) == (len(supports) if name == "interval" else 1)
+            moved = _degree_candidates(inst, model, 1, degrees)
+            own = [pushed_cycle_space(model, sub, 1) for sub in supports]
+            assert len(moved) == sum(len(b) for b in own)
+            start = 0
+            for sub, basis in zip(supports, own):
+                chunk = moved[start:start + len(basis)]
+                start += len(basis)
+                subcx, inj = subcomplex_supported_in(model, sub)
+                if not chunk:
+                    continue
+                back = {a: i for i, a in enumerate(inj[1])}
+                for vec in chunk:
+                    assert not model.boundary(1).apply(vec)
+                    assert set(vec) <= set(back)
+                sub_pres = homology(subcx, 1, basis=False)
+                coords = [sub_pres.kernel_coords({back[a]: v for a, v in vec.items()})
+                          for vec in chunk]
+                divisors = smith_normal_form(
+                    SparseIntMatrix.from_columns(sub_pres.cycle_rank, coords))
+                assert divisors == [1] * sub_pres.cycle_rank
+            got = generated_check(model, 1, moved, presentation=pres)
+            want = generated_check(model, 1, [v for b in own for v in b],
+                                   presentation=pres)
+            assert got == want
+            verdicts.append(got.generates_over_Z)
+        assert True in verdicts and False in verdicts
 
 
 class TestPolynomialFit:
