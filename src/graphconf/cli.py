@@ -77,10 +77,8 @@ class RunConfig:
     qmax: int | None = None
     budget: int = DEFAULT_CELL_BUDGET
     cache_dir: str | None = None
-    jobs: int = 1
     out: str | None = None
     csv_out: str | None = None
-    seed: int = 0
     search_d_min: bool = True
 
     def validate(self):
@@ -88,8 +86,6 @@ class RunConfig:
             raise ConfigError("--n must be nonnegative")
         if self.q < 0:
             raise ConfigError("--q must be nonnegative")
-        if self.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
         if self.budget < 1:
             raise ConfigError("--budget must be positive")
         if self.window and self.window[0] > self.window[-1]:
@@ -502,12 +498,9 @@ def build_parser():
         p.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET,
                        help="cell budget per complex")
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker bound (runs are deterministic)")
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--csv", dest="csv_out", default=None,
                        help="write the CSV table here")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("model", help="build a configuration model")
     common(p, graph=True, q=False)
@@ -566,10 +559,8 @@ def config_from_args(args):
         qmax=getattr(args, "qmax", None),
         budget=args.budget,
         cache_dir=args.cache_dir,
-        jobs=args.jobs,
         out=args.out,
         csv_out=args.csv_out,
-        seed=args.seed,
         search_d_min=not getattr(args, "no_dmin_search", False),
     )
     return cfg.validate()

@@ -107,12 +107,6 @@ class Graph:
     def is_tree(self):
         return self.is_connected() and self.n_edges == self.n_vertices - 1
 
-    def label_of_vertex(self, v):
-        return dict(self.vertex_labels).get(v)
-
-    def label_of_edge(self, eidx):
-        return dict(self.edge_labels).get(eidx)
-
     def tree_path(self, u, w):
         """Vertex path from u to w (BFS shortest path; unique in a tree)."""
         if u == w:
@@ -435,9 +429,6 @@ class Subgraph:
     def is_whole_graph(self):
         return (len(self.vertices) == self.graph.n_vertices
                 and len(self.edges) == self.graph.n_edges)
-
-    def contains_subgraph(self, other):
-        return other.vertices <= self.vertices and other.edges <= self.edges
 
     def union(self, other):
         if other.graph is not self.graph:

@@ -72,17 +72,23 @@ class HomologyPresentation:
             raise HomologyError("vector is not a cycle")
         return _dict_dot_block(self._coord_col_form, zvec)
 
+    def _free_coordinate(self, y, r):
+        """Free row r of U applied to cycle-lattice coordinates y."""
+        row = self._u_rows.get(r)
+        if row is None:
+            return y.get(r, 0)
+        return sum(u * y[k] for k, u in row.items() if k in y)
+
     def project(self, zvec):
         """Free-part homology coordinates of a cycle (exact integers)."""
         y = self.kernel_coords(zvec)
-        out = []
-        for r in self._free_rows:
-            row = self._u_rows.get(r)
-            if row is None:
-                out.append(y.get(r, 0))
-            else:
-                out.append(sum(u * y[k] for k, u in row.items() if k in y))
-        return tuple(out)
+        return tuple(self._free_coordinate(y, r) for r in self._free_rows)
+
+    def coordinate(self, zvec, i):
+        """Free-part homology coordinate i of a cycle: ``project(zvec)[i]``
+        at the cost of one row of U."""
+        return self._free_coordinate(self.kernel_coords(zvec),
+                                     self._free_rows[i])
 
     def require_basis(self):
         if self.betti and not self.cycle_basis:
@@ -257,7 +263,7 @@ def induced_inclusion_map(subcomplex, injection, complex_, q,
 
 
 def matrix_rank(matrix):
-    return rank_of_columns([dict(c) for c in matrix.columns()])
+    return rank_of_columns(matrix.columns())
 
 
 # -- chain maps from graph automorphisms ------------------------------------
@@ -327,12 +333,17 @@ class ChainMap:
         return SparseIntMatrix.from_columns(presentation.betti, cols)
 
     def homology_trace(self, presentation):
-        presentation.require_basis()
-        q = presentation.q
-        tr = 0
-        for i, vec in enumerate(presentation.cycle_basis):
-            tr += presentation.project(self.apply(q, vec))[i]
-        return tr
+        """Trace on free homology: the sum over basis cycles z_i of
+        coordinate i of the image of z_i.  Only the degree-q cells the basis
+        uses are mapped."""
+        basis = presentation.require_basis().cycle_basis
+        if not basis:
+            return 0
+        cells = list({c for vec in basis for c in vec})
+        image = dict(zip(cells, self.images(presentation.q, cells)))
+        return sum(
+            presentation.coordinate({image[c]: v for c, v in vec.items()}, i)
+            for i, vec in enumerate(basis))
 
 
 def permutation_action_map(complex_, vertex_map, edge_map=None):

@@ -220,7 +220,8 @@ def rank_of_columns(columns, pivots=None):
     """Exact rank over the rationals of the matrix with the given columns.
 
     When ``pivots`` is a list, the indices of the pivot columns are appended
-    to it: those columns alone have full rank.
+    to it: those columns alone have full rank.  The input columns are left
+    unchanged: a column is copied when the elimination first updates it.
     """
     cols = {}
     for j, col in enumerate(columns):
@@ -229,7 +230,7 @@ def rank_of_columns(columns, pivots=None):
     if _looks_like_incidence(cols.values()):
         return _incidence_rank(cols, pivots)
 
-    cols = {j: dict(c) for j, c in cols.items()}
+    owned = set()                      # columns copied or rebuilt here
     row_sup = {}
     for j, col in cols.items():
         for r in col:
@@ -264,6 +265,9 @@ def rank_of_columns(columns, pivots=None):
             other = cols[k]
             a = other[r]
             if a % v == 0:
+                if k not in owned:     # the caller's columns stay unchanged
+                    other = cols[k] = dict(other)
+                    owned.add(k)
                 q = a // v
                 for rr, vv in col.items():
                     w = other.get(rr, 0) - q * vv
@@ -297,6 +301,7 @@ def rank_of_columns(columns, pivots=None):
                     if rr not in other:
                         row_sup[rr].add(k)
                 cols[k] = new
+                owned.add(k)
             nc = cols.get(k)
             if nc:
                 push(heap, (len(nc), k))
@@ -312,7 +317,7 @@ def rank_of_columns(columns, pivots=None):
 
 
 def rank(matrix):
-    return rank_of_columns([dict(c) for c in matrix.columns()])
+    return rank_of_columns(matrix.columns())
 
 
 # -- kernel with coordinate extractor --------------------------------------

@@ -490,10 +490,8 @@ def _generator_supports(tree, q):
                     ok = False
         if not ok:
             continue
-        verts = set()
         edges = set()
         for piece in chosen:
-            verts |= piece.vertices
             edges |= piece.edges
         supports.append(Subgraph(tree, all_vertices, frozenset(edges)))
     return supports

@@ -6,6 +6,7 @@ import pytest
 from graphconf import (
     CharacterError,
     CorruptedCharacterError,
+    SummandSpec,
     build_model,
     character_report,
     class_representative,
@@ -14,13 +15,17 @@ from graphconf import (
     homology,
     homology_character,
     hook_length_dimension,
+    make_cycle_graph,
+    make_path_graph,
     mn_character,
     pad,
     pad_is_valid,
     partitions,
+    permutation_action_map,
     realize_family,
     stability_verdict,
     unpad,
+    wedge_family,
 )
 from graphconf.characters import CharacterReport, product_character_report
 
@@ -191,6 +196,52 @@ class TestHomologyCharacters:
         total = sum(c * hook_length_dimension(pad(lam, 5))
                     for lam, c in rep.multiplicities)
         assert total == pres.betti
+
+
+def _diagonal_sum(chain_map, presentation):
+    """Trace through the full-projection path: the induced matrix's diagonal."""
+    dense = chain_map.homology_matrix(presentation).to_dense()
+    return sum(dense[i][i] for i in range(presentation.betti))
+
+
+class TestTraceProjection:
+    """``homology_trace`` maps only the basis cycles' cells and keeps one
+    coordinate per cycle; it must equal the trace of the full matrix."""
+
+    @pytest.mark.parametrize("summand,n,k", [
+        ("segment", 2, 3), ("segment", 2, 4), ("segment", 2, 5),
+        ("segment", 3, 3), ("segment", 3, 4), ("segment", 3, 5),
+        ("triangle", 2, 2), ("triangle", 2, 3),
+    ])
+    def test_trace_equals_matrix_diagonal(self, point_graph, summand, n, k):
+        piece = make_path_graph(1) if summand == "segment" else make_cycle_graph(3)
+        inst = realize_family(
+            wedge_family(point_graph, [SummandSpec(piece, (0,), (0,))]), (k,))
+        cx = build_model(inst.graph, n)
+        pres = homology(cx, 1)
+        assert pres.betti > 0
+        for mu in partitions(k):
+            vmap, emap = inst.summand_automorphism(1, class_representative(mu))
+            cm = permutation_action_map(cx, vmap, emap)
+            assert cm.homology_trace(pres) == _diagonal_sum(cm, pres)
+
+    def test_product_trace_equals_matrix_diagonal(self, point_graph, interval):
+        fam = wedge_family(point_graph, [
+            SummandSpec(interval, (0,), (0,)),
+            SummandSpec(interval, (0,), (0,)),
+        ])
+        inst = realize_family(fam, (2, 3))
+        cx = build_model(inst.graph, 2)
+        pres = homology(cx, 1)
+        values, _ = product_character_report(cx, pres, inst)
+        assert len(values) == len(partitions(2)) * len(partitions(3))
+        for (mu1, mu2), value in values.items():
+            vmap1, emap1 = inst.summand_automorphism(1, class_representative(mu1))
+            vmap2, emap2 = inst.summand_automorphism(2, class_representative(mu2))
+            cm = permutation_action_map(
+                cx, {v: vmap2[vmap1[v]] for v in vmap1},
+                {e: emap2[emap1[e]] for e in emap1})
+            assert value == _diagonal_sum(cm, pres)
 
 
 class TestStabilityVerdict:

@@ -109,6 +109,31 @@ class TestProjection:
         with pytest.raises(HomologyError):
             pres.project({0: 1})
 
+    def test_coordinate_is_one_entry_of_project(self, star3_model):
+        rng = random.Random(3)
+        for cx in (star3_model, build_model(make_star(4), 2)):
+            pres = homology(cx, 1)
+            d2 = cx.boundary(2)
+            vectors = list(pres.cycle_basis)
+            for _ in range(10):
+                z = {}
+                for vec in pres.cycle_basis:
+                    c = rng.randint(-3, 3)
+                    for cell, v in vec.items():
+                        z[cell] = z.get(cell, 0) + c * v
+                w = {rng.randrange(d2.cols): rng.randint(-2, 2) for _ in range(3)}
+                for cell, v in d2.apply(w).items():
+                    z[cell] = z.get(cell, 0) + v
+                vectors.append({c: v for c, v in z.items() if v})
+            for z in vectors:
+                assert tuple(pres.coordinate(z, i)
+                             for i in range(pres.betti)) == pres.project(z)
+
+    def test_coordinate_non_cycle_rejected(self, star3_model):
+        pres = homology(star3_model, 1)
+        with pytest.raises(HomologyError):
+            pres.coordinate({0: 1}, 0)
+
     def test_basis_free_presentation_guarded(self, star3_model):
         from graphconf import permutation_action_map
         pres = homology(star3_model, 1, basis=False)
@@ -248,6 +273,18 @@ class TestPermutationAction:
         with pytest.raises(HomologyError):
             cm.matrix(1)
 
+    def test_trace_maps_only_the_basis_support(self, star3_model):
+        pres = homology(star3_model, 1)
+        cm = permutation_action_map(star3_model, {0: 0, 1: 3, 2: 1, 3: 2})
+        trace = cm.homology_trace(pres)
+        assert not any(cm._images)
+        assert trace == sum(cm.homology_matrix(pres).to_dense()[i][i]
+                            for i in range(pres.betti))
+        broken = ChainMap(star3_model, {0: 1, 1: 0, 2: 2, 3: 3},
+                          {0: 0, 1: 1, 2: 2}, set())
+        with pytest.raises(HomologyError):
+            broken.homology_trace(pres)
+
     def test_chain_maps_push_cycles(self, star3_model):
         pres = homology(star3_model, 1)
         cm = permutation_action_map(star3_model, {0: 0, 1: 3, 2: 1, 3: 2})
@@ -316,3 +353,6 @@ class TestTorsionPresentation:
                     z[cell] = z.get(cell, 0) + coeff * v
             z = {c: v for c, v in z.items() if v}
             assert pres.project(z) == tuple(a)
+            for vec in pres.cycle_basis + [z]:
+                assert tuple(pres.coordinate(vec, i) for i in range(2)) == \
+                    pres.project(vec)

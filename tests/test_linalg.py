@@ -252,6 +252,25 @@ class TestRank:
             assert rank_of_columns(columns) == rk
             assert fraction_rank([[row[j] for j in pivots] for row in dense]) == rk
 
+    def test_input_columns_unchanged(self):
+        # entries without units force the scaling branch; mixed ones the
+        # divisible branch; e_i - e_j columns the incidence path
+        rng = random.Random(13)
+        for trial in range(90):
+            rows = rng.randint(2, 7)
+            cols = rng.randint(2, 8)
+            if trial % 3 == 2:
+                columns = [dict(zip(rng.sample(range(rows), 2), (-1, 1)))
+                           for _ in range(cols)]
+            else:
+                values = (-1, 1, 2, -3) if trial % 3 else (2, -3, 4, 6, -9)
+                columns = [{r: rng.choice(values) for r in range(rows)
+                            if rng.random() < 0.7} for _ in range(cols)]
+            saved = [dict(c) for c in columns]
+            dense = [[c.get(r, 0) for c in columns] for r in range(rows)]
+            assert rank_of_columns(columns, []) == fraction_rank(dense)
+            assert columns == saved
+
     def test_incidence_pivots_are_a_spanning_forest(self):
         import networkx as nx
 
