@@ -5,7 +5,8 @@ particles, those particles at positions i/(l+1) along the edge; a q-cube is
 a 0-cell plus q particles sweeping from an extremal edge slot to the
 adjacent vertex, no two of them approaching the same non-sink vertex.  The
 independent cross-check is the classical discretized model on a graph whose
-every edge is subdivided into n+1 pieces: a q-cell there is q pairwise
+edges are cut as finely as Prue & Scrimshaw (2014) require, into
+``oracle_subdivision(graph, n)`` pieces each: a q-cell there is q pairwise
 disjoint closed edges plus n-q distinct vertices, all closures disjoint.
 
 Cells are stored as canonical nested tuples:
@@ -403,14 +404,26 @@ def _oracle_faces(graph, cell, vid):
     return faces
 
 
+def oracle_subdivision(graph, n):
+    """Pieces per edge for a discretized model homotopy equivalent to
+    Conf_n(graph).  Abrams (thesis, 2000) cuts every edge into n+1 pieces;
+    Prue & Scrimshaw (Topology Appl. 2014) need only every cycle to have at
+    least n+1 edges and every path between distinct essential vertices at
+    least n-1.  The shortest cycle has at least g edges: 1 with a loop, 2
+    with parallel edges, 3 otherwise."""
+    ends = {frozenset(e) for e in graph.edges}
+    g = 1 if graph.has_loops() else 2 if len(ends) < graph.n_edges else 3
+    return max(1, n - 1, -(-(n + 1) // g))
+
+
 def build_abrams_oracle(graph, n, budget=DEFAULT_CELL_BUDGET):
     """Classical discretized model of Conf_n on the graph with every edge
-    subdivided into n+1 pieces (a uniformly sufficient subdivision)."""
+    subdivided into ``oracle_subdivision(graph, n)`` pieces."""
     if n < 0:
         raise ModelError("particle count must be nonnegative")
     if not graph.is_connected():
         raise ModelError("the model is built for connected graphs")
-    fine = subdivide(graph, n + 1)
+    fine = subdivide(graph, oracle_subdivision(graph, n))
     if n == 0:
         return CubeComplex(fine, 0, frozenset(), ORACLE_KIND, [[()]])
     cells_by_dim = _oracle_cells_by_dim(fine, n, budget)
@@ -454,11 +467,3 @@ def subcomplex_supported_in(complex_, sub):
     subcx = CubeComplex(complex_.graph, complex_.n, complex_.sinks,
                         MODEL_KIND, cells_by_dim)
     return subcx, injection[: subcx.top_dimension + 1]
-
-
-def f_vector(complex_):
-    return complex_.f_vector()
-
-
-def euler_characteristic(complex_):
-    return complex_.euler_characteristic()

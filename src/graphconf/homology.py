@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .complexes import (CubeComplex, _boundary_columns, _oracle_cells_by_dim,
-                        _oracle_faces)
+                        _oracle_faces, oracle_subdivision)
 from .graphs import subdivide
 from .linalg import (
     SparseIntMatrix,
@@ -142,11 +142,6 @@ def homology(complex_, q, basis=True):
     )
 
 
-def project_to_homology(presentation, zvec):
-    """Coordinates of a cycle's class in the free-part basis."""
-    return presentation.project(zvec)
-
-
 def _betti_from_boundaries(f, columns_of, qmax):
     """Betti numbers b_0..b_qmax of a complex with f_q cells in degree q.
 
@@ -184,7 +179,7 @@ def betti_numbers(complex_, qmax=None):
 def oracle_betti_numbers(graph, n, qmax=None, budget=None):
     """Betti numbers of the discretized cross-check model, streamed so the
     boundary matrices are freed dimension by dimension."""
-    fine = subdivide(graph, n + 1)
+    fine = subdivide(graph, oracle_subdivision(graph, n))
     cells_by_dim = _oracle_cells_by_dim(fine, n, budget)
     f = [len(cs) for cs in cells_by_dim]
     while len(f) > 1 and not f[-1]:
@@ -260,10 +255,6 @@ def induced_inclusion_map(subcomplex, injection, complex_, q,
         cols.append({i: v for i, v in enumerate(coords) if v})
     matrix = SparseIntMatrix.from_columns(pres.betti, cols)
     return matrix, pushed
-
-
-def matrix_rank(matrix):
-    return rank_of_columns(matrix.columns())
 
 
 # -- chain maps from graph automorphisms ------------------------------------

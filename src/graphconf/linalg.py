@@ -316,10 +316,6 @@ def rank_of_columns(columns, pivots=None):
     return rank
 
 
-def rank(matrix):
-    return rank_of_columns(matrix.columns())
-
-
 # -- kernel with coordinate extractor --------------------------------------
 
 

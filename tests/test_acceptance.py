@@ -29,10 +29,10 @@ from graphconf import (
     make_path_graph,
     make_spider,
     make_star,
-    matrix_rank,
     mn_character,
     oracle_betti_numbers,
     partitions,
+    rank_of_columns,
     realize_family,
     stability_verdict,
     subcomplex_supported_in,
@@ -242,7 +242,7 @@ def test_criterion_12_inclusion_is_injective():
     sub, inj = subcomplex_supported_in(cx, sub_graph)
     sub_pres = homology(sub, 1)
     mat, _ = induced_inclusion_map(sub, inj, cx, 1, sub_presentation=sub_pres)
-    rank_ = matrix_rank(mat)
+    rank_ = rank_of_columns(mat.columns())
     ok = sub_pres.betti == 1 and rank_ == 1
     report(12, ok,
            f"H_1(two-particle star model) -> H_1(star wedge interval) has "

@@ -8,8 +8,6 @@ from graphconf import (
     build_abrams_oracle,
     build_model,
     betti_numbers,
-    euler_characteristic,
-    f_vector,
     full_subgraph,
     make_cycle_graph,
     make_h_graph,
@@ -42,8 +40,6 @@ class TestModel:
         cx = build_model(interval, 2, sinks=(0, 1))
         assert cx.f_vector() == [10, 12, 2]
         assert cx.euler_characteristic() == 0
-        assert f_vector(cx) == [10, 12, 2]
-        assert euler_characteristic(cx) == 0
 
     def test_interval_two_particles(self, interval):
         assert brute_force_interval_conf2() == 8
