@@ -2,14 +2,16 @@
 the discretized oracle, and run the stabilization experiments.
 
 Exit codes: 0 all asserted checks pass, 1 a mathematical assertion failed,
-2 invalid configuration, 3 a cell budget was exceeded.
+2 invalid configuration or an unwritable output file, 3 a cell budget was
+exceeded, 4 internal error (a bug in graphconf, such as a corrupted
+character decomposition or any other unexpected exception; a one-line
+``internal error:`` message goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -17,18 +19,11 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .characters import (
-    CorruptedCharacterError,
-    character_report,
-    stability_verdict,
-)
+from .characters import character_report, stability_verdict
 from .complexes import (
     BudgetExceeded,
-    CubeComplex,
     DEFAULT_CELL_BUDGET,
-    MODEL_KIND,
     ModelError,
-    ORACLE_KIND,
     build_abrams_oracle,
     build_model,
 )
@@ -42,16 +37,12 @@ from .graphs import (
     realize_family,
 )
 from .homology import betti_numbers, homology, oracle_betti_numbers
-from .linalg import LinAlgError
 from .stability import (
     StabilityError,
     dimension_polynomial_check,
     generation_degree_check,
     verify_tree_generators,
 )
-
-CACHE_ENV_VAR = "GRAPHCONF_CACHE_DIR"
-
 
 class ConfigError(ValueError):
     pass
@@ -76,7 +67,6 @@ class RunConfig:
     holdout: int = 1
     qmax: int | None = None
     budget: int = DEFAULT_CELL_BUDGET
-    cache_dir: str | None = None
     out: str | None = None
     csv_out: str | None = None
     search_d_min: bool = True
@@ -176,141 +166,22 @@ def family_to_payload(descriptor):
     }
 
 
-# -- cache -----------------------------------------------------------------------
-
-
 def canonical_json(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def cache_key(payload):
-    """Content hash of the canonical payload, salted with the code version."""
-    body = canonical_json({"payload": payload, "code_version": __version__})
-    return hashlib.sha256(body.encode()).hexdigest()
-
-
-def _cell_to_lists(cell):
-    vkey, ekey, moves = cell
-    return [
-        [[v, list(ps)] for v, ps in vkey],
-        [[e, list(ps)] for e, ps in ekey],
-        [list(m) for m in moves],
-    ]
-
-
-def _cell_from_lists(data):
-    vkey, ekey, moves = data
-    return (
-        tuple((v, tuple(ps)) for v, ps in vkey),
-        tuple((e, tuple(ps)) for e, ps in ekey),
-        tuple(tuple(m) for m in moves),
-    )
-
-
-def serialize_complex(complex_):
-    cells = []
-    for q, cs in enumerate(complex_.cells):
-        if complex_.kind == MODEL_KIND:
-            cells.append([_cell_to_lists(c) for c in cs])
-        else:
-            cells.append([list(c) for c in cs])
-    boundaries = {}
-    for q in range(1, complex_.top_dimension + 1):
-        mat = complex_.boundary(q)
-        boundaries[str(q)] = sorted([r, c, v] for r, c, v in mat.entries())
-    return canonical_json({
-        "kind": complex_.kind,
-        "n": complex_.n,
-        "sinks": sorted(complex_.sinks),
-        "graph": json.loads(complex_.graph.to_json()),
-        "cells": cells,
-        "boundaries": boundaries,
-    })
-
-
-def deserialize_complex(text):
-    data = json.loads(text)
-    graph = graph_from_payload(data["graph"])
-    if data["kind"] == MODEL_KIND:
-        cells = [[_cell_from_lists(c) for c in cs] for cs in data["cells"]]
-    else:
-        cells = [[tuple(c) for c in cs] for cs in data["cells"]]
-    cx = CubeComplex(graph, data["n"], frozenset(data["sinks"]), data["kind"], cells)
-    from .linalg import SparseIntMatrix
-    for q_str, triplets in data["boundaries"].items():
-        q = int(q_str)
-        rows = len(cx.cells[q - 1])
-        cols = len(cx.cells[q])
-        cx._boundaries[q] = SparseIntMatrix.from_triplets(
-            rows, cols, [tuple(t) for t in triplets])
-    return cx
-
-
-class ComplexCache:
-    """Content-addressed store of built complexes."""
-
-    def __init__(self, directory):
-        self.directory = directory
-
-    def path_for(self, key):
-        return os.path.join(self.directory, f"{key}.json")
-
-    def get(self, key):
-        path = self.path_for(key)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path) as fh:
-                return deserialize_complex(fh.read())
-        except (ValueError, KeyError, TypeError, LinAlgError) as exc:
-            print(f"warning: corrupt cache entry {path} ({exc}); recomputing",
-                  file=sys.stderr)
-            return None
-
-    def put(self, key, complex_):
-        os.makedirs(self.directory, exist_ok=True)
-        path = self.path_for(key)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(serialize_complex(complex_))
-        os.replace(tmp, path)
-        return path
-
-
-def _resolve_cache(config):
-    directory = config.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    return ComplexCache(directory) if directory else None
-
-
-def build_model_cached(graph, n, sinks=(), oracle=False, budget=None,
-                       cache=None):
-    key = cache_key({
-        "graph": json.loads(graph.to_json()),
-        "n": n,
-        "sinks": sorted(sinks),
-        "kind": ORACLE_KIND if oracle else MODEL_KIND,
-    })
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit, key, True
-    if oracle:
-        cx = build_abrams_oracle(graph, n, budget=budget or DEFAULT_CELL_BUDGET)
-    else:
-        cx = build_model(graph, n, sinks, budget=budget or DEFAULT_CELL_BUDGET)
-    if cache is not None:
-        cache.put(key, cx)
-    return cx, key, False
 
 
 # -- commands ---------------------------------------------------------------------
 
 
-def _cmd_model(config):
+def _build_complex(config):
     graph = normalize_loops(load_graph(config.graph_path))
-    cache = _resolve_cache(config)
-    cx, key, hit = build_model_cached(
-        graph, config.n, config.sinks, config.oracle, config.budget, cache)
+    if config.oracle:
+        return build_abrams_oracle(graph, config.n, budget=config.budget)
+    return build_model(graph, config.n, config.sinks, budget=config.budget)
+
+
+def _cmd_model(config):
+    cx = _build_complex(config)
     report = {
         "command": "model",
         "kind": cx.kind,
@@ -319,17 +190,12 @@ def _cmd_model(config):
         "f_vector": cx.f_vector(),
         "euler_characteristic": cx.euler_characteristic(),
         "total_cells": cx.total_cells,
-        "cache_key": key,
-        "cache_hit": hit,
     }
     return report, True, []
 
 
 def _cmd_homology(config):
-    graph = normalize_loops(load_graph(config.graph_path))
-    cache = _resolve_cache(config)
-    cx, _, _ = build_model_cached(
-        graph, config.n, config.sinks, config.oracle, config.budget, cache)
+    cx = _build_complex(config)
     pres = homology(cx, config.q, basis=False)
     report = {
         "command": "homology",
@@ -497,7 +363,6 @@ def build_parser():
             p.add_argument("--q", type=int, default=1, help="homology degree")
         p.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET,
                        help="cell budget per complex")
-        p.add_argument("--cache-dir", default=None)
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--csv", dest="csv_out", default=None,
                        help="write the CSV table here")
@@ -558,7 +423,6 @@ def config_from_args(args):
         holdout=getattr(args, "holdout", 1),
         qmax=getattr(args, "qmax", None),
         budget=args.budget,
-        cache_dir=args.cache_dir,
         out=args.out,
         csv_out=args.csv_out,
         search_d_min=not getattr(args, "no_dmin_search", False),
@@ -612,10 +476,15 @@ def main(argv=None):
     except (GraphError, ModelError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CorruptedCharacterError as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return 1
-    _emit(config, report, rows)
+    except Exception as exc:
+        # a bug in graphconf, such as CorruptedCharacterError: never exit 1
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
+    try:
+        _emit(config, report, rows)
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

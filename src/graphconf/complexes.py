@@ -134,9 +134,6 @@ class CubeComplex:
     def euler_characteristic(self):
         return sum((-1) ** q * len(cs) for q, cs in enumerate(self.cells))
 
-    def index_of(self, cell, q):
-        return self._index[q][cell]
-
     def cell_objects(self, q):
         if self.kind != MODEL_KIND:
             raise ModelError("typed cells exist for the main model only")

@@ -3,10 +3,18 @@
 Everything runs over arbitrary-precision Python integers; no floating point
 and no modular shortcuts on any answer-bearing path.  Matrices are stored
 column-wise as dicts row -> value with no explicit zeros.
+
+Rank, kernel and Smith form share one elimination engine, ``_eliminate``:
+one pivot choice and one column update.  ``rank_of_columns`` calls it bare
+(after a union-find fast path for incidence matrices), ``kernel_with_coords``
+tracks the column transform V and the rows W of its inverse, and
+``smith_diagonalize`` also clears each pivot column by row operations,
+tracking U and its inverse when asked, then fixes the divisor chain.
 """
 
 from __future__ import annotations
 
+import heapq
 from math import gcd
 
 
@@ -174,6 +182,173 @@ def vec_scale_add(a, sa, b, sb):
     return out
 
 
+# -- the elimination engine ------------------------------------------------
+
+
+def _row(table, r):
+    """Row (or column) ``r`` of a transform stored sparsely: identity rows
+    are left out of ``table`` until they are first updated."""
+    vec = table.get(r)
+    if vec is None:
+        vec = table[r] = {r: 1}
+    return vec
+
+
+def _resupport(row_sup, j, old, new):
+    """Move column ``j`` in the row supports from entries ``old`` to ``new``."""
+    for rr in old:
+        if rr not in new:
+            row_sup[rr].discard(j)
+    for rr in new:
+        if rr not in old:
+            row_sup[rr].add(j)
+
+
+def _eliminate(cols, V=None, W=None, smith=False, U=None, Uinv=None):
+    """Pivot the columns ``{index: column}`` (all nonzero) to a diagonal.
+
+    Columns are taken shortest first; each one's pivot is its entry with the
+    least key (non-unit, row count, |value|, row), and the pivot row is
+    cleared from every other column by column operations.  Those are
+    unimodular when a transform is tracked (V maps each column index j to
+    column j of the column transform, W to row j of its inverse) or with
+    ``smith``.  In bare rank mode a non-divisible entry instead rescales the other column
+    and leaves the pivot column as it is, so the pivot columns of the input
+    stay linearly independent.  With ``smith`` the pivot column is also
+    cleared by row operations, recorded in U (rows) and Uinv (columns) when
+    given.  The caller's column dicts are never written: a column is copied
+    the first time it is updated.  Returns the pivots as (row, column,
+    |value|) in elimination order; ``cols`` is consumed.
+    """
+    unimodular = smith or V is not None or W is not None
+    owned = set()                      # columns copied or built here
+    row_sup = {}
+    for j, col in cols.items():
+        for r in col:
+            row_sup.setdefault(r, set()).add(j)
+    heap = [(len(c), j) for j, c in cols.items()]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    pivots = []
+    while heap:
+        sz, j = pop(heap)
+        col = cols.get(j)
+        if col is None:
+            continue
+        if len(col) != sz:
+            push(heap, (len(col), j))
+            continue
+        best = None
+        for r, v in col.items():
+            key = (abs(v) != 1, len(row_sup[r]), abs(v), r)
+            if best is None or key < best[0]:
+                best = (key, r)
+        r = best[1]
+        while True:
+            # clear row r outside column j by column operations
+            v = col[r]
+            for k in [k for k in row_sup[r] if k != j]:
+                other = cols[k]
+                a = other[r]
+                if a % v == 0:
+                    if k not in owned:
+                        other = cols[k] = dict(other)
+                        owned.add(k)
+                    q = a // v
+                    for rr, vv in col.items():
+                        w = other.get(rr, 0) - q * vv
+                        if w:
+                            if rr not in other:
+                                row_sup[rr].add(k)
+                            other[rr] = w
+                        elif rr in other:
+                            del other[rr]
+                            row_sup[rr].discard(k)
+                    if V is not None:
+                        vec_axpy(V[k], V[j], q)
+                    if W is not None:
+                        vec_axpy(W[j], W[k], -q)
+                else:
+                    g, x, y = _xgcd(v, a)
+                    vg, ag = v // g, a // g
+                    new_k = vec_scale_add(col, -ag, other, vg)
+                    _resupport(row_sup, k, other, new_k)
+                    cols[k] = new_k
+                    owned.add(k)
+                    if unimodular:
+                        new_j = vec_scale_add(col, x, other, y)
+                        _resupport(row_sup, j, col, new_j)
+                        cols[j] = col = new_j
+                        owned.add(j)
+                        v = g
+                        if V is not None:
+                            V[j], V[k] = (vec_scale_add(V[j], x, V[k], y),
+                                          vec_scale_add(V[j], -ag, V[k], vg))
+                        if W is not None:
+                            W[j], W[k] = (vec_scale_add(W[j], vg, W[k], ag),
+                                          vec_scale_add(W[j], -y, W[k], x))
+                if cols[k]:
+                    push(heap, (len(cols[k]), k))
+                else:
+                    del cols[k]
+            if not smith:
+                break
+            # clear column j outside row r by row operations
+            for i in [i for i in col if i != r]:
+                a = cols[j][i]
+                if a % v == 0:
+                    q = a // v
+                    for k in row_sup[r]:       # row i -= q * row r
+                        ck = cols[k]
+                        if k not in owned:
+                            ck = cols[k] = dict(ck)
+                            owned.add(k)
+                        w = ck.get(i, 0) - q * ck[r]
+                        if w:
+                            if i not in ck:
+                                row_sup[i].add(k)
+                            ck[i] = w
+                        elif i in ck:
+                            del ck[i]
+                            row_sup[i].discard(k)
+                    if U is not None:
+                        vec_axpy(_row(U, i), _row(U, r), q)
+                        vec_axpy(_row(Uinv, r), _row(Uinv, i), -q)
+                else:
+                    g, x, y = _xgcd(v, a)
+                    vg, ag = v // g, a // g
+                    for k in row_sup[r] | row_sup[i]:
+                        ck = cols[k]
+                        if k not in owned:
+                            ck = cols[k] = dict(ck)
+                            owned.add(k)
+                        vr, vi = ck.get(r, 0), ck.get(i, 0)
+                        for rr, w in ((r, x * vr + y * vi), (i, -ag * vr + vg * vi)):
+                            if w:
+                                if rr not in ck:
+                                    row_sup[rr].add(k)
+                                ck[rr] = w
+                            elif rr in ck:
+                                del ck[rr]
+                                row_sup[rr].discard(k)
+                    if U is not None:
+                        ur, ui = _row(U, r), _row(U, i)
+                        U[r], U[i] = (vec_scale_add(ur, x, ui, y),
+                                      vec_scale_add(ur, -ag, ui, vg))
+                        ur, ui = _row(Uinv, r), _row(Uinv, i)
+                        Uinv[r], Uinv[i] = (vec_scale_add(ur, vg, ui, ag),
+                                            vec_scale_add(ur, -y, ui, x))
+                    v = g
+            col = cols[j]
+            if len(col) == 1 and len(row_sup[r]) == 1:
+                break
+        pivots.append((r, j, abs(col[r])))
+        for rr in col:
+            row_sup[rr].discard(j)
+        del cols[j]
+    return pivots
+
+
 # -- rank ------------------------------------------------------------------
 
 
@@ -221,99 +396,15 @@ def rank_of_columns(columns, pivots=None):
 
     When ``pivots`` is a list, the indices of the pivot columns are appended
     to it: those columns alone have full rank.  The input columns are left
-    unchanged: a column is copied when the elimination first updates it.
+    unchanged.
     """
-    cols = {}
-    for j, col in enumerate(columns):
-        if col:
-            cols[j] = col
+    cols = {j: col for j, col in enumerate(columns) if col}
     if _looks_like_incidence(cols.values()):
         return _incidence_rank(cols, pivots)
-
-    owned = set()                      # columns copied or rebuilt here
-    row_sup = {}
-    for j, col in cols.items():
-        for r in col:
-            row_sup.setdefault(r, set()).add(j)
-
-    import heapq
-    heap = [(len(c), j) for j, c in cols.items()]
-    heapq.heapify(heap)
-    push = heapq.heappush
-    pop = heapq.heappop
-    rank = 0
-    while heap:
-        sz, j = pop(heap)
-        col = cols.get(j)
-        if col is None:
-            continue
-        if not col:
-            del cols[j]
-            continue
-        if len(col) != sz:
-            push(heap, (len(col), j))
-            continue
-        best = None
-        for r, v in col.items():
-            key = (abs(v) != 1, len(row_sup[r]), abs(v), r)
-            if best is None or key < best[0]:
-                best = (key, r, v)
-        _, r, v = best
-        for k in list(row_sup[r]):
-            if k == j:
-                continue
-            other = cols[k]
-            a = other[r]
-            if a % v == 0:
-                if k not in owned:     # the caller's columns stay unchanged
-                    other = cols[k] = dict(other)
-                    owned.add(k)
-                q = a // v
-                for rr, vv in col.items():
-                    w = other.get(rr, 0) - q * vv
-                    if w:
-                        if rr not in other:
-                            row_sup[rr].add(k)
-                        other[rr] = w
-                    elif rr in other:
-                        del other[rr]
-                        row_sup[rr].discard(k)
-            else:
-                # rank-only step: scaling a column is allowed
-                new = {rr: v * vv for rr, vv in other.items()}
-                for rr, vv in col.items():
-                    w = new.get(rr, 0) - a * vv
-                    if w:
-                        new[rr] = w
-                    else:
-                        new.pop(rr, None)
-                g = 0
-                for vv in new.values():
-                    g = gcd(g, vv)
-                    if g == 1:
-                        break
-                if g > 1:
-                    new = {rr: vv // g for rr, vv in new.items()}
-                for rr in other:
-                    if rr not in new:
-                        row_sup[rr].discard(k)
-                for rr in new:
-                    if rr not in other:
-                        row_sup[rr].add(k)
-                cols[k] = new
-                owned.add(k)
-            nc = cols.get(k)
-            if nc:
-                push(heap, (len(nc), k))
-            else:
-                cols.pop(k, None)
-        for rr in col:
-            row_sup[rr].discard(j)
-        del cols[j]
-        rank += 1
-        if pivots is not None:
-            pivots.append(j)
-    return rank
+    found = _eliminate(cols)
+    if pivots is not None:
+        pivots.extend(j for _, j, _ in found)
+    return len(found)
 
 
 # -- kernel with coordinate extractor --------------------------------------
@@ -328,103 +419,13 @@ def kernel_with_coords(matrix):
     vector: coords(z)[i] = sum_k coord_rows[i][k] * z[k].
     """
     ncols = matrix.cols
-    cols = {}
-    V = {}
-    W = {}
-    for j in range(ncols):
-        col = {r: v for r, v in matrix.columns()[j].items()}
-        cols[j] = col
-        V[j] = {j: 1}
-        W[j] = {j: 1}
-    row_sup = {}
-    for j, col in cols.items():
-        for r in col:
-            row_sup.setdefault(r, set()).add(j)
-
-    import heapq
-    heap = [(len(c), j) for j, c in cols.items() if c]
-    heapq.heapify(heap)
-    retired = set()
-    pivots = 0
-    while heap:
-        sz, j = heapq.heappop(heap)
-        col = cols[j]
-        if j in retired or not col or len(col) != sz:
-            if col and j not in retired:
-                heapq.heappush(heap, (len(col), j))
-            continue
-        best = None
-        for r, v in col.items():
-            key = (abs(v) != 1, len(row_sup[r]), abs(v), r)
-            if best is None or key < best[0]:
-                best = (key, r, v)
-        _, r, _ = best
-        while True:
-            v = col[r]
-            touched = [k for k in row_sup[r] if k != j]
-            if not touched:
-                break
-            for k in touched:
-                other = cols[k]
-                a = other.get(r)
-                if a is None:
-                    continue
-                if a % v == 0:
-                    q = a // v
-                    for rr, vv in col.items():
-                        w = other.get(rr, 0) - q * vv
-                        if w:
-                            if rr not in other:
-                                row_sup[rr].add(k)
-                            other[rr] = w
-                        elif rr in other:
-                            del other[rr]
-                            row_sup[rr].discard(k)
-                    vec_axpy(V[k], V[j], q)
-                    vec_axpy(W[j], W[k], -q)
-                else:
-                    g, x, y = _xgcd(v, a)
-                    vg, ag = v // g, a // g
-                    new_j = vec_scale_add(col, x, other, y)
-                    new_k = vec_scale_add(col, -ag, other, vg)
-                    for rr in col:
-                        if rr not in new_j:
-                            row_sup[rr].discard(j)
-                    for rr in new_j:
-                        if rr not in col:
-                            row_sup.setdefault(rr, set()).add(j)
-                    for rr in other:
-                        if rr not in new_k:
-                            row_sup[rr].discard(k)
-                    for rr in new_k:
-                        if rr not in other:
-                            row_sup.setdefault(rr, set()).add(k)
-                    cols[j] = new_j
-                    cols[k] = new_k
-                    col = new_j
-                    V[j], V[k] = (vec_scale_add(V[j], x, V[k], y),
-                                  vec_scale_add(V[j], -ag, V[k], vg))
-                    W[j], W[k] = (vec_scale_add(W[j], vg, W[k], ag),
-                                  vec_scale_add(W[j], -y, W[k], x))
-                    v = g
-                nc = cols.get(k)
-                if nc and k not in retired:
-                    heapq.heappush(heap, (len(nc), k))
-        # row r is now supported only on column j: retire the pivot
-        for rr in col:
-            row_sup[rr].discard(j)
-        retired.add(j)
-        pivots += 1
-
-    basis = []
-    coord_rows = []
-    for j in range(ncols):
-        if j not in retired:
-            if cols[j]:
-                raise LinAlgError("internal: unretired nonzero column")
-            basis.append(V[j])
-            coord_rows.append(W[j])
-    return pivots, basis, coord_rows
+    V = {j: {j: 1} for j in range(ncols)}
+    W = {j: {j: 1} for j in range(ncols)}
+    found = _eliminate({j: col for j, col in enumerate(matrix.columns()) if col},
+                       V, W)
+    pivot_cols = {j for _, j, _ in found}
+    free = [j for j in range(ncols) if j not in pivot_cols]
+    return len(found), [V[j] for j in free], [W[j] for j in free]
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -434,12 +435,6 @@ def _chain_fix(pivots, u_rows, uinv_cols):
     """Enforce the divisibility chain on the recorded pivots in place.  A unit
     divides everything, so only non-unit pivots are paired up (by row
     operations on pivot rows alone); the final sort puts the units first."""
-
-    def entry(table, r):
-        if r not in table:
-            table[r] = {r: 1}
-        return table[r]
-
     slots = [i for i, (_, _, d) in enumerate(pivots) if d != 1]
     changed = True
     while changed:
@@ -457,14 +452,14 @@ def _chain_fix(pivots, u_rows, uinv_cols):
                     _, x, y = _xgcd(d1, d2)
                     m = y * (d2 // g)
                     # row r1 += row r2, then row r2 -= m * row r1
-                    u_rows[r1] = vec_scale_add(entry(u_rows, r1), 1,
-                                               entry(u_rows, r2), 1)
-                    uinv_cols[r2] = vec_scale_add(entry(uinv_cols, r2), 1,
-                                                  entry(uinv_cols, r1), -1)
-                    u_rows[r2] = vec_scale_add(entry(u_rows, r2), 1,
-                                               entry(u_rows, r1), -m)
-                    uinv_cols[r1] = vec_scale_add(entry(uinv_cols, r1), 1,
-                                                  entry(uinv_cols, r2), m)
+                    u_rows[r1] = vec_scale_add(_row(u_rows, r1), 1,
+                                               _row(u_rows, r2), 1)
+                    uinv_cols[r2] = vec_scale_add(_row(uinv_cols, r2), 1,
+                                                  _row(uinv_cols, r1), -1)
+                    u_rows[r2] = vec_scale_add(_row(u_rows, r2), 1,
+                                               _row(u_rows, r1), -m)
+                    uinv_cols[r1] = vec_scale_add(_row(uinv_cols, r1), 1,
+                                                  _row(uinv_cols, r2), m)
                 pivots[i] = (r1, c1, g)
                 pivots[k] = (r2, c2, lcm)
     pivots.sort(key=lambda t: t[2])
@@ -478,184 +473,14 @@ def smith_diagonalize(matrix, track_u=False):
     when tracked, u_rows / uinv_cols hold the row transform U and its
     inverse (U @ M @ V is the diagonal; V is not kept).
     """
-    cols = {}
-    for j in range(matrix.cols):
-        col = dict(matrix.columns()[j])
-        if col:
-            cols[j] = col
-    row_sup = {}
-    for j, col in cols.items():
-        for r in col:
-            row_sup.setdefault(r, set()).add(j)
     u_rows = {} if track_u else None
     uinv_cols = {} if track_u else None
-
-    def urow(r):
-        if r not in u_rows:
-            u_rows[r] = {r: 1}
-        return u_rows[r]
-
-    def uinv(r):
-        if r not in uinv_cols:
-            uinv_cols[r] = {r: 1}
-        return uinv_cols[r]
-
-    import heapq
-    heap = [(len(c), j) for j, c in cols.items()]
-    heapq.heapify(heap)
-    pivots = []
-
-    def col_clear_row(j, r):
-        """Clear row r from all columns except j, using column ops."""
-        col = cols[j]
-        while True:
-            others = [k for k in row_sup[r] if k != j and k in cols]
-            if not others:
-                return cols[j][r]
-            v = col[r]
-            for k in others:
-                other = cols.get(k)
-                if other is None or r not in other:
-                    continue
-                a = other[r]
-                if a % v == 0:
-                    q = a // v
-                    for rr, vv in col.items():
-                        w = other.get(rr, 0) - q * vv
-                        if w:
-                            if rr not in other:
-                                row_sup[rr].add(k)
-                            other[rr] = w
-                        elif rr in other:
-                            del other[rr]
-                            row_sup[rr].discard(k)
-                else:
-                    g, x, y = _xgcd(v, a)
-                    vg, ag = v // g, a // g
-                    new_j = vec_scale_add(col, x, other, y)
-                    new_k = vec_scale_add(col, -ag, other, vg)
-                    for rr in col:
-                        if rr not in new_j:
-                            row_sup[rr].discard(j)
-                    for rr in new_j:
-                        if rr not in col:
-                            row_sup.setdefault(rr, set()).add(j)
-                    for rr in other:
-                        if rr not in new_k:
-                            row_sup[rr].discard(k)
-                    for rr in new_k:
-                        if rr not in other:
-                            row_sup.setdefault(rr, set()).add(k)
-                    cols[j] = new_j
-                    cols[k] = new_k
-                    col = new_j
-                    v = g
-                if not cols.get(k):
-                    cols.pop(k, None)
-                elif k not in (j,):
-                    heapq.heappush(heap, (len(cols[k]), k))
-
-    def row_clear_col(j, r):
-        """Clear column j below/above the pivot, using row ops."""
-        col = cols[j]
-        while True:
-            others = [i for i in col if i != r]
-            if not others:
-                return
-            v = col[r]
-            for i in others:
-                a = col.get(i)
-                if a is None:
-                    continue
-                if a % v == 0:
-                    q = a // v
-                    # row_i -= q * row_r across all columns containing r
-                    for k in list(row_sup.get(r, ())):
-                        ck = cols.get(k)
-                        if ck is None or r not in ck:
-                            continue
-                        w = ck.get(i, 0) - q * ck[r]
-                        if w:
-                            if i not in ck:
-                                row_sup.setdefault(i, set()).add(k)
-                            ck[i] = w
-                        elif i in ck:
-                            del ck[i]
-                            row_sup[i].discard(k)
-                    if track_u:
-                        u_rows[i] = vec_scale_add(urow(i), 1, urow(r), -q)
-                        uinv_cols[r] = vec_scale_add(uinv(r), 1, uinv(i), q)
-                else:
-                    g, x, y = _xgcd(v, a)
-                    vg, ag = v // g, a // g
-                    ks = set(row_sup.get(r, ())) | set(row_sup.get(i, ()))
-                    for k in ks:
-                        ck = cols.get(k)
-                        if ck is None:
-                            continue
-                        vr = ck.get(r, 0)
-                        vi = ck.get(i, 0)
-                        nr = x * vr + y * vi
-                        ni = -ag * vr + vg * vi
-                        for row_id, val in ((r, nr), (i, ni)):
-                            if val:
-                                if row_id not in ck:
-                                    row_sup.setdefault(row_id, set()).add(k)
-                                ck[row_id] = val
-                            elif row_id in ck:
-                                del ck[row_id]
-                                row_sup[row_id].discard(k)
-                    if track_u:
-                        new_r = vec_scale_add(urow(r), x, urow(i), y)
-                        new_i = vec_scale_add(urow(r), -ag, urow(i), vg)
-                        u_rows[r], u_rows[i] = new_r, new_i
-                        new_ur = vec_scale_add(uinv(r), vg, uinv(i), ag)
-                        new_ui = vec_scale_add(uinv(r), -y, uinv(i), x)
-                        uinv_cols[r], uinv_cols[i] = new_ur, new_ui
-
-    while heap:
-        sz, j = heapq.heappop(heap)
-        col = cols.get(j)
-        if col is None:
-            continue
-        if not col:
-            del cols[j]
-            continue
-        if len(col) != sz:
-            heapq.heappush(heap, (len(col), j))
-            continue
-        best = None
-        for r, v in col.items():
-            key = (abs(v) != 1, len(row_sup[r]), abs(v), r)
-            if best is None or key < best[0]:
-                best = (key, r, v)
-        _, r, _ = best
-        while True:
-            col_clear_row(j, r)
-            row_clear_col(j, r)
-            col = cols[j]
-            if len(col) == 1 and len([k for k in row_sup[r] if k in cols]) == 1:
-                break
-        v = col[r]
-        if v < 0:
-            v = -v  # column negation, not tracked (V side)
-        pivots.append((r, j, v))
-        row_sup[r].discard(j)
-        del cols[j]
-
+    pivots = _eliminate({j: col for j, col in enumerate(matrix.columns()) if col},
+                        smith=True, U=u_rows, Uinv=uinv_cols)
     _chain_fix(pivots, u_rows, uinv_cols)
     return pivots, u_rows, uinv_cols
 
 
-def smith_normal_form(matrix, transforms=False):
-    """Divisor chain d1 | d2 | ... | dr of the matrix.
-
-    With ``transforms`` the row transform and its inverse are returned as
-    (divisors, u_rows, uinv_cols, pivot_rows); the column transform is not
-    tracked.
-    """
-    pivots, u_rows, uinv_cols = smith_diagonalize(matrix, track_u=transforms)
-    divisors = [d for _, _, d in pivots]
-    if transforms:
-        return divisors, u_rows, uinv_cols, [r for r, _, _ in pivots]
-    return divisors
+def smith_normal_form(matrix):
+    """Divisor chain d1 | d2 | ... | dr of the matrix."""
+    return [d for _, _, d in smith_diagonalize(matrix)[0]]

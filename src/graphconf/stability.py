@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .complexes import build_model, subcomplex_supported_in
+from .complexes import _freeze_state, build_model, subcomplex_supported_in
 from .graphs import (
     GraphError,
     Subgraph,
@@ -33,12 +33,6 @@ class StabilityError(ValueError):
 # -- explicit chains ---------------------------------------------------------
 
 
-def _freeze(vocc, eocc):
-    vkey = tuple(sorted((v, tuple(sorted(ps))) for v, ps in vocc.items() if ps))
-    ekey = tuple(sorted((e, tuple(ps)) for e, ps in eocc.items() if ps))
-    return vkey, ekey
-
-
 def _walk_chain(graph, vocc, eocc, steps):
     """Compile a closed edge-vertex walk into a 1-chain of partial cells.
 
@@ -49,7 +43,7 @@ def _walk_chain(graph, vocc, eocc, steps):
     """
     vocc = {v: list(ps) for v, ps in vocc.items()}
     eocc = {e: list(ps) for e, ps in eocc.items()}
-    start = _freeze(vocc, eocc)
+    start = _freeze_state(vocc, eocc)
     chain = {}
     for p, e, end, direction in steps:
         target = graph.endpoint(e, end)
@@ -62,7 +56,7 @@ def _walk_chain(graph, vocc, eocc, steps):
             if vocc.get(target):
                 raise StabilityError(
                     f"vertex {target} is occupied; particle {p} cannot land")
-            base = _freeze(vocc, eocc)
+            base = _freeze_state(vocc, eocc)
             cell = (base[0], base[1], ((p, e, end),))
             chain[cell] = chain.get(cell, 0) + 1
             tup.pop(slot)
@@ -76,14 +70,14 @@ def _walk_chain(graph, vocc, eocc, steps):
             vocc.pop(target)
             tup = eocc.setdefault(e, [])
             tup.insert(0 if end == 0 else len(tup), p)
-            base = _freeze(vocc, eocc)
+            base = _freeze_state(vocc, eocc)
             cell = (base[0], base[1], ((p, e, end),))
             chain[cell] = chain.get(cell, 0) - 1
         else:
             raise StabilityError(f"unknown walk direction {direction!r}")
         if not chain.get(cell):
             chain.pop(cell, None)
-    if _freeze(vocc, eocc) != start:
+    if _freeze_state(vocc, eocc) != start:
         raise StabilityError("walk did not return to its starting state")
     return chain
 

@@ -3,17 +3,9 @@ import os
 
 import pytest
 
-from graphconf import make_path_graph, make_star, build_model
-from graphconf.cli import (
-    ComplexCache,
-    build_model_cached,
-    cache_key,
-    deserialize_complex,
-    family_to_payload,
-    graph_to_payload,
-    main,
-    serialize_complex,
-)
+from graphconf import cli, make_path_graph, make_star
+from graphconf.characters import CorruptedCharacterError
+from graphconf.cli import family_to_payload, graph_to_payload, main
 
 
 @pytest.fixture()
@@ -158,6 +150,13 @@ class TestExitCodes:
                      "--q", "1", "--window", "2..3"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unwritable_output_is_config_error(self, capsys, tmp_path,
+                                               graph_file):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["homology", "--graph", graph_file, "--n", "1",
+                     "--q", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+
     def test_budget_exceeded(self, capsys, graph_file):
         code = main(["model", "--graph", graph_file, "--n", "3",
                      "--budget", "5"])
@@ -182,58 +181,23 @@ class TestExitCodes:
         assert rep["asserted_bound"] is None
         assert rep["generates_over_Z"] is False
 
+    @pytest.mark.parametrize("error", [
+        CorruptedCharacterError("multiplicity of (2,) is not an integer"),
+        KeyError("unexpected"),
+    ])
+    def test_internal_error_is_exit_four(self, capsys, monkeypatch,
+                                         graph_file, error):
+        def broken(config):
+            raise error
 
-class TestCache:
-    def test_key_stability_and_version_salt(self):
-        payload = {"graph": {"vertices": [0]}, "n": 2}
-        assert cache_key(payload) == cache_key(json.loads(json.dumps(payload)))
-        assert cache_key(payload) != cache_key({**payload, "n": 3})
-
-    def test_distinct_ids_distinct_keys(self):
-        g1 = make_star(3)
-        g2 = make_star(3)
-        relabeled = g2.to_json().replace("[0,1]", "[0,1]")  # identity guard
-        assert cache_key({"g": json.loads(g1.to_json())}) == \
-            cache_key({"g": json.loads(relabeled)})
-
-    def test_round_trip_byte_identical(self, tmp_path):
-        cx = build_model(make_star(3), 2)
-        text = serialize_complex(cx)
-        back = deserialize_complex(text)
-        assert serialize_complex(back) == text
-        assert back.f_vector() == cx.f_vector()
-        for q in range(1, cx.top_dimension + 1):
-            assert back.boundary(q) == cx.boundary(q)
-
-    def test_cache_hit_matches_recompute(self, tmp_path):
-        cache = ComplexCache(str(tmp_path))
-        g = make_star(3)
-        cx1, key, hit1 = build_model_cached(g, 2, cache=cache)
-        cx2, key2, hit2 = build_model_cached(g, 2, cache=cache)
-        assert key == key2 and not hit1 and hit2
-        assert serialize_complex(cx1) == serialize_complex(cx2)
-        on_disk = open(cache.path_for(key)).read()
-        assert on_disk == serialize_complex(build_model(g, 2))
-
-    def test_corrupt_entry_recomputed(self, tmp_path, capsys):
-        cache = ComplexCache(str(tmp_path))
-        g = make_star(3)
-        _, key, _ = build_model_cached(g, 2, cache=cache)
-        with open(cache.path_for(key), "w") as fh:
-            fh.write("{not json")
-        cx, _, hit = build_model_cached(g, 2, cache=cache)
-        assert not hit
-        assert cx.f_vector()[0] == 48
-
-    def test_env_var_overrides_cache_dir(self, tmp_path, monkeypatch, capsys,
-                                         graph_file):
-        monkeypatch.setenv("GRAPHCONF_CACHE_DIR", str(tmp_path))
-        code, rep = run_cli(capsys, "model", "--graph", graph_file, "--n", "2")
-        assert code == 0 and not rep["cache_hit"]
-        assert os.path.exists(os.path.join(str(tmp_path),
-                                           rep["cache_key"] + ".json"))
-        code, rep = run_cli(capsys, "model", "--graph", graph_file, "--n", "2")
-        assert rep["cache_hit"]
+        monkeypatch.setitem(cli.COMMANDS, "homology", broken)
+        code = main(["homology", "--graph", graph_file, "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: ")
+        assert type(error).__name__ in lines[0]
 
 
 class TestPayloads:
@@ -299,8 +263,3 @@ class TestSchemas:
             code, rep = run_cli(capsys, *argv)
             assert code == 0, argv
             validate_against(rep, schema)
-
-    def test_cache_file_schema(self, tmp_path):
-        cx = build_model(make_star(3), 2)
-        validate_against(json.loads(serialize_complex(cx)),
-                         "complex_cache.schema.json")

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +9,11 @@ import pytest
 from graphconf import (
     LinAlgError,
     SparseIntMatrix,
+    build_model,
+    homology,
     kernel_with_coords,
+    linalg,
+    make_star,
     rank_of_columns,
     smith_normal_form,
 )
@@ -240,10 +245,15 @@ class TestRank:
 
     def test_pivot_columns_have_full_rank(self):
         rng = random.Random(11)
+        # the elimination meets 3 against 2 here: a unimodular step on the
+        # pivot column would give the dependent pivot columns [5, 4, 1, 0]
+        cases = [[[-4, 2, -6, -3, 0, 0], [0, 0, 5, -4, 2, 6],
+                  [6, -6, 2, 0, -4, 0], [-4, 2, 4, 0, 0, 0]]]
         for _ in range(80):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 7)
-            dense = random_dense(rng, rows, cols, density=0.6)
+            cases.append(random_dense(rng, rows, cols, density=0.6))
+        for dense in cases:
             columns = [dict(c) for c in SparseIntMatrix.from_dense(dense).columns()]
             pivots = []
             rk = rank_of_columns(columns, pivots)
@@ -336,3 +346,52 @@ class TestKernel:
                     rebuilt[k] = rebuilt.get(k, 0) + c * v
             rebuilt = {k: v for k, v in rebuilt.items() if v}
             assert rebuilt == combo
+
+
+class TestEngine:
+    """Rank, kernel and Smith form run one elimination; entries up to 6 in
+    size give it non-unit pivots and gcd (non-divisible) steps."""
+
+    @staticmethod
+    def matrices(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            yield random_dense(rng, rows, cols, density=0.6, lo=-6, hi=6)
+
+    def test_rank_kernel_and_smith_agree(self, monkeypatch):
+        gcd_steps = []
+        real_xgcd = linalg._xgcd
+        monkeypatch.setattr(linalg, "_xgcd",
+                            lambda a, b: gcd_steps.append(1) or real_xgcd(a, b))
+        non_unit = 0
+        for dense in self.matrices(29, 150):
+            m = SparseIntMatrix.from_dense(dense)
+            rk = fraction_rank(dense)
+            divisors = smith_normal_form(m)
+            assert rank_of_columns(m.columns()) == rk
+            assert kernel_with_coords(m)[0] == rk
+            assert len(divisors) == rk
+            non_unit += sum(d > 1 for d in divisors)
+        assert gcd_steps and non_unit
+
+    def test_inputs_unchanged(self):
+        for dense in self.matrices(31, 120):
+            m = SparseIntMatrix.from_dense(dense)
+            saved = copy.deepcopy(m.columns())
+            rank_of_columns(m.columns(), [])
+            assert m.columns() == saved
+            kernel_with_coords(m)
+            assert m.columns() == saved
+            smith_diagonalize(m, track_u=True)
+            assert m.columns() == saved
+            smith_normal_form(m)
+            assert m.columns() == saved
+
+    def test_memoized_boundaries_unchanged(self):
+        cx = build_model(make_star(4), 2)
+        saved = {q: copy.deepcopy(cx.boundary(q).columns())
+                 for q in range(1, cx.top_dimension + 1)}
+        for q in range(cx.top_dimension + 1):
+            homology(cx, q)
+        assert {q: cx.boundary(q).columns() for q in saved} == saved
