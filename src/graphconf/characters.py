@@ -126,12 +126,6 @@ def mn_character(lam, mu):
     return _mn(lam, mu)
 
 
-def character_table(k):
-    """{(lam, mu): chi^lam(mu)} over all partitions of k."""
-    parts = partitions(k)
-    return {(lam, mu): mn_character(lam, mu) for lam in parts for mu in parts}
-
-
 def decompose(class_values, k):
     """Multiplicities c_lam of each irreducible in a character.
 
@@ -265,14 +259,6 @@ def stability_verdict(reports):
 
 
 # -- product groups (two coordinates) ----------------------------------------
-
-
-def product_partitions(k1, k2):
-    return [(a, b) for a in partitions(k1) for b in partitions(k2)]
-
-
-def product_class_size(mus):
-    return class_size(mus[0]) * class_size(mus[1])
 
 
 def product_decompose(class_values, k1, k2):

@@ -250,7 +250,8 @@ def _cmd_generation_check(config):
 
 def _cmd_tree_generators(config):
     graph = load_graph(config.graph_path)
-    result = verify_tree_generators(graph, config.n, config.q, detailed=True)
+    result, supports = verify_tree_generators(graph, config.n, config.q,
+                                              detailed=True)
     report = {
         "command": "tree-generators",
         "n": config.n,
@@ -258,6 +259,8 @@ def _cmd_tree_generators(config):
         "generates_over_Q": result.generates_over_Q,
         "generates_over_Z": result.generates_over_Z,
         "missing_rank": result.missing_rank,
+        "supports": len(supports),
+        "whole_graph_supports": sum(s.is_whole_graph() for s in supports),
     }
     return report, result.generates_over_Z, []
 

@@ -113,9 +113,7 @@ class CubeComplex:
         self.cells = [tuple(cs) for cs in cells_by_dim]
         while self.cells and not self.cells[-1]:
             self.cells.pop()
-        self._index = [
-            {cell: i for i, cell in enumerate(cs)} for cs in self.cells
-        ]
+        self._index = {}
         self._boundaries = {}
 
     # -- structure -------------------------------------------------------
@@ -133,6 +131,12 @@ class CubeComplex:
 
     def euler_characteristic(self):
         return sum((-1) ** q * len(cs) for q, cs in enumerate(self.cells))
+
+    def index(self, q):
+        """Cell -> position in ``cells[q]``, built on first use."""
+        if q not in self._index:
+            self._index[q] = {c: i for i, c in enumerate(self.cells[q])}
+        return self._index[q]
 
     def cell_objects(self, q):
         if self.kind != MODEL_KIND:
@@ -155,7 +159,7 @@ class CubeComplex:
         else:
             vid = {v: i for i, v in enumerate(self.graph.vertices)}
             faces = partial(_oracle_faces, self.graph, vid=vid)
-        cols = _boundary_columns(self.cells[q], faces, self._index[q - 1])
+        cols = _boundary_columns(self.cells[q], faces, self.index(q - 1))
         mat = SparseIntMatrix.from_columns(len(self.cells[q - 1]), cols)
         self._boundaries[q] = mat
         return mat

@@ -50,7 +50,9 @@ def _dict_dot_block(col_form, vec):
 @dataclass
 class HomologyPresentation:
     """H_q of a complex: Betti number, torsion, and an exact solver that
-    expresses any q-cycle in free-part homology coordinates."""
+    expresses any q-cycle in free-part homology coordinates.  Cycle-lattice
+    coordinates are a cycle's entries at ``_coord_pos`` (restricted) or, on
+    the fallback, the rows W in ``_coord_col_form`` applied to it."""
 
     complex: CubeComplex
     q: int
@@ -58,7 +60,8 @@ class HomologyPresentation:
     torsion: tuple
     cycle_basis: list
     cycle_rank: int                    # dim Z_q
-    _coord_col_form: dict = field(repr=False, default_factory=dict)
+    _coord_col_form: dict = field(repr=False, default=None)
+    _coord_pos: dict = field(repr=False, default_factory=dict)
     _image_cols: list = field(repr=False, default_factory=list)
     _u_rows: dict = field(repr=False, default_factory=dict)
     _free_rows: list = field(repr=False, default_factory=list)
@@ -70,6 +73,9 @@ class HomologyPresentation:
         """Coordinates of a cycle in the chosen basis of the cycle lattice."""
         if not self.is_cycle(zvec):
             raise HomologyError("vector is not a cycle")
+        if self._coord_col_form is None:
+            pos = self._coord_pos
+            return {pos[k]: v for k, v in zvec.items() if k in pos}
         return _dict_dot_block(self._coord_col_form, zvec)
 
     def _free_coordinate(self, y, r):
@@ -98,7 +104,15 @@ class HomologyPresentation:
 
 
 def homology(complex_, q, basis=True):
-    """Integral homology H_q with torsion, basis cycles, and a projector."""
+    """Integral homology H_q with torsion, basis cycles, and a projector.
+
+    If d_q eliminates unimodularly with unit pivots, restriction to the
+    non-pivot columns F is an isomorphism Z_q -> Z^F, and H_q is the
+    cokernel of d_(q+1) without the pivot rows (as in the Betti loop).  The
+    pivots come from the rank path (for q = 1 the spanning forest), or with
+    a basis from a kernel tracking V only.  Otherwise coordinates go
+    through the rows W of the kernel's inverse transform.
+    """
     if q < 0:
         raise HomologyError("degree must be nonnegative")
     f_q = len(complex_.cells[q]) if q <= complex_.top_dimension else 0
@@ -107,11 +121,27 @@ def homology(complex_, q, basis=True):
     d_q = complex_.boundary(q)
     d_q1 = complex_.boundary(q + 1)
 
-    rk, kernel_basis, coord_rows = kernel_with_coords(d_q)
+    pos = coord_col_form = None
+    if basis:
+        rk, kernel_basis, unit_rows = kernel_with_coords(d_q, coords=False)
+        if unit_rows is not None:
+            pos = {next(iter(row)): i for i, row in enumerate(unit_rows)}
+    else:
+        pivots, non_units = [], []
+        rk = rank_of_columns(d_q.columns(), pivots, non_units)
+        if not non_units:
+            free = sorted(set(range(f_q)).difference(pivots))
+            pos = {j: i for i, j in enumerate(free)}
     z = f_q - rk
-    coord_col_form = _rows_to_col_form(coord_rows)
+    if pos is not None:
+        image_cols = [{pos[r]: v for r, v in col.items() if r in pos}
+                      for col in d_q1.columns()]
+    else:
+        rk, kernel_basis, coord_rows = kernel_with_coords(d_q)
+        coord_col_form = _rows_to_col_form(coord_rows)
+        image_cols = [_dict_dot_block(coord_col_form, col)
+                      for col in d_q1.columns()]
 
-    image_cols = [_dict_dot_block(coord_col_form, col) for col in d_q1.columns()]
     m = SparseIntMatrix.from_columns(z, image_cols)
     pivots, u_rows, uinv_cols = smith_diagonalize(m, track_u=True)
     pivot_rows = {r for r, _, _ in pivots}
@@ -136,6 +166,7 @@ def homology(complex_, q, basis=True):
     return HomologyPresentation(
         complex_, q, betti, torsion, basis_vecs, z,
         _coord_col_form=coord_col_form,
+        _coord_pos=pos,
         _image_cols=image_cols,
         _u_rows=u_rows or {},
         _free_rows=free_rows,
@@ -273,7 +304,7 @@ class ChainMap:
 
     def images(self, q, indices):
         """Indices of the images of the degree-q cells numbered ``indices``."""
-        cells, index = self.complex.cells[q], self.complex._index[q]
+        cells, index = self.complex.cells[q], self.complex.index(q)
         try:
             return [index[self._map_cell(cells[i])] for i in indices]
         except KeyError as exc:

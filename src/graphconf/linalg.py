@@ -7,9 +7,11 @@ column-wise as dicts row -> value with no explicit zeros.
 Rank, kernel and Smith form share one elimination engine, ``_eliminate``:
 one pivot choice and one column update.  ``rank_of_columns`` calls it bare
 (after a union-find fast path for incidence matrices), ``kernel_with_coords``
-tracks the column transform V and the rows W of its inverse, and
-``smith_diagonalize`` also clears each pivot column by row operations,
-tracking U and its inverse when asked, then fixes the divisor chain.
+tracks the column transform V and, when asked, the rows W of its inverse,
+and ``smith_diagonalize`` also clears each pivot column by row operations,
+tracking U and its inverse when asked, then fixes the divisor chain.  After
+a unimodular elimination with unit pivots, a kernel vector's entries on the
+non-pivot columns are its coordinates, and W is not needed.
 """
 
 from __future__ import annotations
@@ -59,20 +61,6 @@ class SparseIntMatrix:
         return m
 
     @classmethod
-    def from_triplets(cls, rows, cols, triplets):
-        m = cls(rows, cols)
-        seen = set()
-        for r, c, v in triplets:
-            if (r, c) in seen:
-                raise LinAlgError("duplicate entry position")
-            seen.add((r, c))
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise LinAlgError("entry out of range")
-            if v:
-                m._cols[c][r] = v
-        return m
-
-    @classmethod
     def from_dense(cls, rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
@@ -88,6 +76,14 @@ class SparseIntMatrix:
 
     def columns(self):
         return self._cols
+
+    def select_columns(self, indices):
+        """The columns at ``indices`` as a matrix sharing this one's column
+        dicts: nothing is copied, so neither matrix may be written to."""
+        m = SparseIntMatrix(self.rows, 0)
+        m._cols = [self._cols[j] for j in indices]
+        m.cols = len(m._cols)
+        return m
 
     def entries(self):
         for j, col in enumerate(self._cols):
@@ -135,13 +131,6 @@ class SparseIntMatrix:
             for r, w in mine[c].items():
                 acc[r] = acc.get(r, 0) + v * w
         return {r: v for r, v in acc.items() if v}
-
-    def to_triplet_text(self):
-        """Coordinate-triplet export: one 'row col value' line per entry."""
-        lines = [f"{self.rows} {self.cols}"]
-        for r, c, v in sorted(self.entries(), key=lambda t: (t[1], t[0])):
-            lines.append(f"{r} {c} {v}")
-        return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
         if not isinstance(other, SparseIntMatrix):
@@ -391,41 +380,56 @@ def _looks_like_incidence(columns):
     return True
 
 
-def rank_of_columns(columns, pivots=None):
+def rank_of_columns(columns, pivots=None, non_units=None):
     """Exact rank over the rationals of the matrix with the given columns.
 
     When ``pivots`` is a list, the indices of the pivot columns are appended
-    to it: those columns alone have full rank.  The input columns are left
-    unchanged.
+    to it: those columns alone have full rank.  When ``non_units`` is a
+    list, the absolute values of the pivots other than +-1 are appended to
+    it; if there are none, the elimination (which takes no gcd step here)
+    was unimodular.  The input columns are left unchanged.
     """
     cols = {j: col for j, col in enumerate(columns) if col}
     if _looks_like_incidence(cols.values()):
-        return _incidence_rank(cols, pivots)
+        return _incidence_rank(cols, pivots)     # totally unimodular
     found = _eliminate(cols)
     if pivots is not None:
         pivots.extend(j for _, j, _ in found)
+    if non_units is not None:
+        non_units.extend(v for _, _, v in found if v != 1)
     return len(found)
 
 
 # -- kernel with coordinate extractor --------------------------------------
 
 
-def kernel_with_coords(matrix):
+def kernel_with_coords(matrix, coords=True):
     """Integer kernel lattice of the matrix, with coordinates.
 
     Returns (rnk, basis, coord_rows): ``basis`` is a list of sparse vectors
     (dicts over column indices) forming a lattice basis of the kernel, and
     ``coord_rows`` are rows extracting the basis coordinates of any kernel
     vector: coords(z)[i] = sum_k coord_rows[i][k] * z[k].
+
+    With ``coords=False`` W is not tracked, and ``coord_rows`` is the unit
+    rows e_j of the non-pivot columns F if every basis vector restricted to
+    F is its own e_j (then z -> z|F gives coordinates), else None.  Pivot
+    values cannot decide this: a gcd step can turn a 2 into a reported 1.
     """
     ncols = matrix.cols
     V = {j: {j: 1} for j in range(ncols)}
-    W = {j: {j: 1} for j in range(ncols)}
+    W = {j: {j: 1} for j in range(ncols)} if coords else None
     found = _eliminate({j: col for j, col in enumerate(matrix.columns()) if col},
                        V, W)
     pivot_cols = {j for _, j, _ in found}
     free = [j for j in range(ncols) if j not in pivot_cols]
-    return len(found), [V[j] for j in free], [W[j] for j in free]
+    basis = [V[j] for j in free]
+    if coords:
+        return len(found), basis, [W[j] for j in free]
+    restricted = all(V[j].get(j) == 1 and all(k == j or k in pivot_cols
+                                              for k in V[j])
+                     for j in free)
+    return len(found), basis, [{j: 1} for j in free] if restricted else None
 
 
 # -- Smith normal form ------------------------------------------------------

@@ -17,7 +17,6 @@ from .graphs import (
     support_orbits,
 )
 from .homology import (
-    GeneratedCheck,
     generated_check,
     homology,
     permutation_action_map,
@@ -133,7 +132,7 @@ class Chain:
 
 
 def _chain_from_cells(model, cell_chain, q):
-    index = model._index[q]
+    index = model.index(q)
     out = {}
     for cell, coeff in cell_chain.items():
         try:
@@ -434,6 +433,8 @@ def product_cycle(model, cycles, parking=None):
 
 
 def _star_pieces(tree):
+    """Star pieces of every valence from 3 up: rotations through exactly
+    three edges span only rank 3 of b_1 = 5 on star4 at n = 2."""
     pieces = []
     for v in tree.essential_vertices():
         inc = [e for e, _ in tree.incident(v)]
@@ -468,52 +469,63 @@ def _h_pieces(tree):
     return pieces
 
 
+def _maximal_supports(supports):
+    """The supports whose edge set is not properly contained in another's,
+    one per edge set, for supports that all have the same vertices."""
+    by_edges = {s.edges: s for s in supports}
+    return [by_edges[edges] for edges in sorted(by_edges, key=sorted)
+            if not any(edges < other for other in by_edges)]
+
+
 def _generator_supports(tree, q):
     """Supports carrying the degree-q products of basic classes: q pairwise
     vertex-disjoint embedded star/h pieces, with every leftover vertex kept
-    as an isolated parking spot."""
+    as an isolated parking spot.
+
+    Only the maximal ones are kept, each once.  Every support has all the
+    vertices, so one contained in another has a subset of its edges; its
+    cells are then cells of the larger support, and so are its cycles:
+    Z_q(A) is a sublattice of Z_q(B) when A is in B, and adds nothing to
+    the span."""
     pieces = _star_pieces(tree) + _h_pieces(tree)
     all_vertices = frozenset(tree.vertices)
-    supports = []
-    for combo in combinations(range(len(pieces)), q):
-        chosen = [pieces[i] for i in combo]
-        ok = True
-        for i in range(len(chosen)):
-            for j in range(i + 1, len(chosen)):
-                if chosen[i].vertices & chosen[j].vertices:
-                    ok = False
-        if not ok:
-            continue
-        edges = set()
-        for piece in chosen:
-            edges |= piece.edges
-        supports.append(Subgraph(tree, all_vertices, frozenset(edges)))
-    return supports
+    return _maximal_supports(
+        Subgraph(tree, all_vertices,
+                 frozenset().union(*(piece.edges for piece in combo)))
+        for combo in combinations(pieces, q)
+        if all(not (a.vertices & b.vertices)
+               for a, b in combinations(combo, 2)))
 
 
 def pushed_cycle_space(model, sub, q):
     """Basis of the q-cycle lattice of the supported subcomplex, pushed into
-    the ambient model's chain group."""
-    subcx, inj = subcomplex_supported_in(model, sub)
-    if q > subcx.top_dimension or not subcx.cells[q]:
+    the ambient model's chain group.  Supported cells are closed under
+    faces, so their columns of the ambient d_q are the subcomplex's d_q up
+    to the numbering of rows; the kernel is taken on them directly."""
+    _, inj = subcomplex_supported_in(model, sub)
+    if q >= len(inj) or not inj[q]:
         return []
-    _, basis, _ = kernel_with_coords(subcx.boundary(q))
-    return [push_cycle(vec, inj[q]) for vec in basis]
+    cells = inj[q]
+    _, basis, _ = kernel_with_coords(model.boundary(q).select_columns(cells),
+                                     coords=False)
+    return [push_cycle(vec, cells) for vec in basis]
 
 
 def verify_tree_generators(tree, n, q, model=None, presentation=None,
                            detailed=False):
     """Check that products of basic (star and h) classes generate H_q over
-    the integers, as a span of cycle spaces supported on embedded pieces."""
+    the integers, as a span of cycle spaces supported on embedded pieces.
+    With ``detailed``, returns the ``GeneratedCheck`` and the supports."""
     if not tree.is_tree():
         raise StabilityError("the generating theorem applies to trees")
     model = model or build_model(tree, n)
     pres = presentation or homology(model, q, basis=False)
+    supports = _generator_supports(tree, q)
     candidates = []
-    for sub in _generator_supports(tree, q):
+    for sub in supports:
         candidates.extend(pushed_cycle_space(model, sub, q))
     result = generated_check(model, q, candidates, presentation=pres)
-    return result if detailed else result.generates_over_Z
+    return (result, supports) if detailed else result.generates_over_Z
 
 
 # -- finite generation over the families --------------------------------------

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from graphconf import cli, make_path_graph, make_star
+from graphconf import cli, make_path_graph, make_spider, make_star
 from graphconf.characters import CorruptedCharacterError
 from graphconf.cli import family_to_payload, graph_to_payload, main
 
@@ -74,6 +74,26 @@ class TestCommands:
         code, rep = run_cli(capsys, "tree-generators", "--graph", graph_file,
                             "--n", "2", "--q", "1")
         assert code == 0 and rep["generates_over_Z"]
+
+    def test_tree_generators_counts_supports(self, capsys, tmp_path,
+                                             graph_file):
+        import jsonschema
+
+        spider = tmp_path / "spider.json"
+        spider.write_text(make_spider(3, 3, 2).to_json())
+        cases = [((graph_file, "1"), (1, 1)),
+                 ((str(spider), "1"), (11, 0)),
+                 ((str(spider), "2"), (2, 0))]
+        for (path, q), (supports, whole) in cases:
+            code, rep = run_cli(capsys, "tree-generators", "--graph", path,
+                                "--n", "2", "--q", q)
+            assert code == 0 and rep["generates_over_Z"]
+            assert (rep["supports"], rep["whole_graph_supports"]) == \
+                (supports, whole)
+            validate_against(rep, "tree_generators_report.schema.json")
+        with pytest.raises(jsonschema.ValidationError):
+            validate_against({**rep, "whole_graph_supports": -1},
+                             "tree_generators_report.schema.json")
 
     def test_rep_stability(self, capsys, star_family_file):
         code, rep = run_cli(capsys, "rep-stability",

@@ -1,0 +1,234 @@
+"""Cycle-lattice coordinates without the kernel's inverse transform W, span
+checks that push kernels taken on ambient boundary columns, and tree
+supports pruned to the maximal ones."""
+
+import importlib
+import random
+from itertools import combinations
+
+import pytest
+
+from graphconf import (
+    Subgraph,
+    build_model,
+    generated_check,
+    homology,
+    kernel_with_coords,
+    linalg,
+    make_h_graph,
+    make_spider,
+    make_star,
+    rank_of_columns,
+    smith_normal_form,
+    subcomplex_supported_in,
+)
+from graphconf.complexes import MODEL_KIND, CubeComplex
+from graphconf.graphs import make_path_graph
+from graphconf.linalg import SparseIntMatrix
+from graphconf.stability import (
+    _generator_supports,
+    _h_pieces,
+    _maximal_supports,
+    _star_pieces,
+    pushed_cycle_space,
+)
+
+from conftest import corpus_graphs
+from test_extra_properties import random_connected_graph
+
+homology_module = importlib.import_module("graphconf.homology")
+
+
+def complexes():
+    """Corpus models at n = 2 (and a few at n = 3), then seeded random
+    multigraphs with random sinks at n = 2."""
+    corpus = corpus_graphs()
+    for name in ("star3", "star4", "h_graph", "cycle3", "cycle4",
+                 "star3_wedge_interval", "interval_family_1",
+                 "circle_family_1", "circle_family_2"):
+        yield name, build_model(corpus[name], 2)
+    for name in ("star3", "h_graph", "circle_family_1"):
+        yield name + "@3", build_model(corpus[name], 3)
+    rng = random.Random(1701)
+    for i in range(12):
+        g = random_connected_graph(rng, rng.randint(2, 5), rng.randint(0, 3))
+        sinks = [v for v in g.vertices if rng.random() < 0.3]
+        yield f"random{i}", build_model(g, 2, sinks=sinks)
+
+
+def w_path(cx, q):
+    """Betti number and torsion read through the coordinate rows W."""
+    _, basis, rows = kernel_with_coords(cx.boundary(q))
+    by_cell = {}
+    for i, row in enumerate(rows):
+        for k, w in row.items():
+            by_cell.setdefault(k, []).append((i, w))
+    image = []
+    for col in cx.boundary(q + 1).columns():
+        coords = {}
+        for k, v in col.items():
+            for i, w in by_cell.get(k, ()):
+                coords[i] = coords.get(i, 0) + v * w
+        image.append({i: v for i, v in coords.items() if v})
+    divisors = smith_normal_form(SparseIntMatrix.from_columns(len(basis), image))
+    return len(basis) - len(divisors), tuple(d for d in divisors if d > 1)
+
+
+class TestRestrictedCoordinates:
+    def test_restriction_is_unimodular_and_agrees_with_w(self):
+        restricted = 0
+        for name, cx in complexes():
+            for q in range(min(cx.top_dimension, 2) + 1):
+                d_q = cx.boundary(q)
+                pivots, non_units = [], []
+                rank_of_columns(d_q.columns(), pivots, non_units)
+                _, basis, _ = kernel_with_coords(d_q)
+                if not non_units:
+                    restricted += 1
+                    free = sorted(set(range(d_q.cols)) - set(pivots))
+                    pos = {j: i for i, j in enumerate(free)}
+                    square = SparseIntMatrix.from_columns(len(free), [
+                        {pos[j]: v for j, v in vec.items() if j in pos}
+                        for vec in basis])
+                    assert smith_normal_form(square) == [1] * len(basis), (name, q)
+                want = w_path(cx, q)
+                for flag in (False, True):
+                    pres = homology(cx, q, basis=flag)
+                    assert (pres.betti, pres.torsion) == want, (name, q, flag)
+                pres = homology(cx, q)
+                for i, vec in enumerate(pres.cycle_basis):
+                    assert pres.project(vec) == tuple(
+                        int(i == j) for j in range(pres.betti)), (name, q)
+                for col in cx.boundary(q + 1).columns():
+                    assert not any(pres.project(col)), (name, q)
+        assert restricted >= 60
+
+    def test_gcd_pivot_takes_the_fallback(self, monkeypatch):
+        # d_1 = [2 3]: the kernel's first pivot is 2 and a gcd step with the
+        # 3 reports it as 1, yet the free column's basis vector (-3, 2) has
+        # entry 2 there, so restriction is not the coordinate map.  With it,
+        # the boundary (-6, 4) would read as 4 and H_1 as Z/4.
+        cells = [[("v",)], [("e", 0), ("e", 1)], [("f",)]]
+        cx = CubeComplex(make_path_graph(1), 1, (), MODEL_KIND, cells)
+        cx._boundaries = {1: SparseIntMatrix.from_dense([[2, 3]]),
+                          2: SparseIntMatrix.from_dense([[-6], [4]])}
+        found = linalg._eliminate({0: {0: 2}, 1: {0: 3}},
+                                  V={0: {0: 1}, 1: {1: 1}})
+        assert [v for _, _, v in found] == [1]
+        assert kernel_with_coords(cx.boundary(1), coords=False)[2] is None
+        non_units = []
+        rank_of_columns(cx.boundary(1).columns(), [], non_units)
+        assert non_units == [2]
+
+        calls = []
+        real = homology_module.kernel_with_coords
+        monkeypatch.setattr(homology_module, "kernel_with_coords",
+                            lambda m, coords=True: calls.append(coords)
+                            or real(m, coords))
+        for flag in (False, True):
+            calls.clear()
+            pres = homology(cx, 1, basis=flag)
+            assert (pres.betti, pres.torsion) == (0, (2,))
+            assert calls[-1] is True, flag
+            assert pres.kernel_coords({0: -3, 1: 2}) in ({0: 1}, {0: -1})
+
+
+def unpruned_supports(tree, q):
+    """Every union of q vertex-disjoint pieces, duplicates included."""
+    pieces = _star_pieces(tree) + _h_pieces(tree)
+    vertices = frozenset(tree.vertices)
+    return [Subgraph(tree, vertices, frozenset().union(*(p.edges for p in combo)))
+            for combo in combinations(pieces, q)
+            if all(not (a.vertices & b.vertices)
+                   for a, b in combinations(combo, 2))]
+
+
+def span(model, q, supports, pres):
+    candidates = []
+    for sub in supports:
+        candidates.extend(pushed_cycle_space(model, sub, q))
+    return generated_check(model, q, candidates, presentation=pres)
+
+
+class TestAmbientPush:
+    @pytest.mark.parametrize("make,n,q", [
+        (make_star(4), 2, 1), (make_h_graph(), 3, 1),
+        (make_spider(2, 3, 1), 2, 1), (make_spider(3, 3, 2), 3, 2),
+    ])
+    def test_tree_supports(self, make, n, q):
+        model = build_model(make, n)
+        supports = unpruned_supports(make, q)
+        assert supports
+        for sub in supports:
+            self.check_same_lattice(model, sub, q)
+
+    def test_random_edge_subsets(self):
+        rng = random.Random(4242)
+        checked = 0
+        for _ in range(10):
+            g = random_connected_graph(rng, rng.randint(3, 5), rng.randint(0, 2))
+            model = build_model(g, 2)
+            for _ in range(3):
+                edges = frozenset(e for e in range(g.n_edges) if rng.random() < 0.7)
+                sub = Subgraph(g, frozenset(g.vertices), edges)
+                for q in (1, 2):
+                    checked += self.check_same_lattice(model, sub, q)
+        assert checked >= 20
+
+    @staticmethod
+    def check_same_lattice(model, sub, q):
+        """The ambient-column push is a basis of the subcomplex's cycle
+        lattice Z_q: its vectors are cycles there, as many as the
+        subcomplex kernel's, with all Smith divisors 1 in Z_q coordinates."""
+        subcx, inj = subcomplex_supported_in(model, sub)
+        pushed = pushed_cycle_space(model, sub, q)
+        if q > subcx.top_dimension or not subcx.cells[q]:
+            assert pushed == []
+            return 0
+        own = kernel_with_coords(subcx.boundary(q))[1]
+        assert len(pushed) == len(own)
+        if not own:
+            return 0
+        back = {a: i for i, a in enumerate(inj[q])}
+        sub_pres = homology(subcx, q, basis=False)
+        coords = [sub_pres.kernel_coords({back[a]: v for a, v in vec.items()})
+                  for vec in pushed]
+        divisors = smith_normal_form(
+            SparseIntMatrix.from_columns(sub_pres.cycle_rank, coords))
+        assert divisors == [1] * len(own)
+        return 1
+
+
+class TestMaximalSupports:
+    @pytest.mark.parametrize("make,n,q", [
+        (make_star(4), 2, 1), (make_h_graph(), 2, 1), (make_h_graph(), 3, 1),
+        (make_spider(2, 3, 1), 2, 1), (make_spider(2, 3, 1), 3, 1),
+        (make_spider(3, 3, 2), 2, 1), (make_spider(3, 3, 2), 3, 2),
+    ])
+    def test_pruned_supports_same_verdict(self, make, n, q):
+        model = build_model(make, n)
+        pres = homology(model, q, basis=False)
+        every = unpruned_supports(make, q)
+        pruned = _generator_supports(make, q)
+        assert len(pruned) < len(every)
+        assert set(s.edges for s in pruned) == \
+            set(s.edges for s in _maximal_supports(every))
+        for a in pruned:
+            assert not any(a.edges < b.edges for b in every)
+        assert span(model, q, pruned, pres) == span(model, q, every, pres)
+
+    def test_failing_set(self):
+        # rotations through exactly three edges of star4 at n=2 span rank 3
+        # of b_1 = 5; pruning duplicates leaves that verdict alone
+        star4 = make_star(4)
+        model = build_model(star4, 2)
+        pres = homology(model, 1, basis=False)
+        vertices = frozenset(star4.vertices)
+        threes = [Subgraph(star4, vertices, p.edges)
+                  for p in _star_pieces(star4) if len(p.edges) == 3]
+        assert len(threes) == 4
+        pruned = _maximal_supports(threes + threes[:2])
+        assert sorted(s.edges for s in pruned) == sorted(s.edges for s in threes)
+        want = span(model, 1, threes + threes[:2], pres)
+        assert not want.generates_over_Q and want.missing_rank == 2
+        assert span(model, 1, pruned, pres) == want

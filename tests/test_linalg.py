@@ -90,15 +90,6 @@ def random_dense(rng, rows, cols, density=0.5, lo=-4, hi=4):
 
 
 class TestSparseMatrix:
-    def test_triplet_round_trip(self):
-        m = SparseIntMatrix.from_triplets(2, 3, [(0, 0, 2), (1, 2, -5)])
-        assert sorted(m.entries()) == [(0, 0, 2), (1, 2, -5)]
-        assert m.nnz == 2
-
-    def test_duplicate_triplets_rejected(self):
-        with pytest.raises(LinAlgError):
-            SparseIntMatrix.from_triplets(2, 2, [(0, 0, 1), (0, 0, 2)])
-
     def test_multiply(self):
         a = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
         b = SparseIntMatrix.from_dense([[5, 6], [7, 8]])
@@ -107,10 +98,6 @@ class TestSparseMatrix:
     def test_transpose(self):
         a = SparseIntMatrix.from_dense([[1, 0, 2]])
         assert a.transpose().to_dense() == [[1], [0], [2]]
-
-    def test_triplet_text_export(self):
-        a = SparseIntMatrix.from_dense([[1, 0], [0, -2]])
-        assert a.to_triplet_text() == "2 2\n0 0 1\n1 1 -2\n"
 
 
 class TestSmith:
