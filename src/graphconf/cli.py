@@ -76,6 +76,8 @@ class RunConfig:
             raise ConfigError("--n must be nonnegative")
         if self.q < 0:
             raise ConfigError("--q must be nonnegative")
+        if self.qmax is not None and self.qmax < 0:
+            raise ConfigError("--qmax must be nonnegative")
         if self.budget < 1:
             raise ConfigError("--budget must be positive")
         if self.window and self.window[0] > self.window[-1]:

@@ -9,13 +9,26 @@ edges are cut as finely as Prue & Scrimshaw (2014) require, into
 ``oracle_subdivision(graph, n)`` pieces each: a q-cell there is q pairwise
 disjoint closed edges plus n-q distinct vertices, all closures disjoint.
 
-Cells are stored as canonical nested tuples:
+Canonical cell keys:
 
   model cell   ((vertex occupancy), (edge tuples), (moves))
       vertex occupancy: sorted ((vertex, (particles, ...)), ...)
       edge tuples:      sorted ((edge, (particles in slot order)), ...)
       moves:            ((particle, edge, end), ...) sorted by particle
   oracle cell  (loc_1, ..., loc_n) with loc < V a vertex, V + e an edge.
+
+Oracle cells are stored as their keys.  A main-model cell is stored as one
+integer, ``z << 2n | mask``: the 0-cells are numbered in sorted key order,
+each 0-cell's candidate moves are sorted by (particle, edge, end), and the
+mask picks the cell's moves among them.  Move sets of one 0-cell come in
+lexicographic order, so the cells keep the order of their keys.  Face
+tables, made once per 0-cell and candidate, give the 0-cell a move lands
+in and the bits the other candidates take there: a face costs a few
+integer operations, and every lookup hashes an int.  Automorphisms act as
+a permutation of the 0-cells plus a relabelling of candidates, and support
+in a subgraph is decided once per 0-cell.  ``CubeComplex.cells`` and
+``index`` decode the keys on first use, for reports, tests and the
+explicit chains of ``stability``.
 
 Both use the boundary convention, moves ordered by particle label,
 
@@ -103,40 +116,73 @@ class ModelCell:
 
 
 class CubeComplex:
-    """A finite cube complex with exact integer boundary matrices."""
+    """A finite cube complex with exact integer boundary matrices.
 
-    def __init__(self, graph, n, sinks, kind, cells_by_dim):
+    ``codes[q]`` holds the stored q-cells in order: integer codes read
+    through ``tables`` (a ``_ModelTables``) in the main model, location
+    tuples in the oracle.  ``cells`` and ``index`` give the canonical keys.
+    """
+
+    def __init__(self, graph, n, sinks, kind, cells_by_dim, tables=None):
         self.graph = graph
         self.n = n
         self.sinks = frozenset(sinks)
         self.kind = kind
-        self.cells = [tuple(cs) for cs in cells_by_dim]
-        while self.cells and not self.cells[-1]:
-            self.cells.pop()
+        self.tables = tables
+        self.codes = [tuple(cs) for cs in cells_by_dim]
+        while self.codes and not self.codes[-1]:
+            self.codes.pop()
+        self._cells = None
         self._index = {}
+        self._positions = {}
         self._boundaries = {}
 
     # -- structure -------------------------------------------------------
 
     @property
     def top_dimension(self):
-        return len(self.cells) - 1
+        return len(self.codes) - 1
 
     def f_vector(self):
-        return [len(cs) for cs in self.cells]
+        return [len(cs) for cs in self.codes]
 
     @property
     def total_cells(self):
-        return sum(len(cs) for cs in self.cells)
+        return sum(len(cs) for cs in self.codes)
 
     def euler_characteristic(self):
-        return sum((-1) ** q * len(cs) for q, cs in enumerate(self.cells))
+        return sum((-1) ** q * len(cs) for q, cs in enumerate(self.codes))
+
+    @property
+    def cells(self):
+        """Canonical cell keys per dimension, in the order of ``codes``;
+        the main model decodes them on first use."""
+        if self.tables is None:
+            return self.codes
+        if self._cells is None:
+            key = self.tables.key
+            self._cells = [tuple(map(key, cs)) for cs in self.codes]
+        return self._cells
+
+    def cell_key(self, q, i):
+        """Canonical key of the i-th q-cell."""
+        code = self.codes[q][i]
+        return code if self.tables is None else self.tables.key(code)
 
     def index(self, q):
-        """Cell -> position in ``cells[q]``, built on first use."""
+        """Canonical cell key -> position in ``cells[q]``, built on first use."""
+        if self.tables is None:
+            return self.code_index(q)
         if q not in self._index:
-            self._index[q] = {c: i for i, c in enumerate(self.cells[q])}
+            key = self.tables.key
+            self._index[q] = {key(c): i for i, c in enumerate(self.codes[q])}
         return self._index[q]
+
+    def code_index(self, q):
+        """Stored cell -> position in ``codes[q]``, built on first use."""
+        if q not in self._positions:
+            self._positions[q] = {c: i for i, c in enumerate(self.codes[q])}
+        return self._positions[q]
 
     def cell_objects(self, q):
         if self.kind != MODEL_KIND:
@@ -150,17 +196,17 @@ class CubeComplex:
         if q < 0:
             return SparseIntMatrix(0, 0)
         if q == 0 or q > self.top_dimension:
-            rows = len(self.cells[q - 1]) if 1 <= q <= self.top_dimension + 1 else 0
-            return SparseIntMatrix(rows, len(self.cells[q]) if q <= self.top_dimension else 0)
+            rows = len(self.codes[q - 1]) if 1 <= q <= self.top_dimension + 1 else 0
+            return SparseIntMatrix(rows, len(self.codes[q]) if q <= self.top_dimension else 0)
         if q in self._boundaries:
             return self._boundaries[q]
-        if self.kind == MODEL_KIND:
-            faces = partial(_model_faces, self.graph)
+        if self.tables is not None:
+            faces = self.tables.faces
         else:
             vid = {v: i for i, v in enumerate(self.graph.vertices)}
             faces = partial(_oracle_faces, self.graph, vid=vid)
-        cols = _boundary_columns(self.cells[q], faces, self.index(q - 1))
-        mat = SparseIntMatrix.from_columns(len(self.cells[q - 1]), cols)
+        cols = _boundary_columns(self.codes[q], faces, self.code_index(q - 1))
+        mat = SparseIntMatrix.view(len(self.codes[q - 1]), cols)
         self._boundaries[q] = mat
         return mat
 
@@ -232,76 +278,134 @@ def _zero_cells(graph, n, sinks):
     return cells
 
 
-def _move_candidates(graph, vkey, ekey):
-    cands = []
-    for e, tup in ekey:
-        a, b = graph.edges[e]
-        cands.append((tup[0], e, 0, a))
-        cands.append((tup[-1], e, 1, b))
-    return cands
+class _ModelTables:
+    """Numbered 0-cells of the main model and their face tables.
+
+    0-cell z has key ``zero[z]`` and candidate moves ``moves[z]``: the
+    (particle, edge, end) slides from an extremal slot onto a sink or a
+    free vertex, sorted.  A q-cell is the code ``z << shift | mask`` with a
+    mask of q candidates that move distinct particles, no two onto one
+    non-sink vertex (a particle has at most two candidates, so ``shift`` =
+    2n bits suffice).  ``landed[z][b]`` is the code of the 0-cell that
+    candidate b lands in, and ``renumber[z][b][c]`` the bit there of
+    candidate c (0 if c cannot move together with b).  ``zero_index`` finds
+    a 0-cell by its flat ``locations``.
+    """
+
+    def __init__(self, graph, n, zero):
+        self.n = n
+        self.vid = {v: i for i, v in enumerate(graph.vertices)}
+        self.zero = zero
+        self.zero_index = {tuple(self.locations(*key)): z
+                           for z, key in enumerate(zero)}
+        self.shift = 2 * n
+        self.low = (1 << self.shift) - 1
+        self.moves = []
+        self.landed = []
+        self.renumber = []
+        self._bits = {}
+
+    def locations(self, vkey, ekey):
+        """Flat form of a 0-cell: per particle, the index of its vertex, or
+        V + e n + s for slot s of edge e (V vertices)."""
+        n, vid = self.n, self.vid
+        where = [0] * n
+        for v, ps in vkey:
+            for p in ps:
+                where[p - 1] = vid[v]
+        for e, tup in ekey:
+            for s, p in enumerate(tup, len(vid) + e * n):
+                where[p - 1] = s
+        return where
+
+    def bits(self, mask):
+        """Set bit positions of ``mask``, ascending."""
+        out = self._bits.get(mask)
+        if out is None:
+            out = self._bits[mask] = tuple(
+                b for b in range(mask.bit_length()) if mask >> b & 1)
+        return out
+
+    def key(self, code):
+        """Canonical nested-tuple key of a cell code."""
+        z = code >> self.shift
+        moves = self.moves[z]
+        return self.zero[z] + (tuple(moves[b] for b in self.bits(code & self.low)),)
+
+    def faces(self, code):
+        """(sign, resting face, landed face) per move axis, axes in particle
+        order: the resting face drops the move's bit, the landed face reads
+        the table."""
+        z = code >> self.shift
+        landed, renumber = self.landed[z], self.renumber[z]
+        bits = self.bits(code & self.low)
+        out = []
+        sign = 1
+        for b in bits:
+            bit_of = renumber[b]
+            face = landed[b]
+            for c in bits:
+                face |= bit_of[c]
+            out.append((sign, code ^ (1 << b), face))
+            sign = -sign
+        return out
+
+    def cell_map(self, vertex_map, edge_map, reversed_edges):
+        """Code -> image code under a graph automorphism: a permutation of
+        the 0-cells plus a relabelling of each one's candidates, worked out
+        per 0-cell on first use.  Raises KeyError when a cell has no image."""
+        shift, low, bits = self.shift, self.low, self.bits
+        by_zero = {}
+
+        def zero_image(z):
+            vkey, ekey = self.zero[z]
+            image = self.zero_index[tuple(self.locations(
+                [(vertex_map[v], ps) for v, ps in vkey],
+                [(edge_map[e], ps[::-1] if edge_map[e] in reversed_edges else ps)
+                 for e, ps in ekey]))]
+            bit_of = {mv: 1 << b for b, mv in enumerate(self.moves[image])}
+            relabel = {}                 # a candidate without image has no key
+            for b, (p, e, end) in enumerate(self.moves[z]):
+                mv = (p, edge_map[e], 1 - end if edge_map[e] in reversed_edges else end)
+                if mv in bit_of:
+                    relabel[b] = bit_of[mv]
+            by_zero[z] = found = (image << shift, relabel)
+            return found
+
+        def cell_image(code):
+            z = code >> shift
+            image, relabel = by_zero.get(z) or zero_image(z)
+            for b in bits(code & low):
+                image |= relabel[b]
+            return image
+
+        return cell_image
 
 
-def _admissible_move_sets(graph, sinks, vkey, ekey):
-    """All nonempty admissible move sets on a 0-cell, as sorted tuples."""
-    occupied = {v for v, _ in vkey}
-    cands = _move_candidates(graph, vkey, ekey)
-    out = []
-    chosen = []
-    used_particles = set()
-    used_nonsink = set()
+def _admissible_masks(clash, n):
+    """Masks of the admissible move sets, by size and in lexicographic order
+    of their bit positions, for candidates where ``clash[i]`` marks the
+    later candidates that cannot move together with candidate i."""
+    masks = [[] for _ in range(n + 1)]
+    masks[0].append(0)
 
-    def rec(i):
-        if i == len(cands):
-            if chosen:
-                out.append(tuple(sorted((p, e, s) for p, e, s, _ in chosen)))
-            return
-        rec(i + 1)
-        p, e, s, target = cands[i]
-        if p in used_particles:
-            return
-        if target not in sinks:
-            if target in occupied or target in used_nonsink:
-                return
-            used_nonsink.add(target)
-        used_particles.add(p)
-        chosen.append(cands[i])
-        rec(i + 1)
-        chosen.pop()
-        used_particles.discard(p)
-        used_nonsink.discard(target)
+    def extend(mask, start, blocked, q):
+        for i in range(start, len(clash)):
+            if not blocked >> i & 1:
+                masks[q].append(mask | 1 << i)
+                extend(mask | 1 << i, i + 1, blocked | clash[i], q + 1)
 
-    rec(0)
-    return out
-
-
-def _model_faces(graph, cell):
-    """Yield (sign, resting face, landed face) per move axis."""
-    vkey, ekey, moves = cell
-    faces = []
-    for i, (p, e, end) in enumerate(moves):
-        rest_moves = moves[:i] + moves[i + 1:]
-        face0 = (vkey, ekey, rest_moves)
-        emap = dict(ekey)
-        tup = emap[e]
-        new_tup = tup[1:] if end == 0 else tup[:-1]
-        if new_tup:
-            emap[e] = new_tup
-        else:
-            del emap[e]
-        target = graph.endpoint(e, end)
-        vmap = {v: ps for v, ps in vkey}
-        vmap[target] = tuple(sorted(vmap.get(target, ()) + (p,)))
-        new_vkey = tuple(sorted(vmap.items()))
-        new_ekey = tuple(sorted(emap.items()))
-        face1 = (new_vkey, new_ekey, rest_moves)
-        sign = 1 if i % 2 == 0 else -1
-        faces.append((sign, face0, face1))
-    return faces
+    extend(0, 0, 0, 1)
+    return masks
 
 
 def build_model(graph, n, sinks=(), budget=DEFAULT_CELL_BUDGET):
     """Build the combinatorial model of the configuration space of ``graph``
-    with ``n`` labelled particles and the given sink vertices."""
+    with ``n`` labelled particles and the given sink vertices.
+
+    Cells come in the order of their canonical keys: 0-cells sorted, and
+    each 0-cell's move sets in lexicographic order of sorted candidates.
+    """
     if n < 0:
         raise ModelError("particle count must be nonnegative")
     if graph.has_loops():
@@ -311,24 +415,69 @@ def build_model(graph, n, sinks=(), budget=DEFAULT_CELL_BUDGET):
     sinks = frozenset(sinks)
     if not sinks <= set(graph.vertices):
         raise ModelError("sinks must be vertices of the graph")
-    if n == 0:
-        return CubeComplex(graph, 0, sinks, MODEL_KIND, [[((), (), ())]])
 
-    zero = _zero_cells(graph, n, sinks)
+    zero = sorted(_zero_cells(graph, n, sinks))
+    if budget is not None and len(zero) > budget:
+        raise BudgetExceeded(f"model of Conf_{n} exceeds the {budget}-cell budget")
+    tables = _ModelTables(graph, n, zero)
+    shift = tables.shift
+    edges = graph.edges
+    intern = {}
+    patterns = {}
     cells_by_dim = [[] for _ in range(n + 1)]
     total = 0
-    for vkey, ekey in zero:
-        cells_by_dim[0].append((vkey, ekey, ()))
-        total += 1
-        for moves in _admissible_move_sets(graph, sinks, vkey, ekey):
-            cells_by_dim[len(moves)].append((vkey, ekey, moves))
-            total += 1
+    for z, (vkey, ekey) in enumerate(tables.zero):
+        occupied = {v for v, _ in vkey}
+        cands = []
+        for e, tup in ekey:
+            a, b = edges[e]
+            if a in sinks or a not in occupied:
+                cands.append((tup[0], e, 0))
+            if b in sinks or b not in occupied:
+                cands.append((tup[-1], e, 1))
+        cands.sort()
+        tables.moves.append(tuple(intern.setdefault(c, c) for c in cands))
+        # clash[i]: the later candidates that move the same particle as i,
+        # or onto the same non-sink vertex
+        by_particle, by_target = {}, {}
+        for i, (p, e, end) in enumerate(cands):
+            by_particle[p] = by_particle.get(p, 0) | 1 << i
+            if edges[e][end] not in sinks:
+                by_target[edges[e][end]] = by_target.get(edges[e][end], 0) | 1 << i
+        clash = tuple((by_particle[p] | by_target.get(edges[e][end], 0)) >> (i + 1) << (i + 1)
+                      for i, (p, e, end) in enumerate(cands))
+        masks = patterns.get(clash)
+        if masks is None:
+            masks = patterns[clash] = _admissible_masks(clash, n)
+        base = z << shift
+        for q, ms in enumerate(masks):
+            cells_by_dim[q].extend(map(base.__or__, ms))
+            total += len(ms)
         if budget is not None and total > budget:
             raise BudgetExceeded(
                 f"model of Conf_{n} exceeds the {budget}-cell budget")
-    for q in range(len(cells_by_dim)):
-        cells_by_dim[q].sort()
-    return CubeComplex(graph, n, sinks, MODEL_KIND, cells_by_dim)
+
+    vid, zero_index = tables.vid, tables.zero_index
+    for z, (vkey, ekey) in enumerate(tables.zero):
+        cands = tables.moves[z]
+        landed, renumber = [], []
+        where = tables.locations(vkey, ekey)
+        on_edge = dict(ekey)
+        for p, e, end in cands:
+            # p slides onto the vertex; at end 0 the others on e move up a slot
+            there = where.copy()
+            there[p - 1] = vid[edges[e][end]]
+            if end == 0:
+                for s, other in enumerate(on_edge[e][1:], len(vid) + e * n):
+                    there[other - 1] = s
+            there = zero_index[tuple(there)]
+            moves = tables.moves[there]
+            landed.append(there << shift)
+            bit_of = tuple(1 << moves.index(c) if c in moves else 0 for c in cands)
+            renumber.append(intern.setdefault(bit_of, bit_of))
+        tables.landed.append(landed)
+        tables.renumber.append(renumber)
+    return CubeComplex(graph, n, sinks, MODEL_KIND, cells_by_dim, tables)
 
 
 # -- discretized oracle ---------------------------------------------------
@@ -434,37 +583,24 @@ def build_abrams_oracle(graph, n, budget=DEFAULT_CELL_BUDGET):
 # -- subcomplexes ---------------------------------------------------------
 
 
-def _model_cell_supported(cell, vset, eset):
-    vkey, ekey, moves = cell
-    for v, _ in vkey:
-        if v not in vset:
-            return False
-    for e, _ in ekey:
-        if e not in eset:
-            return False
-    return True
-
-
 def subcomplex_supported_in(complex_, sub):
     """Cells of ``complex_`` with every particle on ``sub``, plus the index
-    injection into the ambient complex (one list per dimension)."""
+    injection into the ambient complex (one list per dimension).  Whether a
+    cell is supported depends on its 0-cell only."""
     if complex_.kind != MODEL_KIND:
         raise ModelError("supports are taken in the main model")
     if not isinstance(sub, Subgraph) or sub.graph is not complex_.graph:
         raise GraphError("support must be a subgraph of the complex's graph")
     vset = sub.vertices
     eset = sub.edges
-    cells_by_dim = []
-    injection = []
-    for q, cells in enumerate(complex_.cells):
-        kept = []
-        inj = []
-        for i, cell in enumerate(cells):
-            if _model_cell_supported(cell, vset, eset):
-                kept.append(cell)
-                inj.append(i)
-        cells_by_dim.append(kept)
-        injection.append(inj)
+    tables = complex_.tables
+    supported = [all(v in vset for v, _ in vkey) and all(e in eset for e, _ in ekey)
+                 for vkey, ekey in tables.zero]
+    shift = tables.shift
+    injection = [[i for i, c in enumerate(codes) if supported[c >> shift]]
+                 for codes in complex_.codes]
+    cells_by_dim = [[codes[i] for i in inj]
+                    for codes, inj in zip(complex_.codes, injection)]
     subcx = CubeComplex(complex_.graph, complex_.n, complex_.sinks,
-                        MODEL_KIND, cells_by_dim)
+                        MODEL_KIND, cells_by_dim, tables)
     return subcx, injection[: subcx.top_dimension + 1]

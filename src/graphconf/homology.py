@@ -115,7 +115,7 @@ def homology(complex_, q, basis=True):
     """
     if q < 0:
         raise HomologyError("degree must be nonnegative")
-    f_q = len(complex_.cells[q]) if q <= complex_.top_dimension else 0
+    f_q = len(complex_.codes[q]) if q <= complex_.top_dimension else 0
     if f_q == 0:
         return HomologyPresentation(complex_, q, 0, (), [], 0)
     d_q = complex_.boundary(q)
@@ -142,7 +142,7 @@ def homology(complex_, q, basis=True):
         image_cols = [_dict_dot_block(coord_col_form, col)
                       for col in d_q1.columns()]
 
-    m = SparseIntMatrix.from_columns(z, image_cols)
+    m = SparseIntMatrix.view(z, image_cols)
     pivots, u_rows, uinv_cols = smith_diagonalize(m, track_u=True)
     pivot_rows = {r for r, _, _ in pivots}
     free_rows = [r for r in range(z) if r not in pivot_rows]
@@ -247,8 +247,8 @@ def generated_check(complex_, q, candidate_cycles, presentation=None):
     cols = list(pres._image_cols)
     for zvec in candidate_cycles:
         cols.append(pres.kernel_coords(zvec))   # validates the cycle condition
-    divisors = smith_normal_form(
-        SparseIntMatrix.from_columns(pres.cycle_rank, cols))
+    # a view: Smith copies a column before its first write
+    divisors = smith_normal_form(SparseIntMatrix.view(pres.cycle_rank, cols))
     rk = len(divisors)
     missing = pres.cycle_rank - rk
     over_q = missing == 0
@@ -269,11 +269,10 @@ def induced_inclusion_map(subcomplex, injection, complex_, q,
     basis cycles themselves (raw, for span checks)."""
     if len(injection) < min(q, subcomplex.top_dimension) + 1:
         raise HomologyError("injection does not cover the requested degree")
-    if q <= subcomplex.top_dimension and subcomplex.cells[q]:
+    if q <= subcomplex.top_dimension and subcomplex.codes[q]:
         inj = injection[q]
-        sub_cells = subcomplex.cells[q]
-        for i in (0, len(sub_cells) - 1):
-            if complex_.cells[q][inj[i]] != sub_cells[i]:
+        for i in (0, len(inj) - 1):
+            if complex_.cell_key(q, inj[i]) != subcomplex.cell_key(q, i):
                 raise HomologyError("injection inconsistent with the ambient complex")
     pres_sub = (sub_presentation or homology(subcomplex, q)).require_basis()
     pres = presentation or homology(complex_, q)
@@ -293,46 +292,38 @@ def induced_inclusion_map(subcomplex, injection, complex_, q,
 
 class ChainMap:
     """Signed permutation chain map induced by a graph automorphism fixing
-    the particle labels (all signs are +1 here: axes stay in label order)."""
+    the particle labels (all signs are +1 here: axes stay in label order).
+    It permutes the 0-cells and relabels their candidate moves."""
 
     def __init__(self, complex_, vertex_map, edge_map, reversed_edges):
         self.complex = complex_
         self.vertex_map = vertex_map
         self.edge_map = edge_map
         self.reversed_edges = reversed_edges
-        self._images = [[] for _ in complex_.cells]   # built on first use
+        self._cell_image = complex_.tables.cell_map(vertex_map, edge_map,
+                                                    reversed_edges)
+        self._images = [[] for _ in complex_.codes]   # built on first use
 
     def images(self, q, indices):
         """Indices of the images of the degree-q cells numbered ``indices``."""
-        cells, index = self.complex.cells[q], self.complex.index(q)
+        codes, position = self.complex.codes[q], self.complex.code_index(q)
+        image = self._cell_image
         try:
-            return [index[self._map_cell(cells[i])] for i in indices]
+            return [position[image(codes[i])] for i in indices]
         except KeyError as exc:
             raise HomologyError(
                 "automorphism does not preserve the complex") from exc
 
-    def _map_cell(self, cell):
-        vkey, ekey, moves = cell
-        vm, em, rev = self.vertex_map, self.edge_map, self.reversed_edges
-        new_v = tuple(sorted((vm[v], parts) for v, parts in vkey))
-        new_e = tuple(sorted(
-            (em[e], parts[::-1] if em[e] in rev else parts)
-            for e, parts in ekey))
-        new_m = tuple(sorted(
-            (p, em[e], (1 - end) if em[e] in rev else end)
-            for p, e, end in moves))
-        return (new_v, new_e, new_m)
-
     def matrix(self, q):
         if q > self.complex.top_dimension:
             return SparseIntMatrix(0, 0)
-        f = len(self.complex.cells[q])
+        f = len(self.complex.codes[q])
         return SparseIntMatrix.from_columns(
             f, [self.apply(q, {i: 1}) for i in range(f)])
 
     def apply(self, q, vec):
         if not self._images[q]:
-            self._images[q] = self.images(q, range(len(self.complex.cells[q])))
+            self._images[q] = self.images(q, range(len(self.complex.codes[q])))
         images = self._images[q]
         return {images[i]: v for i, v in vec.items()}
 

@@ -61,6 +61,16 @@ class SparseIntMatrix:
         return m
 
     @classmethod
+    def view(cls, rows, columns):
+        """A matrix over the given column dicts, which are neither copied nor
+        checked: they must hold no zero and no row outside 0..rows-1, and
+        nobody may write to them while the matrix is in use."""
+        m = cls(rows, 0)
+        m._cols = list(columns)
+        m.cols = len(m._cols)
+        return m
+
+    @classmethod
     def from_dense(cls, rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
@@ -80,10 +90,7 @@ class SparseIntMatrix:
     def select_columns(self, indices):
         """The columns at ``indices`` as a matrix sharing this one's column
         dicts: nothing is copied, so neither matrix may be written to."""
-        m = SparseIntMatrix(self.rows, 0)
-        m._cols = [self._cols[j] for j in indices]
-        m.cols = len(m._cols)
-        return m
+        return SparseIntMatrix.view(self.rows, [self._cols[j] for j in indices])
 
     def entries(self):
         for j, col in enumerate(self._cols):

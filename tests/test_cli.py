@@ -126,6 +126,11 @@ class TestExitCodes:
     def test_negative_n_is_config_error(self, capsys, graph_file):
         assert main(["homology", "--graph", graph_file, "--n", "-1"]) == 2
 
+    def test_negative_qmax_is_config_error(self, capsys, graph_file):
+        assert main(["oracle-compare", "--graph", graph_file, "--n", "2",
+                     "--qmax", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_sinks_with_oracle_is_config_error(self, capsys, graph_file):
         assert main(["model", "--graph", graph_file, "--n", "2",
                      "--sinks", "0", "--oracle"]) == 2

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -9,6 +9,7 @@ from graphconf import (
     build_model,
     betti_numbers,
     full_subgraph,
+    homology,
     make_cycle_graph,
     make_h_graph,
     make_path_graph,
@@ -150,6 +151,22 @@ class TestModelAgreement:
         model = betti_numbers(build_model(g, n), min(n, 2))
         oracle = oracle_betti_numbers(g, n, min(n, 2))
         assert model == oracle
+
+    @pytest.mark.parametrize("name,n,expected", [
+        ("K5", 2, [1, 12, 1]), ("K5", 3, [1, 18, 167]),
+        ("K33", 2, [1, 8, 1]), ("K33", 3, [1, 12, 41]),
+    ])
+    def test_nonplanar_graphs(self, name, n, expected):
+        if name == "K5":
+            g = Graph(vertices=tuple(range(5)),
+                      edges=tuple(combinations(range(5), 2)))
+        else:
+            g = Graph(vertices=tuple(range(6)),
+                      edges=tuple((i, j) for i in range(3) for j in range(3, 6)))
+        cx = build_model(g, n)
+        assert betti_numbers(cx, 2) == expected
+        assert homology(cx, 1, basis=False).torsion == ()
+        assert oracle_betti_numbers(g, n, 2) == expected
 
     def test_subdivision_invariance(self, star3, triangle):
         for g in (star3, triangle):

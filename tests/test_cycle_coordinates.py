@@ -2,6 +2,7 @@
 checks that push kernels taken on ambient boundary columns, and tree
 supports pruned to the maximal ones."""
 
+import copy
 import importlib
 import random
 from itertools import combinations
@@ -232,3 +233,19 @@ class TestMaximalSupports:
         want = span(model, 1, threes + threes[:2], pres)
         assert not want.generates_over_Q and want.missing_rank == 2
         assert span(model, 1, pruned, pres) == want
+
+
+class TestSmithInputView:
+    def test_repeated_checks_leave_image_columns_intact(self):
+        # generated_check hands the presentation's image columns to Smith
+        # without a copy; the engine must copy each before writing to it
+        tree = make_spider(2, 3, 1)
+        model = build_model(tree, 3)
+        pres = homology(model, 1, basis=False)
+        saved = copy.deepcopy(pres._image_cols)
+        assert sum(map(len, saved)) > len(saved)
+        supports = _generator_supports(tree, 1)
+        first = span(model, 1, supports, pres)
+        second = span(model, 1, supports, pres)
+        assert first == second and first.generates_over_Z
+        assert pres._image_cols == saved
