@@ -80,8 +80,6 @@ class RunConfig:
             raise ConfigError("--qmax must be nonnegative")
         if self.budget < 1:
             raise ConfigError("--budget must be positive")
-        if self.window and self.window[0] > self.window[-1]:
-            raise ConfigError("window start must not exceed its end")
         if self.fit_degree < 0 or self.holdout < 0:
             raise ConfigError("--degree and --holdout must be nonnegative")
         if self.oracle and self.sinks:
@@ -94,10 +92,12 @@ class RunConfig:
 
 def _parse_window(text):
     try:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = map(int, text.split(".."))
     except ValueError as exc:
         raise ConfigError(f"bad window {text!r}; expected k0..k1") from exc
+    if lo > hi:
+        raise ConfigError("window start must not exceed its end")
+    return tuple(range(lo, hi + 1))
 
 
 def _parse_sinks(text):

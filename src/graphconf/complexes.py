@@ -32,7 +32,13 @@ explicit chains of ``stability``.
 
 Both use the boundary convention, moves ordered by particle label,
 
-  d C = sum_i (-1)^(i+1) (landed face_i - resting face_i).
+  d C = sum_i (-1)^(i+1) (landed face_i - resting face_i),
+
+and ``CubeComplex.boundary`` is the one place where either model's boundary
+columns are assembled: from the face tables in the main model, and from
+``_oracle_faces`` in the oracle.  The Betti loop asks it for each d_q
+without the rows the previous elimination pivoted on; such a matrix is
+built afresh and not memoized.
 """
 
 from __future__ import annotations
@@ -191,23 +197,44 @@ class CubeComplex:
 
     # -- boundary --------------------------------------------------------
 
-    def boundary(self, q):
-        """Boundary matrix C_q -> C_(q-1); rows index (q-1)-cells."""
+    def boundary(self, q, dropped=None):
+        """Boundary matrix C_q -> C_(q-1); rows index (q-1)-cells.
+
+        It is built once and memoized.  With a set ``dropped`` the matrix is
+        assembled afresh without those rows, and neither read from nor kept
+        in the memo."""
         if q < 0:
             return SparseIntMatrix(0, 0)
         if q == 0 or q > self.top_dimension:
             rows = len(self.codes[q - 1]) if 1 <= q <= self.top_dimension + 1 else 0
             return SparseIntMatrix(rows, len(self.codes[q]) if q <= self.top_dimension else 0)
-        if q in self._boundaries:
+        if dropped is None and q in self._boundaries:
             return self._boundaries[q]
         if self.tables is not None:
             faces = self.tables.faces
         else:
             vid = {v: i for i, v in enumerate(self.graph.vertices)}
             faces = partial(_oracle_faces, self.graph, vid=vid)
-        cols = _boundary_columns(self.codes[q], faces, self.code_index(q - 1))
+        index = self.code_index(q - 1)
+        skip = dropped or ()
+        cols = []
+        for cell in self.codes[q]:
+            col = {}
+            for sign, face0, face1 in faces(cell):
+                i1 = index[face1]
+                if i1 not in skip:
+                    col[i1] = col.get(i1, 0) + sign
+                    if not col[i1]:
+                        del col[i1]
+                i0 = index[face0]
+                if i0 not in skip:
+                    col[i0] = col.get(i0, 0) - sign
+                    if not col[i0]:
+                        del col[i0]
+            cols.append(col)
         mat = SparseIntMatrix.view(len(self.codes[q - 1]), cols)
-        self._boundaries[q] = mat
+        if dropped is None:
+            self._boundaries[q] = mat
         return mat
 
     def boundary_square_is_zero(self):
@@ -215,27 +242,6 @@ class CubeComplex:
             if not self.boundary(q - 1).multiply(self.boundary(q)).is_zero():
                 return False
         return True
-
-
-def _boundary_columns(cells, faces, index, dropped=()):
-    """Signed boundary columns of ``cells``, with rows numbered by ``index``
-    and the rows in ``dropped`` left out."""
-    cols = []
-    for cell in cells:
-        col = {}
-        for sign, face0, face1 in faces(cell):
-            i1 = index[face1]
-            if i1 not in dropped:
-                col[i1] = col.get(i1, 0) + sign
-                if not col[i1]:
-                    del col[i1]
-            i0 = index[face0]
-            if i0 not in dropped:
-                col[i0] = col.get(i0, 0) - sign
-                if not col[i0]:
-                    del col[i0]
-        cols.append(col)
-    return cols
 
 
 # -- main model ---------------------------------------------------------
@@ -574,8 +580,6 @@ def build_abrams_oracle(graph, n, budget=DEFAULT_CELL_BUDGET):
     if not graph.is_connected():
         raise ModelError("the model is built for connected graphs")
     fine = subdivide(graph, oracle_subdivision(graph, n))
-    if n == 0:
-        return CubeComplex(fine, 0, frozenset(), ORACLE_KIND, [[()]])
     cells_by_dim = _oracle_cells_by_dim(fine, n, budget)
     return CubeComplex(fine, n, frozenset(), ORACLE_KIND, cells_by_dim)
 

@@ -5,11 +5,8 @@ subcomplex inclusions and graph automorphisms."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
-from .complexes import (CubeComplex, _boundary_columns, _oracle_cells_by_dim,
-                        _oracle_faces, oracle_subdivision)
-from .graphs import subdivide
+from .complexes import DEFAULT_CELL_BUDGET, CubeComplex, build_abrams_oracle
 from .linalg import (
     SparseIntMatrix,
     kernel_with_coords,
@@ -173,17 +170,18 @@ def homology(complex_, q, basis=True):
     )
 
 
-def _betti_from_boundaries(f, columns_of, qmax):
-    """Betti numbers b_0..b_qmax of a complex with f_q cells in degree q.
+def betti_numbers(complex_, qmax=None):
+    """Rational Betti numbers b_0..b_qmax via exact boundary ranks.
 
-    ``columns_of(q, dropped)`` returns the columns of d_q without the rows
-    in ``dropped``.  The loop runs bottom-up and drops from d_(q+1) the rows
-    of the pivot columns P that the elimination of d_q found.  Those columns
-    are linearly independent, so no nonzero q-cycle is supported on P, and
+    The loop runs bottom-up and assembles d_(q+1) without the rows of the
+    pivot columns P that the elimination of d_q found.  Those columns are
+    linearly independent, so no nonzero q-cycle is supported on P, and
     deleting the coordinates in P is injective on Z_q.  The image of
     d_(q+1) lies in Z_q, so its rank is unchanged by the deletion.  For
-    q = 1, P is the spanning forest of the 1-skeleton.
+    q = 1, P is the spanning forest of the 1-skeleton.  Each boundary is
+    assembled for the loop alone and freed after its rank is taken.
     """
+    f = complex_.f_vector()
     top = len(f) - 1
     if qmax is None:
         qmax = top
@@ -192,37 +190,14 @@ def _betti_from_boundaries(f, columns_of, qmax):
     for q in range(1, min(top, qmax + 1) + 1):
         dropped = set(pivots)
         pivots = []
-        ranks[q] = rank_of_columns(columns_of(q, dropped), pivots)
+        ranks[q] = rank_of_columns(complex_.boundary(q, dropped).columns(), pivots)
     return [f[q] - ranks[q] - ranks[q + 1] if q <= top else 0
             for q in range(qmax + 1)]
 
 
-def betti_numbers(complex_, qmax=None):
-    """Rational Betti numbers b_0..b_qmax via exact boundary ranks."""
-
-    def columns_of(q, dropped):
-        return [{r: v for r, v in col.items() if r not in dropped}
-                for col in complex_.boundary(q).columns()]
-
-    return _betti_from_boundaries(complex_.f_vector(), columns_of, qmax)
-
-
-def oracle_betti_numbers(graph, n, qmax=None, budget=None):
-    """Betti numbers of the discretized cross-check model, streamed so the
-    boundary matrices are freed dimension by dimension."""
-    fine = subdivide(graph, oracle_subdivision(graph, n))
-    cells_by_dim = _oracle_cells_by_dim(fine, n, budget)
-    f = [len(cs) for cs in cells_by_dim]
-    while len(f) > 1 and not f[-1]:
-        f.pop()
-    vid = {v: i for i, v in enumerate(fine.vertices)}
-    faces = partial(_oracle_faces, fine, vid=vid)
-
-    def columns_of(q, dropped):
-        index = {cell: i for i, cell in enumerate(cells_by_dim[q - 1])}
-        return _boundary_columns(cells_by_dim[q], faces, index, dropped)
-
-    return _betti_from_boundaries(f, columns_of, qmax)
+def oracle_betti_numbers(graph, n, qmax=None, budget=DEFAULT_CELL_BUDGET):
+    """Betti numbers of the discretized cross-check model."""
+    return betti_numbers(build_abrams_oracle(graph, n, budget), qmax)
 
 
 # -- generation (span) checks ----------------------------------------------

@@ -81,9 +81,6 @@ class SparseIntMatrix:
                     m._cols[c][r] = v
         return m
 
-    def column(self, j):
-        return dict(self._cols[j])
-
     def columns(self):
         return self._cols
 

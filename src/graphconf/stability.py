@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .complexes import _freeze_state, build_model, subcomplex_supported_in
+from .complexes import (DEFAULT_CELL_BUDGET, _freeze_state, build_model,
+                        subcomplex_supported_in)
 from .graphs import (
     GraphError,
     Subgraph,
@@ -17,6 +18,7 @@ from .graphs import (
     support_orbits,
 )
 from .homology import (
+    betti_numbers,
     generated_check,
     homology,
     permutation_action_map,
@@ -594,8 +596,8 @@ def _degree_candidates(instance, model, q, degrees):
     return out
 
 
-def generation_degree_check(descriptor, n, q, d, sizes, budget=None,
-                            search_d_min=True):
+def generation_degree_check(descriptor, n, q, d, sizes,
+                            budget=DEFAULT_CELL_BUDGET, search_d_min=True):
     """Span check: do classes supported in degree-d images generate H_q of
     the size-``sizes`` member?  Reports the minimal witnessed degree and the
     verdict at the family's asserted bound (clamped to the window)."""
@@ -611,8 +613,7 @@ def generation_degree_check(descriptor, n, q, d, sizes, budget=None,
         raise StabilityError("degree must not exceed the sizes componentwise")
 
     instance = realize_family(descriptor, sizes)
-    kwargs = {} if budget is None else {"budget": budget}
-    model = build_model(instance.graph, n, **kwargs)
+    model = build_model(instance.graph, n, budget=budget)
     pres = homology(model, q, basis=False)
 
     per_degree = {}
@@ -709,7 +710,8 @@ def _poly_eval(coeffs, x):
 
 
 def dimension_polynomial_check(descriptor, n, q, window, degree_bound,
-                               holdout, betti_values=None, budget=None):
+                               holdout, betti_values=None,
+                               budget=DEFAULT_CELL_BUDGET):
     """Fit an exact polynomial of degree <= degree_bound to the first points
     of the Betti sequence and verify it predicts every remaining point."""
     window = list(window)
@@ -717,12 +719,10 @@ def dimension_polynomial_check(descriptor, n, q, window, degree_bound,
         raise StabilityError(
             "window must cover the interpolation points plus the holdout")
     if betti_values is None:
-        from .homology import betti_numbers
         betti_values = []
         for k in window:
             instance = realize_family(descriptor, (k,) * descriptor.arity)
-            kwargs = {} if budget is None else {"budget": budget}
-            model = build_model(instance.graph, n, **kwargs)
+            model = build_model(instance.graph, n, budget=budget)
             betti_values.append(betti_numbers(model, q)[q])
     fit_points = list(zip(window, betti_values))[: degree_bound + 1]
     coeffs = _lagrange_coefficients(fit_points)

@@ -151,6 +151,15 @@ class TestExitCodes:
     def test_backwards_window_is_config_error(self, capsys, star_family_file):
         assert main(["rep-stability", "--family", star_family_file,
                      "--n", "2", "--q", "1", "--window", "7..5"]) == 2
+        assert capsys.readouterr().err == \
+            "error: window start must not exceed its end\n"
+
+    def test_backwards_poly_fit_window_is_config_error(self, capsys,
+                                                       star_family_file):
+        assert main(["poly-fit", "--family", star_family_file,
+                     "--n", "2", "--q", "1", "--window", "7..3"]) == 2
+        assert capsys.readouterr().err == \
+            "error: window start must not exceed its end\n"
 
     def test_rep_stability_rejects_product_families(self, capsys, tmp_path):
         from graphconf import Graph, SummandSpec, wedge_family

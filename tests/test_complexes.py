@@ -105,10 +105,14 @@ class TestOracle:
         cx = build_abrams_oracle(triangle, 2)
         assert betti_numbers(cx, 1) == [1, 1]
 
-    def test_streamed_matches_full(self, star3, interval):
-        for g, n in ((star3, 2), (interval, 3)):
-            full = betti_numbers(build_abrams_oracle(g, n), min(n, 2))
-            assert oracle_betti_numbers(g, n, min(n, 2)) == full
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded):
+            oracle_betti_numbers(make_star(3), 3, budget=100)
+
+    def test_disconnected_rejected(self):
+        two_points = Graph(vertices=(0, 1), edges=())
+        with pytest.raises(ModelError):
+            oracle_betti_numbers(two_points, 2)
 
     def test_cells_match_brute_force(self, star3, triangle, interval):
         # every n-tuple of locations whose closures are pairwise disjoint,
@@ -131,6 +135,32 @@ class TestOracle:
     def test_zero_particles(self, star3):
         cx = build_abrams_oracle(star3, 0)
         assert cx.f_vector() == [1]
+
+
+class TestBoundaryPath:
+    """Both models assemble boundaries in ``CubeComplex.boundary``; the
+    Betti loop asks for each one without the previous pivot rows."""
+
+    @pytest.mark.parametrize("build", [build_model, build_abrams_oracle])
+    def test_dropped_rows_are_left_out(self, star3, build):
+        cx = build(star3, 2)
+        for q in range(1, cx.top_dimension + 1):
+            full = cx.boundary(q)
+            memo = dict(cx._boundaries)
+            dropped = set(range(0, full.rows, 3))
+            pruned = cx.boundary(q, dropped)
+            assert cx._boundaries == memo
+            assert (pruned.rows, pruned.cols) == (full.rows, full.cols)
+            assert pruned.columns() == [
+                {r: v for r, v in col.items() if r not in dropped}
+                for col in full.columns()]
+            assert cx.boundary(q) is full
+
+    @pytest.mark.parametrize("build", [build_model, build_abrams_oracle])
+    def test_betti_loop_leaves_no_memo(self, h_graph, build):
+        cx = build(h_graph, 2)
+        assert betti_numbers(cx) == [1, 3, 0]
+        assert not cx._boundaries
 
 
 class TestModelAgreement:

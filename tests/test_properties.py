@@ -1,0 +1,50 @@
+"""Property checks on random connected multigraphs (at most 5 vertices
+before loops are subdivided, parallel edges allowed) with n <= 3 particles.
+Examples are derandomized, so every run checks the same graphs."""
+
+from hypothesis import given, settings, strategies as st
+
+from graphconf import (
+    Graph,
+    betti_numbers,
+    build_abrams_oracle,
+    build_model,
+    homology,
+    normalize_loops,
+)
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                             max_examples=100)
+
+
+@st.composite
+def connected_multigraphs(draw, max_vertices=5, max_extra_edges=2):
+    """A random tree plus a few extra edges, which may repeat an edge or be
+    loops; loops are then subdivided once."""
+    nv = draw(st.integers(1, max_vertices))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    vertex = st.integers(0, nv - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=max_extra_edges))
+    return normalize_loops(Graph(vertices=tuple(range(nv)), edges=tuple(edges)))
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(), st.integers(0, 3))
+def test_model_and_oracle_agree_integrally(g, n):
+    model, oracle = build_model(g, n), build_abrams_oracle(g, n)
+    for q in range(min(n, 2) + 1):
+        mine = homology(model, q, basis=False)
+        theirs = homology(oracle, q, basis=False)
+        assert (mine.betti, mine.torsion) == (theirs.betti, theirs.torsion), q
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(), st.integers(0, 3), st.data())
+def test_betti_numbers_ignore_vertex_labels(g, n, data):
+    labels = data.draw(st.permutations(range(10, 10 + g.n_vertices)))
+    rename = dict(zip(g.vertices, labels))
+    order = data.draw(st.permutations(g.edges))
+    relabelled = Graph(vertices=tuple(labels),
+                       edges=tuple((rename[a], rename[b]) for a, b in order))
+    assert betti_numbers(build_model(relabelled, n)) == \
+        betti_numbers(build_model(g, n))

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from graphconf import (
+    BudgetExceeded,
     Graph,
     SparseIntMatrix,
     SummandSpec,
@@ -240,6 +241,10 @@ class TestGenerationDegree:
         with pytest.raises(StabilityError):
             generation_degree_check(star_family, 2, 1, 6, 5)
 
+    def test_budget_exceeded(self, star_family):
+        with pytest.raises(BudgetExceeded):
+            generation_degree_check(star_family, 2, 1, 4, 5, budget=100)
+
     def test_report_serializes(self, star_family):
         rep = generation_degree_check(star_family, 2, 1, 4, 5)
         data = rep.to_dict()
@@ -330,6 +335,11 @@ class TestPolynomialFit:
         assert result["fits"]
         assert result["degree"] == 2
         assert result["coefficients"] == ["1", "-3", "1"]
+
+    def test_budget_exceeded(self, star_family):
+        with pytest.raises(BudgetExceeded):
+            dimension_polynomial_check(star_family, 2, 1, [3, 4, 5], 1, 1,
+                                       budget=100)
 
     def test_window_too_short_rejected(self, star_family):
         with pytest.raises(StabilityError):
