@@ -176,9 +176,9 @@ def unpad(lam):
 # -- homology characters ------------------------------------------------------
 
 
-def homology_character(complex_, presentation, instance, perm, coordinate=1):
+def homology_character(complex_, presentation, instance, perm):
     """Exact trace of the action of a summand permutation on free homology."""
-    vmap, emap = instance.summand_automorphism(coordinate, perm)
+    vmap, emap = instance.summand_automorphism(1, perm)
     chain_map = permutation_action_map(complex_, vmap, emap)
     return chain_map.homology_trace(presentation)
 
@@ -204,15 +204,14 @@ class CharacterReport:
         return dict(self.multiplicities)
 
 
-def character_report(complex_, presentation, instance, coordinate=1):
+def character_report(complex_, presentation, instance):
     """Compute the full character and its decomposition for one family size."""
-    k = instance.sizes[coordinate - 1]
+    k = instance.sizes[0]
     values = {}
     data = []
     for mu in partitions(k):
         perm = class_representative(mu)
-        value = homology_character(complex_, presentation, instance, perm,
-                                   coordinate)
+        value = homology_character(complex_, presentation, instance, perm)
         values[mu] = value
         data.append((mu, class_size(mu), value))
     if values[(1,) * k if k else ()] != presentation.betti:

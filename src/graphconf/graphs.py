@@ -21,6 +21,14 @@ def _freeze_labels(labels):
     return tuple(sorted(labels.items()))
 
 
+def _labels_from_json(labels):
+    """Labels keyed by the decimal strings of vertex or edge ids."""
+    try:
+        return _freeze_labels({int(k): tuple(v) for k, v in (labels or {}).items()})
+    except ValueError as exc:
+        raise GraphError(f"label keys must be integers: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Graph:
     vertices: tuple
@@ -33,7 +41,10 @@ class Graph:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise GraphError("duplicate vertex ids")
-        for a, b in self.edges:
+        for e in self.edges:
+            if len(e) != 2:
+                raise GraphError(f"edge {list(e)} is not a pair of vertices")
+            a, b = e
             if a not in vset or b not in vset:
                 raise GraphError(f"edge ({a}, {b}) references missing vertex")
         if self.basepoint is not None and self.basepoint not in vset:
@@ -159,12 +170,8 @@ class Graph:
             vertices=tuple(data["vertices"]),
             edges=tuple(tuple(e) for e in data["edges"]),
             basepoint=data.get("basepoint"),
-            vertex_labels=_freeze_labels(
-                {int(k): tuple(v) for k, v in (labels.get("vertices") or {}).items()}
-            ),
-            edge_labels=_freeze_labels(
-                {int(k): tuple(v) for k, v in (labels.get("edges") or {}).items()}
-            ),
+            vertex_labels=_labels_from_json(labels.get("vertices")),
+            edge_labels=_labels_from_json(labels.get("edges")),
         )
 
 

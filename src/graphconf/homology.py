@@ -10,9 +10,11 @@ from .complexes import DEFAULT_CELL_BUDGET, CubeComplex, build_abrams_oracle
 from .linalg import (
     SparseIntMatrix,
     kernel_with_coords,
+    lattice_coords,
     rank_of_columns,
     smith_diagonalize,
     smith_normal_form,
+    vec_axpy,
 )
 
 
@@ -20,36 +22,13 @@ class HomologyError(ValueError):
     pass
 
 
-def _rows_to_col_form(rows):
-    """Transpose a list of sparse row dicts into {col: {row_i: v}}."""
-    out = {}
-    for i, row in enumerate(rows):
-        for k, v in row.items():
-            out.setdefault(k, {})[i] = v
-    return out
-
-
-def _dict_dot_block(col_form, vec):
-    acc = {}
-    for k, a in vec.items():
-        block = col_form.get(k)
-        if not block:
-            continue
-        for i, rv in block.items():
-            w = acc.get(i, 0) + a * rv
-            if w:
-                acc[i] = w
-            else:
-                del acc[i]
-    return acc
-
-
 @dataclass
 class HomologyPresentation:
     """H_q of a complex: Betti number, torsion, and an exact solver that
-    expresses any q-cycle in free-part homology coordinates.  Cycle-lattice
-    coordinates are a cycle's entries at ``_coord_pos`` (restricted) or, on
-    the fallback, the rows W in ``_coord_col_form`` applied to it."""
+    expresses any q-cycle in free-part homology coordinates.  A cycle's
+    cycle-lattice coordinates are ``lattice_coords(_coords, cycle)``: its
+    entries at the rows of ``_coords``, forward-substituted through the
+    triangular block when there is one."""
 
     complex: CubeComplex
     q: int
@@ -57,8 +36,7 @@ class HomologyPresentation:
     torsion: tuple
     cycle_basis: list
     cycle_rank: int                    # dim Z_q
-    _coord_col_form: dict = field(repr=False, default=None)
-    _coord_pos: dict = field(repr=False, default_factory=dict)
+    _coords: tuple = field(repr=False, default=({}, None))
     _image_cols: list = field(repr=False, default_factory=list)
     _u_rows: dict = field(repr=False, default_factory=dict)
     _free_rows: list = field(repr=False, default_factory=list)
@@ -70,10 +48,7 @@ class HomologyPresentation:
         """Coordinates of a cycle in the chosen basis of the cycle lattice."""
         if not self.is_cycle(zvec):
             raise HomologyError("vector is not a cycle")
-        if self._coord_col_form is None:
-            pos = self._coord_pos
-            return {pos[k]: v for k, v in zvec.items() if k in pos}
-        return _dict_dot_block(self._coord_col_form, zvec)
+        return lattice_coords(self._coords, zvec)
 
     def _free_coordinate(self, y, r):
         """Free row r of U applied to cycle-lattice coordinates y."""
@@ -103,12 +78,16 @@ class HomologyPresentation:
 def homology(complex_, q, basis=True):
     """Integral homology H_q with torsion, basis cycles, and a projector.
 
-    If d_q eliminates unimodularly with unit pivots, restriction to the
-    non-pivot columns F is an isomorphism Z_q -> Z^F, and H_q is the
-    cokernel of d_(q+1) without the pivot rows (as in the Betti loop).  The
-    pivots come from the rank path (for q = 1 the spanning forest), or with
-    a basis from a kernel tracking V only.  Otherwise coordinates go
-    through the rows W of the kernel's inverse transform.
+    Cycles are read in Z_q coordinates, and H_q is the cokernel of
+    d_(q+1) read that way.  If d_q eliminates unimodularly with unit
+    pivots, restriction to the non-pivot columns F is an isomorphism
+    Z_q -> Z^F, so the coordinates are a cycle's entries on F and Smith
+    runs on d_(q+1) without the pivot rows (as in the Betti loop).  Without
+    a basis those pivots come from the rank path (for q = 1 the spanning
+    forest); with a basis, or when the rank path reports a non-unit pivot,
+    they come from ``kernel_with_coords``, which restricts to its own
+    non-pivot columns when that is the coordinate map and otherwise
+    forward-substitutes through a triangular block.
     """
     if q < 0:
         raise HomologyError("degree must be nonnegative")
@@ -116,28 +95,19 @@ def homology(complex_, q, basis=True):
     if f_q == 0:
         return HomologyPresentation(complex_, q, 0, (), [], 0)
     d_q = complex_.boundary(q)
-    d_q1 = complex_.boundary(q + 1)
 
-    pos = coord_col_form = None
-    if basis:
-        rk, kernel_basis, unit_rows = kernel_with_coords(d_q, coords=False)
-        if unit_rows is not None:
-            pos = {next(iter(row)): i for i, row in enumerate(unit_rows)}
-    else:
+    coords = None
+    if not basis:
         pivots, non_units = [], []
         rk = rank_of_columns(d_q.columns(), pivots, non_units)
         if not non_units:
             free = sorted(set(range(f_q)).difference(pivots))
-            pos = {j: i for i, j in enumerate(free)}
+            coords = ({j: i for i, j in enumerate(free)}, None)
+    if coords is None:
+        rk, kernel_basis, coords = kernel_with_coords(d_q)
     z = f_q - rk
-    if pos is not None:
-        image_cols = [{pos[r]: v for r, v in col.items() if r in pos}
-                      for col in d_q1.columns()]
-    else:
-        rk, kernel_basis, coord_rows = kernel_with_coords(d_q)
-        coord_col_form = _rows_to_col_form(coord_rows)
-        image_cols = [_dict_dot_block(coord_col_form, col)
-                      for col in d_q1.columns()]
+    image_cols = [lattice_coords(coords, col)
+                  for col in complex_.boundary(q + 1).columns()]
 
     m = SparseIntMatrix.view(z, image_cols)
     pivots, u_rows, uinv_cols = smith_diagonalize(m, track_u=True)
@@ -149,21 +119,14 @@ def homology(complex_, q, basis=True):
     basis_vecs = []
     if basis:
         for r in free_rows:
-            ucol = uinv_cols.get(r, {r: 1})
             vec = {}
-            for k, coeff in ucol.items():
-                for cell, v in kernel_basis[k].items():
-                    w = vec.get(cell, 0) + coeff * v
-                    if w:
-                        vec[cell] = w
-                    else:
-                        del vec[cell]
+            for k, coeff in uinv_cols.get(r, {r: 1}).items():
+                vec_axpy(vec, kernel_basis[k], -coeff)
             basis_vecs.append(vec)
 
     return HomologyPresentation(
         complex_, q, betti, torsion, basis_vecs, z,
-        _coord_col_form=coord_col_form,
-        _coord_pos=pos,
+        _coords=coords,
         _image_cols=image_cols,
         _u_rows=u_rows or {},
         _free_rows=free_rows,

@@ -7,11 +7,13 @@ column-wise as dicts row -> value with no explicit zeros.
 Rank, kernel and Smith form share one elimination engine, ``_eliminate``:
 one pivot choice and one column update.  ``rank_of_columns`` calls it bare
 (after a union-find fast path for incidence matrices), ``kernel_with_coords``
-tracks the column transform V and, when asked, the rows W of its inverse,
-and ``smith_diagonalize`` also clears each pivot column by row operations,
-tracking U and its inverse when asked, then fixes the divisor chain.  After
-a unimodular elimination with unit pivots, a kernel vector's entries on the
-non-pivot columns are its coordinates, and W is not needed.
+tracks the column transform V, and ``smith_diagonalize`` also clears each
+pivot column by row operations, tracking U and its inverse when asked, then
+fixes the divisor chain.  A kernel vector's coordinates are read off its
+entries at a set of rows where the basis is lower-triangular, by forward
+substitution (``lattice_coords``); after a unimodular elimination with
+unit pivots those rows are the non-pivot columns and the block is the
+identity.
 """
 
 from __future__ import annotations
@@ -197,23 +199,23 @@ def _resupport(row_sup, j, old, new):
             row_sup[rr].add(j)
 
 
-def _eliminate(cols, V=None, W=None, smith=False, U=None, Uinv=None):
+def _eliminate(cols, V=None, smith=False, U=None, Uinv=None):
     """Pivot the columns ``{index: column}`` (all nonzero) to a diagonal.
 
     Columns are taken shortest first; each one's pivot is its entry with the
     least key (non-unit, row count, |value|, row), and the pivot row is
     cleared from every other column by column operations.  Those are
-    unimodular when a transform is tracked (V maps each column index j to
-    column j of the column transform, W to row j of its inverse) or with
-    ``smith``.  In bare rank mode a non-divisible entry instead rescales the other column
-    and leaves the pivot column as it is, so the pivot columns of the input
-    stay linearly independent.  With ``smith`` the pivot column is also
+    unimodular when V is given (it maps each column index j to a vector
+    that takes the same column operations: column j of the transform when
+    it starts as e_j) or with ``smith``.  In bare rank mode a non-divisible
+    entry instead rescales the other column and leaves the pivot column as
+    it is, so the pivot columns of the input stay linearly independent.  With ``smith`` the pivot column is also
     cleared by row operations, recorded in U (rows) and Uinv (columns) when
     given.  The caller's column dicts are never written: a column is copied
     the first time it is updated.  Returns the pivots as (row, column,
     |value|) in elimination order; ``cols`` is consumed.
     """
-    unimodular = smith or V is not None or W is not None
+    unimodular = smith or V is not None
     owned = set()                      # columns copied or built here
     row_sup = {}
     for j, col in cols.items():
@@ -259,8 +261,6 @@ def _eliminate(cols, V=None, W=None, smith=False, U=None, Uinv=None):
                             row_sup[rr].discard(k)
                     if V is not None:
                         vec_axpy(V[k], V[j], q)
-                    if W is not None:
-                        vec_axpy(W[j], W[k], -q)
                 else:
                     g, x, y = _xgcd(v, a)
                     vg, ag = v // g, a // g
@@ -277,9 +277,6 @@ def _eliminate(cols, V=None, W=None, smith=False, U=None, Uinv=None):
                         if V is not None:
                             V[j], V[k] = (vec_scale_add(V[j], x, V[k], y),
                                           vec_scale_add(V[j], -ag, V[k], vg))
-                        if W is not None:
-                            W[j], W[k] = (vec_scale_add(W[j], vg, W[k], ag),
-                                          vec_scale_add(W[j], -y, W[k], x))
                 if cols[k]:
                     push(heap, (len(cols[k]), k))
                 else:
@@ -404,36 +401,63 @@ def rank_of_columns(columns, pivots=None, non_units=None):
     return len(found)
 
 
-# -- kernel with coordinate extractor --------------------------------------
+# -- kernel with coordinates ---------------------------------------------
 
 
-def kernel_with_coords(matrix, coords=True):
+def kernel_with_coords(matrix):
     """Integer kernel lattice of the matrix, with coordinates.
 
-    Returns (rnk, basis, coord_rows): ``basis`` is a list of sparse vectors
+    Returns (rank, basis, coords): ``basis`` is a list of sparse vectors
     (dicts over column indices) forming a lattice basis of the kernel, and
-    ``coord_rows`` are rows extracting the basis coordinates of any kernel
-    vector: coords(z)[i] = sum_k coord_rows[i][k] * z[k].
+    ``coords`` = (pos, block) gives any kernel vector's coordinates in that
+    basis through ``lattice_coords``: its entries at the rows of ``pos``
+    (row -> basis index), forward-substituted through the lower-triangular
+    ``block`` unless that is None (the identity).
 
-    With ``coords=False`` W is not tracked, and ``coord_rows`` is the unit
-    rows e_j of the non-pivot columns F if every basis vector restricted to
-    F is its own e_j (then z -> z|F gives coordinates), else None.  Pivot
-    values cannot decide this: a gcd step can turn a 2 into a reported 1.
+    The basis is V at the non-pivot columns F.  When each basis vector
+    restricted to F is its own unit vector, restriction to F is the
+    coordinate map.  Pivot values cannot decide this: a gcd step can turn a
+    2 into a reported 1.  Otherwise the engine runs again on the basis
+    vectors as columns, with V started at those vectors, so V ends at the
+    new basis.  A pivot row is cleared from every column pivoted after it,
+    so the new basis restricted to the pivot rows is lower-triangular in
+    pivot order.
     """
     ncols = matrix.cols
     V = {j: {j: 1} for j in range(ncols)}
-    W = {j: {j: 1} for j in range(ncols)} if coords else None
-    found = _eliminate({j: col for j, col in enumerate(matrix.columns()) if col},
-                       V, W)
+    found = _eliminate({j: col for j, col in enumerate(matrix.columns()) if col}, V)
     pivot_cols = {j for _, j, _ in found}
     free = [j for j in range(ncols) if j not in pivot_cols]
     basis = [V[j] for j in free]
-    if coords:
-        return len(found), basis, [W[j] for j in free]
-    restricted = all(V[j].get(j) == 1 and all(k == j or k in pivot_cols
-                                              for k in V[j])
-                     for j in free)
-    return len(found), basis, [{j: 1} for j in free] if restricted else None
+    if all(V[j].get(j) == 1 and all(k == j or k in pivot_cols for k in V[j])
+           for j in free):
+        return len(found), basis, ({j: i for i, j in enumerate(free)}, None)
+    V = {i: dict(vec) for i, vec in enumerate(basis)}
+    order = _eliminate(dict(enumerate(basis)), V)
+    basis = [V[i] for _, i, _ in order]
+    rows = [r for r, _, _ in order]
+    block = [{t: vec[r] for t, vec in enumerate(basis) if r in vec} for r in rows]
+    return len(found), basis, ({r: t for t, r in enumerate(rows)}, block)
+
+
+def lattice_coords(coords, vec):
+    """Coordinates of a lattice vector in the basis that ``coords`` comes
+    with (see ``kernel_with_coords``).  Raises LinAlgError when a division
+    in the forward substitution is not exact: the vector is then not in the
+    lattice."""
+    pos, block = coords
+    y = {pos[k]: v for k, v in vec.items() if k in pos}
+    if block is None:
+        return y
+    x = {}
+    for t, row in enumerate(block):
+        acc = y.get(t, 0) - sum(a * x[s] for s, a in row.items() if s in x)
+        if acc:
+            c, rem = divmod(acc, row[t])
+            if rem:
+                raise LinAlgError("vector is not in the lattice")
+            x[t] = c
+    return x
 
 
 # -- Smith normal form ------------------------------------------------------

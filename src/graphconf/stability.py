@@ -508,8 +508,7 @@ def pushed_cycle_space(model, sub, q):
     if q >= len(inj) or not inj[q]:
         return []
     cells = inj[q]
-    _, basis, _ = kernel_with_coords(model.boundary(q).select_columns(cells),
-                                     coords=False)
+    _, basis, _ = kernel_with_coords(model.boundary(q).select_columns(cells))
     return [push_cycle(vec, cells) for vec in basis]
 
 

@@ -148,6 +148,28 @@ class TestExitCodes:
                      "--q", "1", "--window", "2..3"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("payload", [
+        {"vertices": [0, 1], "edges": [[0, 1, 2]]},
+        {"vertices": [0, 1], "edges": [[0]]},
+        {"vertices": [0, 1], "edges": [[0, 1]],
+         "labels": {"vertices": {"x": [1, 1]}}},
+    ])
+    def test_malformed_graph_is_config_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["model", "--graph", str(path), "--n", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad graph payload")
+
+    def test_family_with_malformed_summand_is_config_error(
+            self, capsys, tmp_path, star_family):
+        payload = family_to_payload(star_family)
+        payload["summands"][0]["graph"]["edges"][0].append(0)
+        path = tmp_path / "bad_family.json"
+        path.write_text(json.dumps(payload))
+        assert main(["rep-stability", "--family", str(path), "--n", "2",
+                     "--q", "1", "--window", "2..3"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad graph payload")
+
     def test_backwards_window_is_config_error(self, capsys, star_family_file):
         assert main(["rep-stability", "--family", star_family_file,
                      "--n", "2", "--q", "1", "--window", "7..5"]) == 2

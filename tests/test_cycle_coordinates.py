@@ -1,9 +1,8 @@
-"""Cycle-lattice coordinates without the kernel's inverse transform W, span
+"""Cycle-lattice coordinates read by restriction to pivot rows, span
 checks that push kernels taken on ambient boundary columns, and tree
 supports pruned to the maximal ones."""
 
 import copy
-import importlib
 import random
 from itertools import combinations
 
@@ -37,8 +36,6 @@ from graphconf.stability import (
 from conftest import corpus_graphs
 from test_extra_properties import random_connected_graph
 
-homology_module = importlib.import_module("graphconf.homology")
-
 
 def complexes():
     """Corpus models at n = 2 (and a few at n = 3), then seeded random
@@ -57,26 +54,18 @@ def complexes():
         yield f"random{i}", build_model(g, 2, sinks=sinks)
 
 
-def w_path(cx, q):
-    """Betti number and torsion read through the coordinate rows W."""
-    _, basis, rows = kernel_with_coords(cx.boundary(q))
-    by_cell = {}
-    for i, row in enumerate(rows):
-        for k, w in row.items():
-            by_cell.setdefault(k, []).append((i, w))
-    image = []
-    for col in cx.boundary(q + 1).columns():
-        coords = {}
-        for k, v in col.items():
-            for i, w in by_cell.get(k, ()):
-                coords[i] = coords.get(i, 0) + v * w
-        image.append({i: v for i, v in coords.items() if v})
-    divisors = smith_normal_form(SparseIntMatrix.from_columns(len(basis), image))
-    return len(basis) - len(divisors), tuple(d for d in divisors if d > 1)
+def reference(cx, q):
+    """Betti number and torsion of H_q from ranks and the Smith form of the
+    whole d_(q+1): b_q = f_q - rk d_q - rk d_(q+1), and since C_q / Z_q is
+    free, the torsion of Z_q / B_q is that of C_q / B_q."""
+    rk = rank_of_columns(cx.boundary(q).columns())
+    divisors = smith_normal_form(cx.boundary(q + 1))
+    return (len(cx.codes[q]) - rk - len(divisors),
+            tuple(d for d in divisors if d > 1))
 
 
 class TestRestrictedCoordinates:
-    def test_restriction_is_unimodular_and_agrees_with_w(self):
+    def test_restriction_is_unimodular_and_agrees_with_reference(self):
         restricted = 0
         for name, cx in complexes():
             for q in range(min(cx.top_dimension, 2) + 1):
@@ -92,7 +81,7 @@ class TestRestrictedCoordinates:
                         {pos[j]: v for j, v in vec.items() if j in pos}
                         for vec in basis])
                     assert smith_normal_form(square) == [1] * len(basis), (name, q)
-                want = w_path(cx, q)
+                want = reference(cx, q)
                 for flag in (False, True):
                     pres = homology(cx, q, basis=flag)
                     assert (pres.betti, pres.torsion) == want, (name, q, flag)
@@ -104,7 +93,7 @@ class TestRestrictedCoordinates:
                     assert not any(pres.project(col)), (name, q)
         assert restricted >= 60
 
-    def test_gcd_pivot_takes_the_fallback(self, monkeypatch):
+    def test_gcd_pivot_takes_the_fallback(self):
         # d_1 = [2 3]: the kernel's first pivot is 2 and a gcd step with the
         # 3 reports it as 1, yet the free column's basis vector (-3, 2) has
         # entry 2 there, so restriction is not the coordinate map.  With it,
@@ -116,21 +105,14 @@ class TestRestrictedCoordinates:
         found = linalg._eliminate({0: {0: 2}, 1: {0: 3}},
                                   V={0: {0: 1}, 1: {1: 1}})
         assert [v for _, _, v in found] == [1]
-        assert kernel_with_coords(cx.boundary(1), coords=False)[2] is None
+        assert kernel_with_coords(cx.boundary(1))[2][1] is not None
         non_units = []
         rank_of_columns(cx.boundary(1).columns(), [], non_units)
         assert non_units == [2]
-
-        calls = []
-        real = homology_module.kernel_with_coords
-        monkeypatch.setattr(homology_module, "kernel_with_coords",
-                            lambda m, coords=True: calls.append(coords)
-                            or real(m, coords))
         for flag in (False, True):
-            calls.clear()
             pres = homology(cx, 1, basis=flag)
             assert (pres.betti, pres.torsion) == (0, (2,))
-            assert calls[-1] is True, flag
+            assert pres._coords[1] is not None, flag
             assert pres.kernel_coords({0: -3, 1: 2}) in ({0: 1}, {0: -1})
 
 

@@ -12,6 +12,7 @@ from graphconf import (
     build_model,
     homology,
     kernel_with_coords,
+    lattice_coords,
     linalg,
     make_star,
     rank_of_columns,
@@ -290,49 +291,61 @@ class TestRank:
 
 
 class TestKernel:
-    def test_kernel_vectors_are_kernel(self):
-        rng = random.Random(9)
-        for _ in range(60):
-            rows = rng.randint(1, 5)
-            cols = rng.randint(1, 6)
-            dense = random_dense(rng, rows, cols, density=0.6)
+    """Kernel bases and their coordinates on random integer matrices with
+    entries up to 6 in size: about half of them give a basis that is not
+    its own unit vectors off the pivot columns, and those take the
+    triangular block."""
+
+    @staticmethod
+    def kernels(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            rows, cols = rng.randint(1, 7), rng.randint(2, 8)
+            dense = random_dense(rng, rows, cols, density=0.6, lo=-6, hi=6)
             m = SparseIntMatrix.from_dense(dense)
-            rk, basis, coords = kernel_with_coords(m)
+            yield rng, dense, m, kernel_with_coords(m)
+
+    def test_kernel_vectors_are_kernel(self):
+        unrestricted = off_diagonal = non_unit = 0
+        for _, dense, m, (rk, basis, coords) in self.kernels(9, 400):
             assert rk == fraction_rank(dense)
-            assert len(basis) == cols - rk
-            for vec in basis:
-                assert not m.apply(vec)
-            # coordinates really invert the basis
+            assert len(basis) == m.cols - rk
             for i, vec in enumerate(basis):
-                for j, row in enumerate(coords):
-                    dot = sum(v * row.get(k, 0) for k, v in vec.items())
-                    assert dot == (1 if i == j else 0)
+                assert not m.apply(vec)
+                assert lattice_coords(coords, vec) == {i: 1}
+            pos, block = coords
+            assert sorted(pos.values()) == list(range(len(basis)))
+            if block is None:
+                continue
+            unrestricted += 1
+            rows = sorted(pos, key=pos.get)
+            for t, row in enumerate(block):
+                assert max(row) == t                # lower-triangular
+                off_diagonal += len(row) > 1
+                if abs(row[t]) != 1:
+                    non_unit += 1
+                    # e_r at a non-unit diagonal has no integer coordinates
+                    with pytest.raises(LinAlgError):
+                        lattice_coords(coords, {rows[t]: 1})
+        assert unrestricted >= 150 and off_diagonal >= 100 and non_unit >= 150
 
     def test_kernel_is_saturated(self):
-        # the kernel basis generates the full integer kernel lattice: any
-        # integer kernel vector must have integer coordinates
-        rng = random.Random(13)
-        for _ in range(30):
-            dense = random_dense(rng, 3, 5, density=0.7)
-            m = SparseIntMatrix.from_dense(dense)
-            _, basis, coords = kernel_with_coords(m)
+        # the basis generates the full integer kernel lattice (all Smith
+        # divisors of the basis are 1), and any lattice combination of it
+        # reads back its own coefficients
+        for rng, _, m, (_, basis, coords) in self.kernels(13, 300):
             if not basis:
                 continue
-            combo = {}
-            for vec in basis:
-                c = rng.randint(-3, 3)
-                for k, v in vec.items():
-                    combo[k] = combo.get(k, 0) + c * v
-            combo = {k: v for k, v in combo.items() if v}
-            assert not m.apply(combo)
-            got = [sum(v * row.get(k, 0) for k, v in combo.items())
-                   for row in coords]
-            rebuilt = {}
-            for c, vec in zip(got, basis):
-                for k, v in vec.items():
-                    rebuilt[k] = rebuilt.get(k, 0) + c * v
-            rebuilt = {k: v for k, v in rebuilt.items() if v}
-            assert rebuilt == combo
+            assert smith_normal_form(
+                SparseIntMatrix.from_columns(m.cols, basis)) == [1] * len(basis)
+            for _ in range(3):
+                coeffs = {i: rng.randint(-5, 5) for i in range(len(basis))}
+                combo = {}
+                for i, c in coeffs.items():
+                    linalg.vec_axpy(combo, basis[i], -c)
+                assert not m.apply(combo)
+                assert lattice_coords(coords, combo) == \
+                    {i: c for i, c in coeffs.items() if c}
 
 
 class TestEngine:
