@@ -255,53 +255,3 @@ def stability_verdict(reports):
         "table": table,
         "excluded": tuple(excluded),
     }
-
-
-# -- product groups (two coordinates) ----------------------------------------
-
-
-def product_decompose(class_values, k1, k2):
-    """Multiplicities over pairs of irreducibles for a product of two
-    symmetric groups (the two-coordinate case)."""
-    fact = factorial(k1) * factorial(k2)
-    out = {}
-    for lam1 in partitions(k1):
-        for lam2 in partitions(k2):
-            total = 0
-            for (mu1, mu2), val in class_values.items():
-                total += (class_size(mu1) * class_size(mu2) * val *
-                          mn_character(lam1, mu1) * mn_character(lam2, mu2))
-            if total % fact:
-                raise CorruptedCharacterError(
-                    f"multiplicity of {(lam1, lam2)} is not an integer")
-            c = total // fact
-            if c < 0:
-                raise CorruptedCharacterError(
-                    f"multiplicity of {(lam1, lam2)} is negative")
-            if c:
-                out[(lam1, lam2)] = c
-    return out
-
-
-def product_character_report(complex_, presentation, instance):
-    """Character values and decomposition for a two-coordinate wedge family."""
-    if instance.descriptor.arity != 2:
-        raise CharacterError("product characters are implemented for two coordinates")
-    k1, k2 = instance.sizes
-    values = {}
-    for mu1 in partitions(k1):
-        for mu2 in partitions(k2):
-            vmap1, emap1 = instance.summand_automorphism(1, class_representative(mu1))
-            vmap2, emap2 = instance.summand_automorphism(2, class_representative(mu2))
-            vmap = {v: vmap2[vmap1[v]] for v in vmap1}
-            emap = {e: emap2[emap1[e]] for e in emap1}
-            cm = permutation_action_map(complex_, vmap, emap)
-            values[(mu1, mu2)] = cm.homology_trace(presentation)
-    mults = product_decompose(values, k1, k2)
-    dim_total = sum(
-        c * hook_length_dimension(l1) * hook_length_dimension(l2)
-        for (l1, l2), c in mults.items())
-    if dim_total != presentation.betti:
-        raise CorruptedCharacterError(
-            "dimension bookkeeping failed for the product decomposition")
-    return values, mults

@@ -274,13 +274,13 @@ def _cmd_rep_stability(config):
                           "does S_k act by permuting the summand copies")
     if descriptor.arity != 1:
         raise ConfigError("rep-stability windows run over one-coordinate "
-                          "families; decompose product actions via the library")
+                          "families only")
     if len(config.window) < 2:
         raise ConfigError("rep-stability needs a window of at least two sizes")
     reports = []
     per_k = []
     for k in config.window:
-        instance = realize_family(descriptor, (k,) * descriptor.arity)
+        instance = realize_family(descriptor, (k,))
         cx = build_model(instance.graph, config.n, budget=config.budget)
         pres = homology(cx, config.q)
         rep = character_report(cx, pres, instance)

@@ -26,9 +26,8 @@ tables, made once per 0-cell and candidate, give the 0-cell a move lands
 in and the bits the other candidates take there: a face costs a few
 integer operations, and every lookup hashes an int.  Automorphisms act as
 a permutation of the 0-cells plus a relabelling of candidates, and support
-in a subgraph is decided once per 0-cell.  ``CubeComplex.cells`` and
-``index`` decode the keys on first use, for reports, tests and the
-explicit chains of ``stability``.
+in a subgraph is decided once per 0-cell.  ``CubeComplex.cells`` decodes
+the keys on first use, for reports and tests.
 
 Both use the boundary convention, moves ordered by particle label,
 
@@ -43,10 +42,9 @@ built afresh and not memoized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
-from .graphs import Graph, GraphError, Subgraph, subdivide
+from .graphs import GraphError, Subgraph, subdivide
 from .linalg import SparseIntMatrix
 
 
@@ -64,69 +62,12 @@ ORACLE_KIND = "abrams-oracle"
 DEFAULT_CELL_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class ModelCell:
-    """One cube of the main model, wrapping the raw canonical key."""
-
-    vertex_occupancy: tuple
-    edge_tuples: tuple
-    moves: tuple
-
-    @property
-    def dimension(self):
-        return len(self.moves)
-
-    @property
-    def key(self):
-        return (self.vertex_occupancy, self.edge_tuples, self.moves)
-
-    @classmethod
-    def from_key(cls, key):
-        return cls(*key)
-
-    def particles(self):
-        out = []
-        for _, parts in self.vertex_occupancy:
-            out.extend(parts)
-        for _, parts in self.edge_tuples:
-            out.extend(parts)
-        return sorted(out)
-
-    def validate(self, graph, n, sinks):
-        if self.particles() != list(range(1, n + 1)):
-            raise ModelError("each particle must appear exactly once")
-        occupied = {v: len(parts) for v, parts in self.vertex_occupancy}
-        targets = {}
-        seen_particles = set()
-        for p, e, end in self.moves:
-            if p in seen_particles:
-                raise ModelError("a particle may move along one axis only")
-            seen_particles.add(p)
-            tup = dict(self.edge_tuples).get(e)
-            if tup is None:
-                raise ModelError("moving particle is not on its edge")
-            slot = tup[0] if end == 0 else tup[-1]
-            if slot != p:
-                raise ModelError("moving particle must hold the extremal slot")
-            t = graph.endpoint(e, end)
-            targets[t] = targets.get(t, 0) + 1
-        for v, k in occupied.items():
-            if v in sinks:
-                continue
-            if k > 1 or (k == 1 and targets.get(v)):
-                raise ModelError(f"non-sink vertex {v} is overcrowded")
-        for t, k in targets.items():
-            if t not in sinks and (k > 1 or occupied.get(t)):
-                raise ModelError(f"two particles approach non-sink vertex {t}")
-        return True
-
-
 class CubeComplex:
     """A finite cube complex with exact integer boundary matrices.
 
     ``codes[q]`` holds the stored q-cells in order: integer codes read
     through ``tables`` (a ``_ModelTables``) in the main model, location
-    tuples in the oracle.  ``cells`` and ``index`` give the canonical keys.
+    tuples in the oracle.  ``cells`` and ``cell_key`` give the canonical keys.
     """
 
     def __init__(self, graph, n, sinks, kind, cells_by_dim, tables=None):
@@ -139,7 +80,6 @@ class CubeComplex:
         while self.codes and not self.codes[-1]:
             self.codes.pop()
         self._cells = None
-        self._index = {}
         self._positions = {}
         self._boundaries = {}
 
@@ -175,25 +115,11 @@ class CubeComplex:
         code = self.codes[q][i]
         return code if self.tables is None else self.tables.key(code)
 
-    def index(self, q):
-        """Canonical cell key -> position in ``cells[q]``, built on first use."""
-        if self.tables is None:
-            return self.code_index(q)
-        if q not in self._index:
-            key = self.tables.key
-            self._index[q] = {key(c): i for i, c in enumerate(self.codes[q])}
-        return self._index[q]
-
     def code_index(self, q):
         """Stored cell -> position in ``codes[q]``, built on first use."""
         if q not in self._positions:
             self._positions[q] = {c: i for i, c in enumerate(self.codes[q])}
         return self._positions[q]
-
-    def cell_objects(self, q):
-        if self.kind != MODEL_KIND:
-            raise ModelError("typed cells exist for the main model only")
-        return [ModelCell.from_key(c) for c in self.cells[q]]
 
     # -- boundary --------------------------------------------------------
 

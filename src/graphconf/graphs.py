@@ -21,12 +21,31 @@ def _freeze_labels(labels):
     return tuple(sorted(labels.items()))
 
 
+def _json_labels(value):
+    """A labels object of a graph file; absent or null reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise GraphError(f"labels must be JSON objects, not {value!r}")
+    return value
+
+
 def _labels_from_json(labels):
     """Labels keyed by the decimal strings of vertex or edge ids."""
+    labels = _json_labels(labels)
     try:
-        return _freeze_labels({int(k): tuple(v) for k, v in (labels or {}).items()})
+        return _freeze_labels({int(k): tuple(v) for k, v in labels.items()})
     except ValueError as exc:
         raise GraphError(f"label keys must be integers: {exc}") from exc
+
+
+def _check_labels(labels, ids, kind):
+    for key, label in labels:
+        if key not in ids:
+            raise GraphError(f"label on missing {kind} {key}")
+        if len(label) != 2 or not all(type(x) is int for x in label):
+            raise GraphError(
+                f"label {list(label)} of {kind} {key} is not a pair of integers")
 
 
 @dataclass(frozen=True)
@@ -49,6 +68,8 @@ class Graph:
                 raise GraphError(f"edge ({a}, {b}) references missing vertex")
         if self.basepoint is not None and self.basepoint not in vset:
             raise GraphError("basepoint is not a vertex")
+        _check_labels(self.vertex_labels, vset, "vertex")
+        _check_labels(self.edge_labels, range(len(self.edges)), "edge")
 
     # -- basic queries -------------------------------------------------
 
@@ -165,7 +186,9 @@ class Graph:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        labels = data.get("labels") or {}
+        if not isinstance(data, dict):
+            raise GraphError("a graph must be a JSON object")
+        labels = _json_labels(data.get("labels"))
         return cls(
             vertices=tuple(data["vertices"]),
             edges=tuple(tuple(e) for e in data["edges"]),

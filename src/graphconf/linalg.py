@@ -109,12 +109,6 @@ class SparseIntMatrix:
             out[r][c] = v
         return out
 
-    def transpose(self):
-        m = SparseIntMatrix(self.cols, self.rows)
-        for r, c, v in self.entries():
-            m._cols[r][c] = v
-        return m
-
     def multiply(self, other):
         """self @ other, both sparse."""
         if self.cols != other.rows:

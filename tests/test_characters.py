@@ -27,7 +27,7 @@ from graphconf import (
     unpad,
     wedge_family,
 )
-from graphconf.characters import CharacterReport, product_character_report
+from graphconf.characters import CharacterReport
 
 
 def count_standard_tableaux(lam):
@@ -233,15 +233,18 @@ class TestTraceProjection:
         inst = realize_family(fam, (2, 3))
         cx = build_model(inst.graph, 2)
         pres = homology(cx, 1)
-        values, _ = product_character_report(cx, pres, inst)
-        assert len(values) == len(partitions(2)) * len(partitions(3))
-        for (mu1, mu2), value in values.items():
-            vmap1, emap1 = inst.summand_automorphism(1, class_representative(mu1))
-            vmap2, emap2 = inst.summand_automorphism(2, class_representative(mu2))
-            cm = permutation_action_map(
-                cx, {v: vmap2[vmap1[v]] for v in vmap1},
-                {e: emap2[emap1[e]] for e in emap1})
-            assert value == _diagonal_sum(cm, pres)
+        identity = (partitions(2)[-1], partitions(3)[-1])
+        for mu1 in partitions(2):
+            for mu2 in partitions(3):
+                vmap1, emap1 = inst.summand_automorphism(1, class_representative(mu1))
+                vmap2, emap2 = inst.summand_automorphism(2, class_representative(mu2))
+                cm = permutation_action_map(
+                    cx, {v: vmap2[vmap1[v]] for v in vmap1},
+                    {e: emap2[emap1[e]] for e in emap1})
+                trace = cm.homology_trace(pres)
+                assert trace == _diagonal_sum(cm, pres)
+                if (mu1, mu2) == identity:
+                    assert trace == pres.betti
 
 
 class TestStabilityVerdict:
@@ -270,20 +273,3 @@ class TestStabilityVerdict:
         reports = [self._report(4, [], 0), self._report(6, [], 0)]
         with pytest.raises(CharacterError):
             stability_verdict(reports)
-
-
-class TestProductCoordinates:
-    def test_two_coordinate_wedge(self, point_graph, interval):
-        from graphconf import SummandSpec, wedge_family
-        fam = wedge_family(point_graph, [
-            SummandSpec(interval, (0,), (0,)),
-            SummandSpec(interval, (0,), (0,)),
-        ])
-        inst = realize_family(fam, (2, 2))
-        cx = build_model(inst.graph, 2)
-        pres = homology(cx, 1)
-        values, mults = product_character_report(cx, pres, inst)
-        total = sum(c * hook_length_dimension(l1) * hook_length_dimension(l2)
-                    for (l1, l2), c in mults.items())
-        assert total == pres.betti
-        assert values[((1, 1), (1, 1))] == pres.betti

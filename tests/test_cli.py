@@ -153,6 +153,12 @@ class TestExitCodes:
         {"vertices": [0, 1], "edges": [[0]]},
         {"vertices": [0, 1], "edges": [[0, 1]],
          "labels": {"vertices": {"x": [1, 1]}}},
+        [1, 2],
+        {"vertices": [0, 1], "edges": [[0, 1]], "labels": [1]},
+        {"vertices": [0, 1], "edges": [[0, 1]],
+         "labels": {"edges": {"7": [1, 1]}}},
+        {"vertices": [0, 1], "edges": [[0, 1]],
+         "labels": {"vertices": {"0": [1]}}},
     ])
     def test_malformed_graph_is_config_error(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"
@@ -193,6 +199,7 @@ class TestExitCodes:
         path.write_text(json.dumps(family_to_payload(fam)))
         assert main(["rep-stability", "--family", str(path), "--n", "2",
                      "--q", "1", "--window", "2..3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("kind", ["interval", "circle"])
     def test_rep_stability_rejects_interval_and_circle_families(

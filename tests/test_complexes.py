@@ -36,6 +36,30 @@ def brute_force_interval_conf2():
     return len(cells)
 
 
+def model_key_fault(key, graph, n, sinks):
+    """Why a main-model cell key breaks the cell rules, or None: every
+    particle is placed once, moves on one axis from its edge's extremal
+    slot, and no non-sink vertex holds or receives more than one particle."""
+    vertex_occupancy, edge_tuples, moves = key
+    placed = [p for _, ps in vertex_occupancy + edge_tuples for p in ps]
+    if sorted(placed) != list(range(1, n + 1)):
+        return "a particle is missing or placed twice"
+    movers = [p for p, _, _ in moves]
+    if len(set(movers)) != len(movers):
+        return "a particle moves along two axes"
+    on_edge = dict(edge_tuples)
+    crowd = {v: len(ps) for v, ps in vertex_occupancy}
+    for p, e, end in moves:
+        slots = on_edge.get(e, ())
+        if not slots or slots[0 if end == 0 else -1] != p:
+            return "a mover is not at its edge's extremal slot"
+        target = graph.endpoint(e, end)
+        crowd[target] = crowd.get(target, 0) + 1
+    if any(k > 1 for v, k in crowd.items() if v not in sinks):
+        return "a non-sink vertex is crowded"
+    return None
+
+
 class TestModel:
     def test_figure_counts_with_sinks(self, interval):
         cx = build_model(interval, 2, sinks=(0, 1))
@@ -63,10 +87,24 @@ class TestModel:
             build_model(loop, 1)
 
     def test_cell_validation(self, star3):
-        cx = build_model(star3, 2)
-        for q in range(cx.top_dimension + 1):
-            for cell in cx.cell_objects(q)[:25]:
-                assert cell.validate(star3, 2, frozenset())
+        for n, sinks in ((2, ()), (3, ()), (3, (0,))):
+            cx = build_model(star3, n, sinks=sinks)
+            for q in range(cx.top_dimension + 1):
+                for key in cx.cells[q]:
+                    assert model_key_fault(key, star3, n, sinks) is None, key
+        # the validator itself rejects each kind of bad key (star3, n = 2)
+        good = (((1, (1,)),), ((1, (2,)),), ((2, 1, 0),))
+        assert model_key_fault(good, star3, 2, ()) is None
+        for bad in (
+            (((1, (1,)),), ((1, (1,)),), ()),
+            ((), ((0, (1,)), (1, (2,))), ((1, 0, 0), (1, 0, 1))),
+            ((), ((0, (1, 2)),), ((1, 0, 1),)),
+            (((1, (1, 2)),), (), ()),
+            (((0, (1,)),), ((1, (2,)),), ((2, 1, 0),)),
+        ):
+            assert model_key_fault(bad, star3, 2, ()), bad
+        crowded_sink = (((0, (1,)),), ((1, (2,)),), ((2, 1, 0),))
+        assert model_key_fault(crowded_sink, star3, 2, (0,)) is None
 
     def test_boundary_squares_to_zero(self, star3, h_graph):
         for g, n in ((star3, 2), (star3, 3), (h_graph, 2)):

@@ -1,6 +1,6 @@
 """Cross-cutting property checks beyond the per-module suites: randomized
 model/oracle agreement, automorphisms that reverse edge orientations, sink
-variants, product antisymmetry, and two-coordinate families."""
+variants, and two-coordinate families."""
 
 import random
 
@@ -18,13 +18,10 @@ from graphconf import (
     make_cycle_graph,
     make_path_graph,
     make_star,
-    make_spider,
     normalize_loops,
     oracle_betti_numbers,
     permutation_action_map,
-    product_cycle,
     realize_family,
-    star_cycle,
     wedge_family,
 )
 from graphconf.linalg import rank_of_columns
@@ -174,20 +171,6 @@ class TestSinkVariants:
         sunk = build_model(g, 2, sinks=(0,))
         for q in range(plain.top_dimension + 1):
             assert set(plain.cells[q]) <= set(sunk.cells[q])
-
-
-class TestProductSigns:
-    def test_odd_factors_anticommute(self):
-        graph = make_spider(2, 2, 3)
-        cx = build_model(graph, 4)
-        v, w = graph.essential_vertices()
-        ev = tuple(e for e, _ in graph.incident(v))
-        ew = tuple(e for e, _ in graph.incident(w))
-        a = star_cycle(cx, v, ev, 1, 2, parking={3: 2, 4: 6})
-        b = star_cycle(cx, w, ew, 3, 4, parking={1: 4, 2: 5})
-        ab = product_cycle(cx, [a, b])
-        ba = product_cycle(cx, [b, a])
-        assert ba.coeffs == {k: -v for k, v in ab.coeffs.items()}
 
 
 class TestErrors:

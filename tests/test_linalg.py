@@ -96,10 +96,6 @@ class TestSparseMatrix:
         b = SparseIntMatrix.from_dense([[5, 6], [7, 8]])
         assert a.multiply(b).to_dense() == [[19, 22], [43, 50]]
 
-    def test_transpose(self):
-        a = SparseIntMatrix.from_dense([[1, 0, 2]])
-        assert a.transpose().to_dense() == [[1], [0], [2]]
-
 
 class TestSmith:
     def test_small_example(self):

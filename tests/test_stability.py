@@ -12,7 +12,6 @@ from graphconf import (
     dimension_polynomial_check,
     generated_check,
     generation_degree_check,
-    h_cycle,
     homology,
     interval_family,
     make_cycle_graph,
@@ -20,146 +19,15 @@ from graphconf import (
     make_path_graph,
     make_spider,
     make_star,
-    product_cycle,
     realize_family,
     smith_normal_form,
-    star_cycle,
     subcomplex_supported_in,
     support_subgraphs,
     verify_tree_generators,
     wedge_family,
 )
 from graphconf.graphs import support_orbits
-from graphconf.linalg import rank_of_columns
 from graphconf.stability import _degree_candidates, pushed_cycle_space
-
-
-@pytest.fixture(scope="module")
-def star3_model():
-    return build_model(make_star(3), 2)
-
-
-class TestStarCycle:
-    def test_hexagon_generates(self, star3_model):
-        cyc = star_cycle(star3_model, 0, (0, 1, 2), 1, 2)
-        assert cyc.chain.is_cycle()
-        assert len(cyc.chain.coeffs) == 12
-        res = generated_check(star3_model, 1, [cyc.class_vector()])
-        assert res.generates_over_Z
-
-    def test_swapping_movers_negates(self, star3_model):
-        pres = homology(star3_model, 1)
-        a = star_cycle(star3_model, 0, (0, 1, 2), 1, 2)
-        b = star_cycle(star3_model, 0, (0, 1, 2), 2, 1)
-        ca = pres.project(a.class_vector())
-        cb = pres.project(b.class_vector())
-        assert ca == tuple(-v for v in cb)
-        assert any(ca)
-
-    def test_third_particle_parked(self):
-        cx = build_model(make_star(3), 3)
-        pres = homology(cx, 1)
-        cyc = star_cycle(cx, 0, (0, 1, 2), 1, 2)
-        assert cyc.chain.is_cycle()
-        assert set(cyc.parking) == {3}
-        assert any(pres.project(cyc.class_vector()))
-
-    def test_low_valence_rejected(self, star3_model):
-        with pytest.raises(StabilityError):
-            star_cycle(star3_model, 1, (0, 1, 2), 1, 2)
-
-    def test_occupied_parking_rejected(self):
-        cx = build_model(make_star(3), 3)
-        with pytest.raises(StabilityError):
-            star_cycle(cx, 0, (0, 1, 2), 1, 2, parking={3: 0})
-
-
-class TestHCycle:
-    def test_h_graph_class_is_nonzero(self):
-        cx = build_model(make_h_graph(), 2)
-        pres = homology(cx, 1)
-        cyc = h_cycle(cx, 0, 1, 1, 2)
-        assert cyc.chain.is_cycle()
-        assert any(pres.project(cyc.class_vector()))
-
-    def test_independent_of_star_classes(self):
-        cx = build_model(make_h_graph(), 2)
-        pres = homology(cx, 1)
-        sv = star_cycle(cx, 0, (0, 1, 2), 1, 2)
-        sw = star_cycle(cx, 1, (0, 3, 4), 1, 2)
-        hc = h_cycle(cx, 0, 1, 1, 2)
-        cols = []
-        for c in (sv, sw, hc):
-            pr = pres.project(c.class_vector())
-            cols.append({i: v for i, v in enumerate(pr) if v})
-        assert rank_of_columns(cols) == 3 == pres.betti
-
-    def test_long_middle_path(self):
-        spider = make_spider(2, 2, 2)
-        cx = build_model(spider, 2)
-        pres = homology(cx, 1)
-        centers = spider.essential_vertices()
-        cyc = h_cycle(cx, centers[0], centers[1], 1, 2)
-        assert cyc.chain.is_cycle()
-        assert any(pres.project(cyc.class_vector()))
-
-    def test_equal_vertices_rejected(self):
-        cx = build_model(make_h_graph(), 2)
-        with pytest.raises(StabilityError):
-            h_cycle(cx, 0, 0, 1, 2)
-
-    def test_swap_negates(self):
-        cx = build_model(make_h_graph(), 2)
-        pres = homology(cx, 1)
-        a = h_cycle(cx, 0, 1, 1, 2)
-        b = h_cycle(cx, 0, 1, 2, 1)
-        assert pres.project(a.class_vector()) == tuple(
-            -v for v in pres.project(b.class_vector()))
-
-
-@pytest.fixture(scope="module")
-def double_spider():
-    graph = make_spider(2, 2, 3)
-    return graph, build_model(graph, 4)
-
-
-class TestProductCycle:
-    def test_single_factor_is_identity(self, star3_model):
-        cyc = star_cycle(star3_model, 0, (0, 1, 2), 1, 2)
-        prod = product_cycle(star3_model, [cyc])
-        assert prod.coeffs == cyc.chain.coeffs
-
-    def test_two_disjoint_stars(self, double_spider):
-        graph, cx = double_spider
-        v, w = graph.essential_vertices()
-        ev = tuple(e for e, _ in graph.incident(v))
-        ew = tuple(e for e, _ in graph.incident(w))
-        a = star_cycle(cx, v, ev, 1, 2, parking={3: 2, 4: 6})
-        b = star_cycle(cx, w, ew, 3, 4, parking={1: 4, 2: 5})
-        prod = product_cycle(cx, [a, b])
-        assert prod.q == 2
-        assert prod.is_cycle()
-        assert len(prod.coeffs) == 144
-        # the class is nonzero: appending it to the boundary raises the rank
-        d3 = cx.boundary(3)
-        cols = [dict(c) for c in d3.columns()]
-        base_rank = rank_of_columns([dict(c) for c in cols])
-        cols.append(dict(prod.coeffs))
-        assert rank_of_columns(cols) == base_rank + 1
-
-    def test_overlapping_supports_rejected(self, star3_model):
-        a = star_cycle(star3_model, 0, (0, 1, 2), 1, 2)
-        with pytest.raises(StabilityError):
-            product_cycle(star3_model, [a, a])
-
-    def test_parked_zero_factor(self, double_spider):
-        graph, cx = double_spider
-        v = graph.essential_vertices()[0]
-        ev = tuple(e for e, _ in graph.incident(v))
-        a = star_cycle(cx, v, ev, 1, 2, parking={3: 2, 4: 6})
-        prod = product_cycle(cx, [a], parking={3: 2, 4: 6})
-        assert prod.q == 1
-        assert prod.coeffs == a.chain.coeffs
 
 
 class TestTreeGenerators:
