@@ -2,6 +2,15 @@
 characters by border-strip recursion, multiplicities of irreducibles in the
 homology action, padded re-indexing, and window stability verdicts.
 
+The class values of S_k on H_q(Conf_n(G ∨ k·H)) come by one of two routes.
+The trace route maps a homology basis through one chain map per class.  The
+fixed-point route reads them off Euler characteristics of smaller members:
+a permutation g of the copies fixes exactly the cells supported on
+G ∨ m·H, m = m₁(g) the number of copies it fixes, each with sign +1, so the
+Hopf trace formula gives Σ_i (−1)^i χ_{H_i}(g) = χ(Conf_n(G_m)).  When the
+rational homology sits in degrees 0 (b_0 = 1, acted on trivially) and q ≥ 1
+only, this is χ_{H_q}(g) = (−1)^q (χ(Conf_n(G_m)) − 1).
+
 Partitions are plain tuples of weakly decreasing positive integers.  All
 arithmetic is exact; characters and multiplicities are integers.
 """
@@ -12,7 +21,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .homology import permutation_action_map
+from .complexes import DEFAULT_CELL_BUDGET, build_model
+from .graphs import realize_family
+from .homology import betti_numbers, homology, permutation_action_map
+
+TRACES = "traces"
+FIXED_POINTS = "fixed_points"
 
 
 class CharacterError(ValueError):
@@ -185,7 +199,8 @@ def homology_character(complex_, presentation, instance, perm):
 
 @dataclass(frozen=True)
 class CharacterReport:
-    """Character of the symmetric group action on H_q for one family size."""
+    """Character of the symmetric group action on H_q for one family size;
+    ``route`` names the route its class values were read from."""
 
     k: int
     q: int
@@ -193,6 +208,7 @@ class CharacterReport:
     betti: int
     class_data: tuple      # ((mu, class size, value), ...)
     multiplicities: tuple  # ((unpadded lam, c), ...) for padded irreducibles
+    route: str = TRACES
 
     def value(self, mu):
         for m, _, v in self.class_data:
@@ -204,27 +220,99 @@ class CharacterReport:
         return dict(self.multiplicities)
 
 
-def character_report(complex_, presentation, instance):
-    """Compute the full character and its decomposition for one family size."""
-    k = instance.sizes[0]
-    values = {}
-    data = []
-    for mu in partitions(k):
-        perm = class_representative(mu)
-        value = homology_character(complex_, presentation, instance, perm)
-        values[mu] = value
-        data.append((mu, class_size(mu), value))
-    if values[(1,) * k if k else ()] != presentation.betti:
+def _report_from_values(k, q, n, betti, values, route):
+    """Check a character given by its class values and decompose it; both
+    routes end here."""
+    if values[(1,) * k if k else ()] != betti:
         raise CorruptedCharacterError("identity character must equal betti")
     mults = decompose(values, k)
     dim_total = sum(c * hook_length_dimension(lam) for lam, c in mults.items())
-    if dim_total != presentation.betti:
+    if dim_total != betti:
         raise CorruptedCharacterError(
             "dimension bookkeeping failed: sum c * dim != betti")
     stable = tuple(sorted((unpad(lam), c) for lam, c in mults.items()))
-    return CharacterReport(
-        k=k, q=presentation.q, n=complex_.n, betti=presentation.betti,
-        class_data=tuple(data), multiplicities=stable)
+    data = tuple((mu, class_size(mu), values[mu]) for mu in partitions(k))
+    return CharacterReport(k=k, q=q, n=n, betti=betti, class_data=data,
+                           multiplicities=stable, route=route)
+
+
+def trace_values(complex_, presentation, instance):
+    """Class values on free H_q, one chain-map trace per class."""
+    return {mu: homology_character(complex_, presentation, instance,
+                                   class_representative(mu))
+            for mu in partitions(instance.sizes[0])}
+
+
+def character_report(complex_, presentation, instance):
+    """Compute the full character and its decomposition for one family size
+    by the trace route."""
+    values = trace_values(complex_, presentation, instance)
+    return _report_from_values(instance.sizes[0], presentation.q, complex_.n,
+                              presentation.betti, values, TRACES)
+
+
+def fixed_points_apply(bettis, q):
+    """Whether the Betti numbers ``bettis`` (every degree of the complex)
+    leave H_q as the only term of the Hopf trace formula besides H_0 = Q."""
+    return q >= 1 and bettis[0] == 1 and all(
+        b == 0 for i, b in enumerate(bettis) if i not in (0, q))
+
+
+def fixed_point_values(k, q, euler):
+    """Class values on H_q from the Hopf trace formula, where ``euler(m)``
+    is the Euler characteristic of member m's model.  Valid only where
+    ``fixed_points_apply`` holds."""
+    return {mu: (-1) ** q * (euler(mu.count(1)) - 1) for mu in partitions(k)}
+
+
+def window_reports(descriptor, n, q, window, budget=DEFAULT_CELL_BUDGET):
+    """Character reports of H_q over consecutive sizes of a one-coordinate
+    wedge family.
+
+    Each size runs the rank-only Betti loop.  Where the fixed-point route
+    applies, its values need only the Euler characteristics of members
+    0..k, each model built once; a window member's comes from the model
+    already built.  The first size where it applies also takes the trace
+    route, and the two must agree on every class, so every window checks
+    each route against the other exactly.  Every other size takes the
+    trace route.
+    """
+    euler = {}
+
+    def member_euler(m):
+        if m not in euler:
+            graph = realize_family(descriptor, (m,)).graph
+            euler[m] = build_model(graph, n, budget=budget).euler_characteristic()
+        return euler[m]
+
+    reports = []
+    checked = False
+    for k in window:
+        instance = realize_family(descriptor, (k,))
+        cx = build_model(instance.graph, n, budget=budget)
+        euler[k] = cx.euler_characteristic()
+        bettis = betti_numbers(cx, max(q, cx.top_dimension))
+        fast = fixed_points_apply(bettis, q)
+        if fast and checked:
+            rep = _report_from_values(k, q, n, bettis[q],
+                                     fixed_point_values(k, q, member_euler),
+                                     FIXED_POINTS)
+        else:
+            rep = character_report(cx, homology(cx, q), instance)
+            if rep.betti != bettis[q]:
+                raise CorruptedCharacterError(
+                    f"b_{q} = {rep.betti} from the presentation but "
+                    f"{bettis[q]} from the Betti loop at k={k}")
+            if fast:
+                values = fixed_point_values(k, q, member_euler)
+                wrong = [mu for mu, _, v in rep.class_data if values[mu] != v]
+                if wrong:
+                    raise CorruptedCharacterError(
+                        f"fixed points and traces disagree at k={k} on the "
+                        f"classes {wrong}")
+                checked = True
+        reports.append(rep)
+    return reports
 
 
 def stability_verdict(reports):

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .characters import character_report, stability_verdict
+from .characters import stability_verdict, window_reports
 from .complexes import (
     BudgetExceeded,
     DEFAULT_CELL_BUDGET,
@@ -34,7 +34,6 @@ from .graphs import (
     GraphError,
     SummandSpec,
     normalize_loops,
-    realize_family,
 )
 from .homology import betti_numbers, homology, oracle_betti_numbers
 from .stability import (
@@ -277,17 +276,14 @@ def _cmd_rep_stability(config):
                           "families only")
     if len(config.window) < 2:
         raise ConfigError("rep-stability needs a window of at least two sizes")
-    reports = []
+    reports = window_reports(descriptor, config.n, config.q, config.window,
+                             budget=config.budget)
     per_k = []
-    for k in config.window:
-        instance = realize_family(descriptor, (k,))
-        cx = build_model(instance.graph, config.n, budget=config.budget)
-        pres = homology(cx, config.q)
-        rep = character_report(cx, pres, instance)
-        reports.append(rep)
+    for k, rep in zip(config.window, reports):
         per_k.append({
             "k": k,
             "betti": rep.betti,
+            "route": rep.route,
             "multiplicities": [
                 {"lambda": list(lam), "padded": _padded_label(lam, k),
                  "multiplicity": c}

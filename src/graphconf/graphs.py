@@ -33,6 +33,9 @@ def _json_labels(value):
 def _labels_from_json(labels):
     """Labels keyed by the decimal strings of vertex or edge ids."""
     labels = _json_labels(labels)
+    for key, value in labels.items():
+        if not isinstance(value, list):
+            raise GraphError(f"label {value!r} of {key} is not a list")
     try:
         return _freeze_labels({int(k): tuple(v) for k, v in labels.items()})
     except ValueError as exc:
@@ -57,6 +60,9 @@ class Graph:
     edge_labels: tuple = ()     # sorted ((edge_index, (coord, copy)), ...)
 
     def __post_init__(self):
+        for v in self.vertices:
+            if type(v) is not int:
+                raise GraphError(f"vertex id {v!r} is not an integer")
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise GraphError("duplicate vertex ids")
@@ -64,9 +70,10 @@ class Graph:
             if len(e) != 2:
                 raise GraphError(f"edge {list(e)} is not a pair of vertices")
             a, b = e
-            if a not in vset or b not in vset:
+            if not (type(a) is type(b) is int and a in vset and b in vset):
                 raise GraphError(f"edge ({a}, {b}) references missing vertex")
-        if self.basepoint is not None and self.basepoint not in vset:
+        if self.basepoint is not None and not (
+                type(self.basepoint) is int and self.basepoint in vset):
             raise GraphError("basepoint is not a vertex")
         _check_labels(self.vertex_labels, vset, "vertex")
         _check_labels(self.edge_labels, range(len(self.edges)), "edge")
@@ -189,9 +196,13 @@ class Graph:
         if not isinstance(data, dict):
             raise GraphError("a graph must be a JSON object")
         labels = _json_labels(data.get("labels"))
+        vertices, edges = data.get("vertices"), data.get("edges")
+        if not (isinstance(vertices, list) and isinstance(edges, list)
+                and all(isinstance(e, list) for e in edges)):
+            raise GraphError("vertices and edges must be JSON lists")
         return cls(
-            vertices=tuple(data["vertices"]),
-            edges=tuple(tuple(e) for e in data["edges"]),
+            vertices=tuple(vertices),
+            edges=tuple(tuple(e) for e in edges),
             basepoint=data.get("basepoint"),
             vertex_labels=_labels_from_json(labels.get("vertices")),
             edge_labels=_labels_from_json(labels.get("edges")),

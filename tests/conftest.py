@@ -55,6 +55,14 @@ def triangle():
     return make_cycle_graph(3)
 
 
+@pytest.fixture(scope="session")
+def k4_interval_family(interval):
+    """K4 with intervals wedged at one vertex: at n=3 it has H_2 != 0."""
+    k4 = Graph(vertices=(0, 1, 2, 3), basepoint=0,
+               edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    return wedge_family(k4, [SummandSpec(interval, (0,), (0,))])
+
+
 def corpus_graphs():
     """The named test corpus; family members carry triangle summands."""
     graphs = {

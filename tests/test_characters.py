@@ -27,7 +27,13 @@ from graphconf import (
     unpad,
     wedge_family,
 )
-from graphconf.characters import CharacterReport
+from graphconf.characters import (
+    CharacterReport,
+    fixed_point_values,
+    fixed_points_apply,
+    trace_values,
+)
+from graphconf.homology import betti_numbers
 
 
 def count_standard_tableaux(lam):
@@ -245,6 +251,67 @@ class TestTraceProjection:
                 assert trace == _diagonal_sum(cm, pres)
                 if (mu1, mu2) == identity:
                     assert trace == pres.betti
+
+
+def _member_euler(family, n):
+    """Euler characteristic of member m's model, each model built once."""
+    cache = {}
+
+    def euler(m):
+        if m not in cache:
+            graph = realize_family(family, (m,)).graph
+            cache[m] = build_model(graph, n).euler_characteristic()
+        return cache[m]
+    return euler
+
+
+class TestFixedPointRoute:
+    """The Hopf trace formula on cellular chains against the trace route:
+    a permutation of the copies fixing m₁ of them has Lefschetz number
+    χ(Conf_n(G_m₁))."""
+
+    def _agree(self, family, n, k):
+        inst = realize_family(family, (k,))
+        cx = build_model(inst.graph, n)
+        applies = fixed_points_apply(betti_numbers(cx), 1)
+        if applies:
+            fixed = fixed_point_values(k, 1, _member_euler(family, n))
+            assert fixed == trace_values(cx, homology(cx, 1), inst)
+        return applies
+
+    def test_star_family(self, star_family):
+        for n in (1, 2, 3):
+            for k in range(1, 8):
+                # Conf_n of an interval is disconnected for n >= 2
+                assert self._agree(star_family, n, k) == (n == 1 or k >= 3)
+
+    def test_triangle_wedge(self, point_graph, triangle):
+        family = wedge_family(point_graph, [SummandSpec(triangle, (0,), (0,))])
+        for k in range(1, 6):
+            assert self._agree(family, 2, k)
+
+    def test_identity_holds_in_every_degree_off_a_point_base(
+            self, k4_interval_family):
+        family = k4_interval_family
+        euler = _member_euler(family, 3)
+        for k, b2 in ((2, 41), (3, 65)):
+            inst = realize_family(family, (k,))
+            cx = build_model(inst.graph, 3)
+            bettis = betti_numbers(cx)
+            assert bettis[0] == 1 and bettis[2] == b2 and bettis[3:] == [0]
+            assert not fixed_points_apply(bettis, 1)
+            assert not fixed_points_apply(bettis, 2)
+            h1 = trace_values(cx, homology(cx, 1), inst)
+            h2 = trace_values(cx, homology(cx, 2), inst)
+            for mu in partitions(k):
+                assert 1 - h1[mu] + h2[mu] == euler(mu.count(1))
+
+    def test_route_needs_connected_space_and_one_degree(self):
+        assert fixed_points_apply([1, 5, 0, 0], 1)
+        assert fixed_points_apply([1, 0, 7], 2)
+        assert not fixed_points_apply([2, 5, 0], 1)
+        assert not fixed_points_apply([1, 5, 1], 1)
+        assert not fixed_points_apply([1, 0], 0)
 
 
 class TestStabilityVerdict:

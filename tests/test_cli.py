@@ -103,6 +103,71 @@ class TestCommands:
         assert rep["stable"] is True
         assert rep["window"] == [4, 5]
 
+    def test_rep_stability_routes(self, capsys, tmp_path, star_family_file,
+                                  k4_interval_family):
+        code, rep = run_cli(capsys, "rep-stability",
+                            "--family", star_family_file,
+                            "--n", "2", "--q", "1", "--window", "3..5")
+        assert code == 0
+        # the first size takes both routes and reports the traces
+        assert [row["route"] for row in rep["per_k"]] == \
+            ["traces", "fixed_points", "fixed_points"]
+        # H_2 != 0 at n=3: traces at every size
+        path = tmp_path / "k4_family.json"
+        path.write_text(json.dumps(family_to_payload(k4_interval_family)))
+        code, rep = run_cli(capsys, "rep-stability", "--family", str(path),
+                            "--n", "3", "--q", "1", "--window", "1..2")
+        assert [row["route"] for row in rep["per_k"]] == ["traces", "traces"]
+        assert [row["betti"] for row in rep["per_k"]] == [36, 90]
+
+    def test_rep_stability_skips_bases_after_the_cross_check(
+            self, capsys, monkeypatch, star_family_file):
+        import importlib
+        homology = importlib.import_module("graphconf.homology")
+        calls = {"kernel": 0, "smith": 0, "chain maps": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(homology, "kernel_with_coords",
+                            counted("kernel", homology.kernel_with_coords))
+        monkeypatch.setattr(homology, "smith_diagonalize",
+                            counted("smith", homology.smith_diagonalize))
+        monkeypatch.setattr(homology.ChainMap, "__init__", counted(
+            "chain maps", homology.ChainMap.__init__))
+        code, rep = run_cli(capsys, "rep-stability",
+                            "--family", star_family_file,
+                            "--n", "3", "--q", "1", "--window", "5..7")
+        assert code == 0 and rep["stable"]
+        # one presentation with basis and one chain map per class of S_5;
+        # the trace route at every size would take 3, 3 and 7 + 11 + 15
+        assert calls == {"kernel": 1, "smith": 1, "chain maps": 7}
+
+    @pytest.mark.parametrize("member", range(7))
+    @pytest.mark.parametrize("error", [1, -1])
+    def test_wrong_euler_characteristic_is_exit_four(
+            self, capsys, monkeypatch, star_family_file, member, error):
+        # member m of the star family has m edges.  A wrong Euler
+        # characteristic is caught by the cross-check at the first size,
+        # by the identity class, or, for m = k - 2 and below at later sizes,
+        # by the trivial multiplicity: it moves by error * D(k - m) /
+        # (m! (k - m)!), D the derangement count, which is no integer
+        from graphconf.complexes import CubeComplex
+        real = CubeComplex.euler_characteristic
+        monkeypatch.setattr(
+            CubeComplex, "euler_characteristic",
+            lambda cx: real(cx) + error * (cx.graph.n_edges == member))
+        code = main(["rep-stability", "--family", star_family_file,
+                     "--n", "2", "--q", "1", "--window", "4..6"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("internal error: CorruptedCharacterError")
+        if member in (0, 1, 2, 4):   # used at k = 4, where both routes run
+            assert "fixed points and traces disagree at k=4" in captured.err
+
     def test_poly_fit(self, capsys, star_family_file):
         code, rep = run_cli(capsys, "poly-fit", "--family", star_family_file,
                             "--n", "2", "--q", "1", "--window", "3..6",
@@ -159,6 +224,9 @@ class TestExitCodes:
          "labels": {"edges": {"7": [1, 1]}}},
         {"vertices": [0, 1], "edges": [[0, 1]],
          "labels": {"vertices": {"0": [1]}}},
+        {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+        {"vertices": [0, 1.5], "edges": [[0, 1.5]]},
+        {"vertices": [True, 2], "edges": [[True, 2]]},
     ])
     def test_malformed_graph_is_config_error(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"
@@ -326,3 +394,9 @@ class TestSchemas:
             code, rep = run_cli(capsys, *argv)
             assert code == 0, argv
             validate_against(rep, schema)
+            if argv[0] == "rep-stability":
+                stability = rep
+        import jsonschema
+        stability["per_k"][0]["route"] = "guess"
+        with pytest.raises(jsonschema.ValidationError):
+            validate_against(stability, "rep_stability_report.schema.json")

@@ -158,6 +158,25 @@ class TestSerialization:
         g = make_h_graph()
         assert Graph.from_json(g.to_json()) == g
 
+    @pytest.mark.parametrize("payload", [
+        {"vertices": [0, 1], "edges": [[0, 1]],
+         "labels": {"vertices": {"0": 5}}},
+        {"vertices": [0, 1], "edges": [[0, 1]], "labels": {"edges": {"0": "ab"}}},
+        {"vertices": [[0], 1], "edges": []},
+        {"vertices": [0, 1], "edges": [[0, [1]]]},
+        {"vertices": [0, 1], "edges": [[0, 1]], "basepoint": [0]},
+        {"vertices": [0, 1], "edges": [5]},
+        {"edges": []},
+    ])
+    def test_malformed_payload_raises_graph_error(self, payload):
+        with pytest.raises(GraphError):
+            Graph.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("vertices", [("a", "b"), (0, 1.5), (True, 2)])
+    def test_vertex_ids_must_be_integers(self, vertices):
+        with pytest.raises(GraphError):
+            Graph(vertices=vertices, edges=(vertices,))
+
 
 class TestFamilies:
     def test_star_family_realizes_stars(self, star_family):
