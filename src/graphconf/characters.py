@@ -265,46 +265,60 @@ def fixed_point_values(k, q, euler):
     return {mu: (-1) ** q * (euler(mu.count(1)) - 1) for mu in partitions(k)}
 
 
+def member_euler(descriptor, n, budget=DEFAULT_CELL_BUDGET, known=None):
+    """m -> Euler characteristic of the model of Conf_n of member m of a
+    one-coordinate family.  Members not in the dict ``known`` are built
+    once each, for their cell counts only, and added to it."""
+    cache = {} if known is None else known
+
+    def euler(m):
+        if m not in cache:
+            graph = realize_family(descriptor, (m,)).graph
+            cache[m] = build_model(graph, n, budget=budget).euler_characteristic()
+        return cache[m]
+    return euler
+
+
 def window_reports(descriptor, n, q, window, budget=DEFAULT_CELL_BUDGET):
     """Character reports of H_q over consecutive sizes of a one-coordinate
     wedge family.
 
-    Each size runs the rank-only Betti loop.  Where the fixed-point route
-    applies, its values need only the Euler characteristics of members
-    0..k, each model built once; a window member's comes from the model
-    already built.  The first size where it applies also takes the trace
-    route, and the two must agree on every class, so every window checks
-    each route against the other exactly.  Every other size takes the
-    trace route.
+    Until the fixed-point route has been checked, each size takes the trace
+    route.  The rank-only Betti loop then runs only if the Euler
+    characteristic equals 1 + (-1)^q b_q, which holds wherever the
+    fixed-point route applies; the first size where it applies also
+    computes the fixed-point values, and the two routes must agree on every
+    class, so every window checks each route against the other exactly.
+    Each later size runs the Betti loop first and, where the route applies,
+    reads its values from the Euler characteristics of members 0..k, each
+    model built once (a window member's is the model already built);
+    elsewhere it takes the trace route.  For q = 0 the route never applies
+    and no Betti loop runs.
     """
-    euler = {}
-
-    def member_euler(m):
-        if m not in euler:
-            graph = realize_family(descriptor, (m,)).graph
-            euler[m] = build_model(graph, n, budget=budget).euler_characteristic()
-        return euler[m]
-
+    known = {}
+    euler = member_euler(descriptor, n, budget, known)
     reports = []
     checked = False
     for k in window:
         instance = realize_family(descriptor, (k,))
         cx = build_model(instance.graph, n, budget=budget)
-        euler[k] = cx.euler_characteristic()
-        bettis = betti_numbers(cx, max(q, cx.top_dimension))
-        fast = fixed_points_apply(bettis, q)
-        if fast and checked:
-            rep = _report_from_values(k, q, n, bettis[q],
-                                     fixed_point_values(k, q, member_euler),
-                                     FIXED_POINTS)
-        else:
-            rep = character_report(cx, homology(cx, q), instance)
+        known[k] = cx.euler_characteristic()
+        if checked:
+            bettis = betti_numbers(cx, max(q, cx.top_dimension))
+            if fixed_points_apply(bettis, q):
+                reports.append(_report_from_values(
+                    k, q, n, bettis[q], fixed_point_values(k, q, euler),
+                    FIXED_POINTS))
+                continue
+        rep = character_report(cx, homology(cx, q), instance)
+        if not checked and q >= 1 and known[k] == 1 + (-1) ** q * rep.betti:
+            bettis = betti_numbers(cx, max(q, cx.top_dimension))
             if rep.betti != bettis[q]:
                 raise CorruptedCharacterError(
                     f"b_{q} = {rep.betti} from the presentation but "
                     f"{bettis[q]} from the Betti loop at k={k}")
-            if fast:
-                values = fixed_point_values(k, q, member_euler)
+            if fixed_points_apply(bettis, q):
+                values = fixed_point_values(k, q, euler)
                 wrong = [mu for mu, _, v in rep.class_data if values[mu] != v]
                 if wrong:
                     raise CorruptedCharacterError(

@@ -31,6 +31,7 @@ from graphconf.characters import (
     CharacterReport,
     fixed_point_values,
     fixed_points_apply,
+    member_euler,
     trace_values,
 )
 from graphconf.homology import betti_numbers
@@ -253,18 +254,6 @@ class TestTraceProjection:
                     assert trace == pres.betti
 
 
-def _member_euler(family, n):
-    """Euler characteristic of member m's model, each model built once."""
-    cache = {}
-
-    def euler(m):
-        if m not in cache:
-            graph = realize_family(family, (m,)).graph
-            cache[m] = build_model(graph, n).euler_characteristic()
-        return cache[m]
-    return euler
-
-
 class TestFixedPointRoute:
     """The Hopf trace formula on cellular chains against the trace route:
     a permutation of the copies fixing m₁ of them has Lefschetz number
@@ -275,7 +264,7 @@ class TestFixedPointRoute:
         cx = build_model(inst.graph, n)
         applies = fixed_points_apply(betti_numbers(cx), 1)
         if applies:
-            fixed = fixed_point_values(k, 1, _member_euler(family, n))
+            fixed = fixed_point_values(k, 1, member_euler(family, n))
             assert fixed == trace_values(cx, homology(cx, 1), inst)
         return applies
 
@@ -293,7 +282,7 @@ class TestFixedPointRoute:
     def test_identity_holds_in_every_degree_off_a_point_base(
             self, k4_interval_family):
         family = k4_interval_family
-        euler = _member_euler(family, 3)
+        euler = member_euler(family, 3)
         for k, b2 in ((2, 41), (3, 65)):
             inst = realize_family(family, (k,))
             cx = build_model(inst.graph, 3)
