@@ -34,6 +34,7 @@ from .graphs import (
     GraphError,
     SummandSpec,
     normalize_loops,
+    smooth,
 )
 from .homology import betti_numbers, homology, oracle_betti_numbers
 from .stability import (
@@ -174,15 +175,18 @@ def canonical_json(payload):
 # -- commands ---------------------------------------------------------------------
 
 
-def _build_complex(config):
-    graph = normalize_loops(load_graph(config.graph_path))
+def _load_graph(config):
+    return normalize_loops(load_graph(config.graph_path))
+
+
+def _build_complex(config, graph):
     if config.oracle:
         return build_abrams_oracle(graph, config.n, budget=config.budget)
     return build_model(graph, config.n, config.sinks, budget=config.budget)
 
 
 def _cmd_model(config):
-    cx = _build_complex(config)
+    cx = _build_complex(config, _load_graph(config))
     report = {
         "command": "model",
         "kind": cx.kind,
@@ -196,7 +200,8 @@ def _cmd_model(config):
 
 
 def _cmd_homology(config):
-    cx = _build_complex(config)
+    # homology is a topological invariant: smoothing keeps the space
+    cx = _build_complex(config, smooth(_load_graph(config), config.sinks))
     pres = homology(cx, config.q, basis=False)
     report = {
         "command": "homology",
@@ -209,7 +214,7 @@ def _cmd_homology(config):
 
 
 def _cmd_oracle_compare(config):
-    graph = normalize_loops(load_graph(config.graph_path))
+    graph = smooth(_load_graph(config))
     qmax = config.qmax if config.qmax is not None else min(config.n, 2)
     cx = build_model(graph, config.n, budget=config.budget)
     model_betti = betti_numbers(cx, qmax)

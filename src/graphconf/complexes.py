@@ -179,8 +179,11 @@ def _freeze_state(vocc, eocc):
     return vkey, ekey
 
 
-def _zero_cells(graph, n, sinks):
+def _zero_cells(graph, n, sinks, budget=None):
+    """Unsorted keys of the 0-cells; raises ``BudgetExceeded`` as soon as
+    there are more than ``budget`` of them."""
     cells = []
+    limit = float("inf") if budget is None else budget
     vocc = {}
     eocc = {}
     vertices = graph.vertices
@@ -189,6 +192,9 @@ def _zero_cells(graph, n, sinks):
     def place(p):
         if p > n:
             cells.append(_freeze_state(vocc, eocc))
+            if len(cells) > limit:
+                raise BudgetExceeded(
+                    f"model of Conf_{n} exceeds the {budget}-cell budget")
             return
         for v in vertices:
             if v in sinks or not vocc.get(v):
@@ -348,9 +354,7 @@ def build_model(graph, n, sinks=(), budget=DEFAULT_CELL_BUDGET):
     if not sinks <= set(graph.vertices):
         raise ModelError("sinks must be vertices of the graph")
 
-    zero = sorted(_zero_cells(graph, n, sinks))
-    if budget is not None and len(zero) > budget:
-        raise BudgetExceeded(f"model of Conf_{n} exceeds the {budget}-cell budget")
+    zero = sorted(_zero_cells(graph, n, sinks, budget))
     tables = _ModelTables(graph, n, zero)
     shift = tables.shift
     edges = graph.edges

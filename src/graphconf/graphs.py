@@ -351,6 +351,38 @@ def normalize_loops(g):
     )
 
 
+def smooth(g, keep=()):
+    """Remove each valence-2 vertex not in ``keep`` and merge its two edges
+    into one, unless the merged edge would be a loop.  The result is
+    homeomorphic to g, so Conf_n of both is the same space.
+
+    Vertices are visited in ascending order.  An edge keeps its index slot
+    and orientation until it is merged; a merged edge takes the lower slot
+    and runs from the far end of that edge to the far end of the other.
+    Surviving vertices keep their ids, so ``keep`` (such as a sink set)
+    names the same vertices afterwards.  The result has no labels and no
+    basepoint."""
+    keep = set(keep)
+    edges = list(g.edges)
+    ends = {v: [] for v in g.vertices}           # (edge index, end) at v
+    for i, (a, b) in enumerate(edges):
+        ends[a].append((i, 0))
+        ends[b].append((i, 1))
+    for v in sorted(g.vertices):
+        if v in keep or len(ends[v]) != 2:
+            continue
+        (e, x), (f, y) = sorted(ends[v])
+        a, b = edges[e][1 - x], edges[f][1 - y]
+        if a == b:          # v is on a loop, or merging would make one
+            continue
+        edges[e], edges[f] = (a, b), None
+        ends[a][ends[a].index((e, 1 - x))] = (e, 0)
+        ends[b][ends[b].index((f, 1 - y))] = (e, 1)
+        del ends[v]
+    return Graph(vertices=tuple(v for v in g.vertices if v in ends),
+                 edges=tuple(e for e in edges if e is not None))
+
+
 # -- glueing -------------------------------------------------------------
 
 

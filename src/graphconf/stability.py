@@ -11,7 +11,7 @@ from itertools import combinations
 
 from .complexes import (DEFAULT_CELL_BUDGET, build_model,
                         subcomplex_supported_in)
-from .graphs import Subgraph, realize_family, support_orbits
+from .graphs import Subgraph, realize_family, smooth, support_orbits
 from .homology import (
     betti_numbers,
     generated_check,
@@ -181,6 +181,8 @@ def _degree_candidates(instance, model, q, degrees):
     out = []
     for rep, maps in support_orbits(instance, degrees):
         basis = pushed_cycle_space(model, rep, q)
+        if not basis:       # no q-cycles, as when q exceeds the top dimension
+            continue
         out.extend(basis)
         cells = sorted({i for vec in basis for i in vec})
         for vmap, emap in maps:
@@ -307,7 +309,9 @@ def dimension_polynomial_check(descriptor, n, q, window, degree_bound,
                                holdout, betti_values=None,
                                budget=DEFAULT_CELL_BUDGET):
     """Fit an exact polynomial of degree <= degree_bound to the first points
-    of the Betti sequence and verify it predicts every remaining point."""
+    of the Betti sequence and verify it predicts every remaining point.
+    Each member is smoothed before its model is built: b_q depends only on
+    the space, and a smoothed member has fewer cells."""
     window = list(window)
     if len(window) < degree_bound + 1 + holdout:
         raise StabilityError(
@@ -316,7 +320,7 @@ def dimension_polynomial_check(descriptor, n, q, window, degree_bound,
         betti_values = []
         for k in window:
             instance = realize_family(descriptor, (k,) * descriptor.arity)
-            model = build_model(instance.graph, n, budget=budget)
+            model = build_model(smooth(instance.graph), n, budget=budget)
             betti_values.append(betti_numbers(model, q)[q])
     fit_points = list(zip(window, betti_values))[: degree_bound + 1]
     coeffs = _lagrange_coefficients(fit_points)

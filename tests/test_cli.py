@@ -3,7 +3,18 @@ import os
 
 import pytest
 
-from graphconf import cli, make_path_graph, make_spider, make_star
+from graphconf import (
+    betti_numbers,
+    build_model,
+    cli,
+    homology,
+    interval_family,
+    make_path_graph,
+    make_spider,
+    make_star,
+    realize_family,
+    smooth,
+)
 from graphconf.characters import CorruptedCharacterError
 from graphconf.cli import family_to_payload, graph_to_payload, main
 
@@ -56,6 +67,55 @@ class TestCommands:
                             "--n", "2")
         assert code == 0
         assert rep["verdict"] == "MATCH"
+
+    def test_invariant_commands_smooth_the_graph(self, capsys, monkeypatch,
+                                                 tmp_path, triangle):
+        member = realize_family(interval_family(triangle), (2,)).graph
+        path = tmp_path / "member.json"
+        path.write_text(member.to_json())
+        literal = build_model(member, 2)
+        built = []
+
+        def recording_build_model(graph, *args, **kwargs):
+            built.append(graph)
+            return build_model(graph, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_model", recording_build_model)
+        code, rep = run_cli(capsys, "oracle-compare", "--graph", str(path),
+                            "--n", "2")
+        assert code == 0
+        assert rep["model_betti"] == rep["oracle_betti"] == \
+            betti_numbers(literal, 2) == [1, 15, 2]
+        assert built == [smooth(member)]
+        code, rep = run_cli(capsys, "homology", "--graph", str(path),
+                            "--n", "2", "--q", "1")
+        assert (code, rep["betti"], rep["torsion"]) == (0, 15, [])
+        assert rep["cells"] == build_model(smooth(member), 2).f_vector()
+        assert rep["cells"] != literal.f_vector()
+        # a sink is kept: particles may pile up there
+        sink = next(v for v in member.vertices if member.valence(v) == 2)
+        code, rep = run_cli(capsys, "homology", "--graph", str(path),
+                            "--n", "2", "--q", "1", "--sinks", str(sink))
+        assert code == 0
+        assert built[-1] == smooth(member, keep=(sink,))
+        assert sink in built[-1].vertices
+        assert rep["betti"] == homology(
+            build_model(member, 2, sinks=(sink,)), 1, basis=False).betti
+        # model reports the literal graph's complex
+        code, rep = run_cli(capsys, "model", "--graph", str(path), "--n", "2")
+        assert code == 0
+        assert built[-1] == member
+        assert rep["f_vector"] == literal.f_vector()
+
+    def test_generation_check_above_the_top_dimension(self, capsys,
+                                                       star_family_file):
+        # H_2 of Conf_1 of a star is 0: no candidates are needed
+        code, rep = run_cli(capsys, "generation-check",
+                            "--family", star_family_file,
+                            "--n", "1", "--q", "2", "--d", "1", "--K", "2")
+        assert code == 0
+        assert (rep["betti"], rep["generates_over_Z"]) == (0, True)
+        assert rep["f_vector"] == [5, 4]
 
     def test_generation_check_with_csv(self, capsys, tmp_path,
                                        star_family_file):

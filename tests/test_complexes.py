@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, product
 
 import pytest
@@ -126,6 +127,14 @@ class TestModel:
     def test_budget(self, star3):
         with pytest.raises(BudgetExceeded):
             build_model(star3, 3, budget=10)
+
+    def test_budget_stops_the_zero_cell_count(self, star3):
+        # star3 has 1,733,760 0-cells at n = 7: the budget must stop the
+        # listing, not wait for it
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            build_model(star3, 7, budget=10)
+        assert time.perf_counter() - started < 0.5
 
 
 class TestOracle:

@@ -16,6 +16,7 @@ from graphconf import (
     make_star,
     normalize_loops,
     realize_family,
+    smooth,
     subdivide,
     support_embeddings,
     support_subgraphs,
@@ -144,6 +145,60 @@ class TestSurgery:
         # parallel edges stay
         par = Graph(vertices=(0, 1), edges=((0, 1), (1, 0)))
         assert normalize_loops(par) is par
+
+
+class TestSmooth:
+    @pytest.mark.parametrize("m", [3, 4, 7])
+    def test_cycle_becomes_a_two_gon(self, m):
+        g = smooth(make_cycle_graph(m))
+        assert (g.n_vertices, g.n_edges) == (2, 2)
+        assert {frozenset(e) for e in g.edges} == {frozenset(g.vertices)}
+
+    def test_path_becomes_one_edge(self):
+        g = smooth(make_path_graph(3))
+        assert (g.vertices, g.edges) == ((0, 3), ((0, 3),))
+
+    def test_loop_midpoint_is_kept(self):
+        loop = normalize_loops(Graph(vertices=(0, 1), edges=((0, 1), (1, 1))))
+        g = smooth(loop)
+        assert (g.vertices, g.edges) == (loop.vertices, loop.edges)
+        bouquet = normalize_loops(Graph(vertices=(0,), edges=((0, 0), (0, 0))))
+        assert smooth(bouquet).edges == bouquet.edges
+
+    def test_keep_is_kept(self):
+        g = smooth(make_path_graph(3), keep=(2,))
+        assert (g.vertices, g.edges) == ((0, 2, 3), ((0, 2), (2, 3)))
+        c4 = make_cycle_graph(4)
+        assert smooth(c4, keep=c4.vertices).edges == c4.edges
+
+    @pytest.mark.parametrize("g", [make_star(3), make_star(5), make_h_graph(),
+                                   make_path_graph(1)],
+                             ids=["star3", "star5", "h_graph", "interval"])
+    def test_graphs_without_valence_two_are_unchanged(self, g):
+        s = smooth(g)
+        assert (s.vertices, s.edges) == (g.vertices, g.edges)
+        assert s.basepoint is None and not s.vertex_labels and not s.edge_labels
+
+    def test_idempotent_and_homeomorphic(self, triangle):
+        graphs = [make_cycle_graph(5), make_path_graph(4),
+                  subdivide(make_h_graph(), 3),
+                  realize_family(interval_family(triangle), (3,)).graph,
+                  realize_family(circle_family(triangle), (3,)).graph,
+                  normalize_loops(Graph(vertices=(0, 1, 2),
+                                        edges=((0, 1), (1, 2), (2, 2))))]
+        for g in graphs:
+            s = smooth(g)
+            assert smooth(s) == s
+            assert s.euler_characteristic() == g.euler_characteristic()
+            assert s.is_connected()
+            assert sorted(s.valence(v) for v in s.essential_vertices()) == \
+                sorted(g.valence(v) for v in g.essential_vertices())
+
+    def test_family_members_shrink(self, triangle):
+        member = realize_family(circle_family(triangle), (3,)).graph
+        s = smooth(member)
+        assert (member.n_vertices, member.n_edges) == (9, 12)
+        assert (s.n_vertices, s.n_edges) == (6, 9)
 
 
 class TestSerialization:

@@ -11,6 +11,7 @@ from graphconf import (
     build_model,
     homology,
     normalize_loops,
+    smooth,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -48,3 +49,25 @@ def test_betti_numbers_ignore_vertex_labels(g, n, data):
                        edges=tuple((rename[a], rename[b]) for a, b in order))
     assert betti_numbers(build_model(relabelled, n)) == \
         betti_numbers(build_model(g, n))
+
+
+def integral_homology(complex_, n):
+    return [(pres.betti, pres.torsion) for pres in
+            (homology(complex_, q, basis=False) for q in range(min(n, 2) + 1))]
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(), st.integers(0, 3), st.data())
+def test_smoothing_keeps_integral_homology(g, n, data):
+    """Smoothing valence-2 vertices keeps the space, so both models on the
+    smoothed graph agree with the model on the literal graph.  One drawn
+    edge is bisected first, so every example has a vertex to smooth."""
+    if g.n_edges:
+        i = data.draw(st.integers(0, g.n_edges - 1))
+        (a, b), mid = g.edges[i], max(g.vertices) + 1
+        g = Graph(vertices=g.vertices + (mid,),
+                  edges=g.edges[:i] + ((a, mid), (mid, b)) + g.edges[i + 1:])
+    smoothed = smooth(g)
+    literal = integral_homology(build_model(g, n), n)
+    assert integral_homology(build_model(smoothed, n), n) == literal
+    assert integral_homology(build_abrams_oracle(smoothed, n), n) == literal

@@ -21,6 +21,7 @@ from graphconf import (
     make_star,
     realize_family,
     smith_normal_form,
+    smooth,
     subcomplex_supported_in,
     support_subgraphs,
     verify_tree_generators,
@@ -208,6 +209,23 @@ class TestPolynomialFit:
         with pytest.raises(BudgetExceeded):
             dimension_polynomial_check(star_family, 2, 1, [3, 4, 5], 1, 1,
                                        budget=100)
+
+    def test_members_are_smoothed(self, monkeypatch, triangle):
+        import graphconf.stability as stability
+        built = []
+
+        def recording_build_model(graph, *args, **kwargs):
+            built.append(graph)
+            return build_model(graph, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "build_model", recording_build_model)
+        family, window = interval_family(triangle), [1, 2, 3, 4, 5]
+        result = dimension_polynomial_check(family, 2, 1, window, 3, 1)
+        members = [realize_family(family, (k,)).graph for k in window]
+        assert built == [smooth(g) for g in members]
+        assert result["betti"] == [
+            homology(build_model(g, 2), 1, basis=False).betti for g in members]
+        assert result["fits"] and result["coefficients"] == ["-1", "8"]
 
     def test_window_too_short_rejected(self, star_family):
         with pytest.raises(StabilityError):
