@@ -116,13 +116,8 @@ def homology(complex_, q, basis=True):
     torsion = tuple(d for _, _, d in pivots if d > 1)
     betti = z - len(pivots)
 
-    basis_vecs = []
-    if basis:
-        for r in free_rows:
-            vec = {}
-            for k, coeff in uinv_cols.get(r, {r: 1}).items():
-                vec_axpy(vec, kernel_basis[k], -coeff)
-            basis_vecs.append(vec)
+    basis_vecs = (homology_generators(kernel_basis, pivots, uinv_cols,
+                                      torsion=False) if basis else [])
 
     return HomologyPresentation(
         complex_, q, betti, torsion, basis_vecs, z,
@@ -131,6 +126,28 @@ def homology(complex_, q, basis=True):
         _u_rows=u_rows or {},
         _free_rows=free_rows,
     )
+
+
+def homology_generators(kernel_basis, pivots, uinv_cols, torsion=True):
+    """Cycles whose classes generate H_q = Z_q / B_q, read off the Smith
+    form U M V = D of d_(q+1) in the coordinates of ``kernel_basis``
+    (``smith_diagonalize(M, track_u=True)``).  For each pivot (r, c, d),
+    column c of M V = U^-1 D is d times U^-1's column r, so U^-1's columns
+    at unit pivots lie in B_q, and the others generate Z_q modulo B_q.
+    The cycles are those columns, at the rows without a pivot
+    (the free part, in row order) and, with ``torsion``, then at the rows
+    whose divisor exceeds 1, summed over the kernel basis."""
+    pivot_rows = {r for r, _, _ in pivots}
+    rows = [r for r in range(len(kernel_basis)) if r not in pivot_rows]
+    if torsion:
+        rows += [r for r, _, d in pivots if d > 1]
+    cycles = []
+    for r in rows:
+        vec = {}
+        for k, coeff in uinv_cols.get(r, {r: 1}).items():
+            vec_axpy(vec, kernel_basis[k], -coeff)
+        cycles.append(vec)
+    return cycles
 
 
 def betti_numbers(complex_, qmax=None):

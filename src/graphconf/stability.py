@@ -16,10 +16,12 @@ from .homology import (
     betti_numbers,
     generated_check,
     homology,
+    homology_generators,
     permutation_action_map,
     push_cycle,
 )
-from .linalg import kernel_with_coords
+from .linalg import (SparseIntMatrix, kernel_with_coords, lattice_coords,
+                     smith_diagonalize)
 
 
 class StabilityError(ValueError):
@@ -94,27 +96,47 @@ def _generator_supports(tree, q):
                for a, b in combinations(combo, 2)))
 
 
-def pushed_cycle_space(model, sub, q):
-    """Basis of the q-cycle lattice of the supported subcomplex, pushed into
-    the ambient model's chain group.  Supported cells are closed under
-    faces, so their columns of the ambient d_q are the subcomplex's d_q up
-    to the numbering of rows; the kernel is taken on them directly."""
+def pushed_cycle_space(model, sub, q, ranks=None):
+    """Cycles of the supported subcomplex whose classes generate its H_q,
+    pushed into the ambient model's chain group.  When ``ranks`` is a list,
+    the rank of the subcomplex's cycle lattice Z_q is appended to it.
+
+    Supported cells are closed under faces, so their columns of the ambient
+    d_q and d_(q+1) are the subcomplex's boundaries up to the numbering of
+    rows: the kernel is taken on the d_q columns directly, and the d_(q+1)
+    columns are read in its coordinates through rows renumbered by the
+    injection.  The generators with those columns span Z_q of the support,
+    and any chain map carries the columns into im d_(q+1), so a span check
+    on the generators gives the same verdict as one on all of Z_q."""
     _, inj = subcomplex_supported_in(model, sub)
     if q >= len(inj) or not inj[q]:
+        if ranks is not None:
+            ranks.append(0)
         return []
     cells = inj[q]
-    _, basis, _ = kernel_with_coords(model.boundary(q).select_columns(cells))
-    return [push_cycle(vec, cells) for vec in basis]
+    _, basis, (pos, block) = kernel_with_coords(
+        model.boundary(q).select_columns(cells))
+    if ranks is not None:
+        ranks.append(len(basis))
+    pos = {cells[k]: t for k, t in pos.items()}
+    upper = inj[q + 1] if q + 1 < len(inj) else []
+    image = [lattice_coords((pos, block), col)
+             for col in model.boundary(q + 1).select_columns(upper).columns()]
+    pivots, _, uinv_cols = smith_diagonalize(
+        SparseIntMatrix.view(len(basis), image), track_u=True)
+    return [push_cycle(vec, cells)
+            for vec in homology_generators(basis, pivots, uinv_cols)]
 
 
 def verify_tree_generators(tree, n, q, model=None, presentation=None,
-                           detailed=False):
+                           detailed=False, budget=DEFAULT_CELL_BUDGET):
     """Check that products of basic (star and h) classes generate H_q over
-    the integers, as a span of cycle spaces supported on embedded pieces.
-    With ``detailed``, returns the ``GeneratedCheck`` and the supports."""
+    the integers: the homology generators of the subcomplexes supported on
+    embedded pieces, pushed in, must span.  With ``detailed``, returns the
+    ``GeneratedCheck`` and the supports."""
     if not tree.is_tree():
         raise StabilityError("the generating theorem applies to trees")
-    model = model or build_model(tree, n)
+    model = model or build_model(tree, n, budget=budget)
     pres = presentation or homology(model, q, basis=False)
     supports = _generator_supports(tree, q)
     candidates = []
@@ -145,6 +167,7 @@ class GenerationReport:
     torsion: tuple
     f_vector: tuple
     candidate_count: int
+    generator_count: int
     per_degree: dict
     elapsed_seconds: float
 
@@ -166,6 +189,7 @@ class GenerationReport:
             "torsion": list(self.torsion),
             "f_vector": list(self.f_vector),
             "candidate_count": self.candidate_count,
+            "generator_count": self.generator_count,
             "per_degree": {str(k): {
                 "generates_over_Q": v.generates_over_Q,
                 "generates_over_Z": v.generates_over_Z,
@@ -175,20 +199,24 @@ class GenerationReport:
         }
 
 
-def _degree_candidates(instance, model, q, degrees):
-    """Pushed cycle lattices of the supports: one kernel per support orbit,
-    carried to the other supports by the automorphisms' chain maps."""
+def _degree_candidates(instance, model, q, degrees, ranks):
+    """Pushed homology generators of the supports: one kernel and Smith
+    form per support orbit, carried to the other supports by the
+    automorphisms' chain maps.  Appends each support's cycle rank to
+    ``ranks``; automorphic supports have equal ranks."""
     out = []
     for rep, maps in support_orbits(instance, degrees):
-        basis = pushed_cycle_space(model, rep, q)
-        if not basis:       # no q-cycles, as when q exceeds the top dimension
+        rank = []
+        gens = pushed_cycle_space(model, rep, q, rank)
+        ranks.extend(rank * (1 + len(maps)))
+        if not gens:        # H_q(rep) = 0, as when q exceeds its top dimension
             continue
-        out.extend(basis)
-        cells = sorted({i for vec in basis for i in vec})
+        out.extend(gens)
+        cells = sorted({i for vec in gens for i in vec})
         for vmap, emap in maps:
             chain_map = permutation_action_map(model, vmap, emap)
             image = dict(zip(cells, chain_map.images(q, cells)))
-            out.extend({image[i]: v for i, v in vec.items()} for vec in basis)
+            out.extend({image[i]: v for i, v in vec.items()} for vec in gens)
     return out
 
 
@@ -217,8 +245,10 @@ def generation_degree_check(descriptor, n, q, d, sizes,
 
     def verdict_at(deg):
         if deg not in per_degree:
-            cands = _degree_candidates(instance, model, q, (deg,) * descriptor.arity)
-            counts[deg] = len(cands)
+            ranks = []
+            cands = _degree_candidates(instance, model, q,
+                                       (deg,) * descriptor.arity, ranks)
+            counts[deg] = (sum(ranks), len(cands))
             per_degree[deg] = generated_check(model, q, cands,
                                               presentation=pres)
         return per_degree[deg]
@@ -253,7 +283,7 @@ def generation_degree_check(descriptor, n, q, d, sizes,
         else:
             passes = verdict_at(clamped).generates_over_Z
 
-    candidate_count = counts.get(scalar_d, 0)
+    candidate_count, generator_count = counts[scalar_d]
 
     return GenerationReport(
         family_kind=descriptor.kind,
@@ -269,6 +299,7 @@ def generation_degree_check(descriptor, n, q, d, sizes,
         torsion=pres.torsion,
         f_vector=tuple(model.f_vector()),
         candidate_count=candidate_count,
+        generator_count=generator_count,
         per_degree=per_degree,
         elapsed_seconds=time.perf_counter() - t0,
     )

@@ -358,6 +358,14 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert json.loads(out)["error"] == "budget-exceeded"
 
+    def test_tree_generators_keeps_the_budget(self, capsys, tmp_path):
+        path = tmp_path / "star4.json"
+        path.write_text(make_star(4).to_json())
+        code = main(["tree-generators", "--graph", str(path), "--n", "3",
+                     "--q", "1", "--budget", "10"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "budget-exceeded"
+
     def test_failed_assertion_is_exit_one(self, capsys, tmp_path, triangle,
                                           interval):
         # glueing triangles along an edge falls outside the asserted bounds,

@@ -1,6 +1,6 @@
 """Cycle-lattice coordinates read by restriction to pivot rows, span
-checks that push kernels taken on ambient boundary columns, and tree
-supports pruned to the maximal ones."""
+checks that push homology generators read off ambient boundary columns, and
+tree supports pruned to the maximal ones."""
 
 import copy
 import random
@@ -133,6 +133,36 @@ def span(model, q, supports, pres):
     return generated_check(model, q, candidates, presentation=pres)
 
 
+def whole_lattice(model, sub, q):
+    """A basis of the support's cycle lattice Z_q, taken with
+    ``kernel_with_coords`` on the subcomplex's own d_q and pushed in."""
+    subcx, inj = subcomplex_supported_in(model, sub)
+    if q > subcx.top_dimension or not subcx.cells[q]:
+        return []
+    return [{inj[q][i]: v for i, v in vec.items()}
+            for vec in kernel_with_coords(subcx.boundary(q))[1]]
+
+
+def check_generates_support(model, sub, q, pushed):
+    """``pushed`` are cycles supported on ``sub``, one per nonzero class
+    of the Smith form of the support's H_q (free and torsion, no unit
+    divisor), and together with the subcomplex's d_(q+1) columns they have
+    all-unit Smith divisors in its Z_q coordinates.  Returns rank Z_q."""
+    subcx, inj = subcomplex_supported_in(model, sub)
+    if q > subcx.top_dimension or not subcx.cells[q]:
+        assert pushed == []
+        return 0
+    back = {a: i for i, a in enumerate(inj[q])}
+    sub_pres = homology(subcx, q, basis=False)
+    assert len(pushed) == sub_pres.betti + len(sub_pres.torsion)
+    coords = [sub_pres.kernel_coords({back[a]: v for a, v in vec.items()})
+              for vec in pushed]        # raises unless a supported cycle
+    divisors = smith_normal_form(SparseIntMatrix.from_columns(
+        sub_pres.cycle_rank, list(sub_pres._image_cols) + coords))
+    assert divisors == [1] * sub_pres.cycle_rank
+    return sub_pres.cycle_rank
+
+
 class TestAmbientPush:
     @pytest.mark.parametrize("make,n,q", [
         (make_star(4), 2, 1), (make_h_graph(), 3, 1),
@@ -140,14 +170,20 @@ class TestAmbientPush:
     ])
     def test_tree_supports(self, make, n, q):
         model = build_model(make, n)
+        pres = homology(model, q, basis=False)
         supports = unpruned_supports(make, q)
         assert supports
+        pushed, whole = [], []
         for sub in supports:
-            self.check_same_lattice(model, sub, q)
+            pushed += self.check_same_lattice(model, sub, q)
+            whole += whole_lattice(model, sub, q)
+        got = generated_check(model, q, pushed, presentation=pres)
+        assert got == generated_check(model, q, whole, presentation=pres)
+        assert got.generates_over_Z
 
     def test_random_edge_subsets(self):
         rng = random.Random(4242)
-        checked = 0
+        verdicts = []
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(3, 5), rng.randint(0, 2))
             model = build_model(g, 2)
@@ -155,31 +191,23 @@ class TestAmbientPush:
                 edges = frozenset(e for e in range(g.n_edges) if rng.random() < 0.7)
                 sub = Subgraph(g, frozenset(g.vertices), edges)
                 for q in (1, 2):
-                    checked += self.check_same_lattice(model, sub, q)
-        assert checked >= 20
+                    pres = homology(model, q, basis=False)
+                    got = generated_check(model, q,
+                                          self.check_same_lattice(model, sub, q),
+                                          presentation=pres)
+                    assert got == generated_check(
+                        model, q, whole_lattice(model, sub, q), presentation=pres)
+                    verdicts.append(got.generates_over_Z)
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
     @staticmethod
     def check_same_lattice(model, sub, q):
-        """The ambient-column push is a basis of the subcomplex's cycle
-        lattice Z_q: its vectors are cycles there, as many as the
-        subcomplex kernel's, with all Smith divisors 1 in Z_q coordinates."""
-        subcx, inj = subcomplex_supported_in(model, sub)
-        pushed = pushed_cycle_space(model, sub, q)
-        if q > subcx.top_dimension or not subcx.cells[q]:
-            assert pushed == []
-            return 0
-        own = kernel_with_coords(subcx.boundary(q))[1]
-        assert len(pushed) == len(own)
-        if not own:
-            return 0
-        back = {a: i for i, a in enumerate(inj[q])}
-        sub_pres = homology(subcx, q, basis=False)
-        coords = [sub_pres.kernel_coords({back[a]: v for a, v in vec.items()})
-                  for vec in pushed]
-        divisors = smith_normal_form(
-            SparseIntMatrix.from_columns(sub_pres.cycle_rank, coords))
-        assert divisors == [1] * len(own)
-        return 1
+        """The ambient-column push generates the support's H_q, and its
+        rank out-list reads rank Z_q.  Returns the pushed generators."""
+        ranks = []
+        pushed = pushed_cycle_space(model, sub, q, ranks)
+        assert ranks == [check_generates_support(model, sub, q, pushed)]
+        return pushed
 
 
 class TestMaximalSupports:

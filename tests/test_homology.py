@@ -10,19 +10,23 @@ from graphconf import (
     full_subgraph,
     generated_check,
     homology,
+    homology_generators,
     induced_inclusion_map,
+    kernel_with_coords,
+    lattice_coords,
     make_cycle_graph,
     make_path_graph,
     make_star,
     permutation_action_map,
     push_cycle,
     rank_of_columns,
+    smith_normal_form,
     subcomplex_supported_in,
     wedge,
     Subgraph,
 )
 from graphconf.complexes import MODEL_KIND, CubeComplex
-from graphconf.linalg import SparseIntMatrix
+from graphconf.linalg import SparseIntMatrix, smith_diagonalize
 
 
 @pytest.fixture(scope="module")
@@ -355,3 +359,36 @@ class TestTorsionPresentation:
             for vec in pres.cycle_basis + [z]:
                 assert tuple(pres.coordinate(vec, i) for i in range(2)) == \
                     pres.project(vec)
+
+    def test_generators_keep_torsion_and_drop_units(self):
+        # H_1 = Z^2 + Z/2 + Z/6 + Z/12 from divisors 2, 1, 3, 1, 4, 6:
+        # the generators are the two free classes, then one class per
+        # divisor above 1, and none at the unit divisors
+        rng = random.Random(41)
+        for _ in range(6):
+            cx = torsion_complex(rng, (2, 1, 3, 1, 4, 6), free=2)
+            _, basis, coords = kernel_with_coords(cx.boundary(1))
+            image = [lattice_coords(coords, col)
+                     for col in cx.boundary(2).columns()]
+            pivots, _, uinv_cols = smith_diagonalize(
+                SparseIntMatrix.view(len(basis), image), track_u=True)
+            gens = homology_generators(basis, pivots, uinv_cols)
+            assert len(gens) == 2 + 3
+            pres = homology(cx, 1)
+            assert gens[:2] == homology_generators(
+                basis, pivots, uinv_cols, torsion=False) == pres.cycle_basis
+            y = [pres.kernel_coords(vec) for vec in gens]   # all cycles
+
+            def torsion_left(extra):
+                divisors = smith_normal_form(SparseIntMatrix.from_columns(
+                    pres.cycle_rank, list(pres._image_cols) + extra))
+                return len(divisors), [d for d in divisors if d > 1]
+
+            # each torsion generator is killed only by its own divisor
+            for i, d in zip(range(2, 5), (2, 6, 12)):
+                assert pres.project(gens[i]) == (0, 0)
+                assert torsion_left([y[i]]) == (
+                    pres.cycle_rank - 2, [t for t in (2, 6, 12) if t != d])
+            assert torsion_left(y[2:]) == (pres.cycle_rank - 2, [])
+            # generators plus boundaries give all of Z_1
+            assert torsion_left(y) == (pres.cycle_rank, [])

@@ -6,13 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from graphconf import (
     Graph,
+    Subgraph,
     betti_numbers,
     build_abrams_oracle,
     build_model,
+    generated_check,
     homology,
     normalize_loops,
+    pushed_cycle_space,
     smooth,
 )
+
+from test_cycle_coordinates import whole_lattice
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -71,3 +76,28 @@ def test_smoothing_keeps_integral_homology(g, n, data):
     literal = integral_homology(build_model(g, n), n)
     assert integral_homology(build_model(smoothed, n), n) == literal
     assert integral_homology(build_abrams_oracle(smoothed, n), n) == literal
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(), st.integers(2, 3), st.sampled_from((1, 2)),
+       st.data())
+def test_generator_push_keeps_the_span_verdict(g, n, q, data):
+    """Each support's homology generators, pushed in, give the span check
+    of its whole pushed cycle lattice: the generators with the support's
+    boundaries span its cycles, and im d_(q+1) holds those boundaries.
+    Supports hold every vertex and a drawn subset of the edges."""
+    model = build_model(g, n)
+    pres = homology(model, q, basis=False)
+    edge_sets = data.draw(st.lists(
+        st.frozensets(st.integers(0, g.n_edges - 1)) if g.n_edges
+        else st.just(frozenset()), min_size=1, max_size=3))
+    supports = [Subgraph(g, frozenset(g.vertices), edges) for edges in edge_sets]
+    pushed, whole = [], []
+    for sub in supports:
+        ranks = []
+        pushed += pushed_cycle_space(model, sub, q, ranks)
+        lattice = whole_lattice(model, sub, q)
+        assert ranks == [len(lattice)]
+        whole += lattice
+    assert generated_check(model, q, pushed, presentation=pres) == \
+        generated_check(model, q, whole, presentation=pres)

@@ -30,6 +30,8 @@ from graphconf import (
 from graphconf.graphs import support_orbits
 from graphconf.stability import _degree_candidates, pushed_cycle_space
 
+from test_cycle_coordinates import check_generates_support, whole_lattice
+
 
 class TestTreeGenerators:
     @pytest.mark.parametrize("make,n,q", [
@@ -55,6 +57,15 @@ class TestTreeGenerators:
 
 
 class TestGenerationDegree:
+    def test_candidate_and_generator_counts(self, star_family):
+        # four degree-3 supports in the star with 4 leaves, each a star3:
+        # at n = 2 its Z_1 has rank 25 and its H_1 is Z
+        rep = generation_degree_check(star_family, 2, 1, 3, 4,
+                                      search_d_min=False)
+        assert (rep.candidate_count, rep.generator_count) == (100, 4)
+        assert (rep.betti, rep.missing_rank) == (5, 2)
+        assert rep.to_dict()["generator_count"] == 4
+
     def test_star_family_remark_bound(self, star_family):
         rep = generation_degree_check(star_family, 2, 1, 4, 5)
         assert rep.generates_over_Z and rep.generates_over_Q
@@ -138,9 +149,9 @@ def transport_family(name):
 
 
 class TestSupportOrbits:
-    """Candidates carried from one support per orbit by automorphisms must
-    be cycles on their own support, span each support's cycle lattice, and
-    give the per-support kernels' span verdicts."""
+    """Generators carried from one support per orbit by automorphisms must
+    be cycles on their own support, generate each support's H_q, and give
+    the span verdicts of the supports' whole cycle lattices."""
 
     @pytest.mark.parametrize("name,n,sizes", [
         ("star", 2, (4,)), ("star", 3, (4,)), ("triangles", 2, (3,)),
@@ -156,30 +167,23 @@ class TestSupportOrbits:
             orbits = support_orbits(inst, degrees)
             assert sum(1 + len(maps) for _, maps in orbits) == len(supports)
             assert len(orbits) == (len(supports) if name == "interval" else 1)
-            moved = _degree_candidates(inst, model, 1, degrees)
-            own = [pushed_cycle_space(model, sub, 1) for sub in supports]
+            ranks, own_ranks = [], []
+            moved = _degree_candidates(inst, model, 1, degrees, ranks)
+            own = [pushed_cycle_space(model, sub, 1, own_ranks)
+                   for sub in supports]
             assert len(moved) == sum(len(b) for b in own)
+            whole = [whole_lattice(model, sub, 1) for sub in supports]
+            assert ranks == own_ranks == [len(b) for b in whole]
             start = 0
             for sub, basis in zip(supports, own):
                 chunk = moved[start:start + len(basis)]
                 start += len(basis)
-                subcx, inj = subcomplex_supported_in(model, sub)
-                if not chunk:
-                    continue
-                back = {a: i for i, a in enumerate(inj[1])}
                 for vec in chunk:
                     assert not model.boundary(1).apply(vec)
-                    assert set(vec) <= set(back)
-                sub_pres = homology(subcx, 1, basis=False)
-                coords = [sub_pres.kernel_coords({back[a]: v for a, v in vec.items()})
-                          for vec in chunk]
-                divisors = smith_normal_form(
-                    SparseIntMatrix.from_columns(sub_pres.cycle_rank, coords))
-                assert divisors == [1] * sub_pres.cycle_rank
+                check_generates_support(model, sub, 1, chunk)
             got = generated_check(model, 1, moved, presentation=pres)
-            want = generated_check(model, 1, [v for b in own for v in b],
-                                   presentation=pres)
-            assert got == want
+            assert got == generated_check(model, 1, [v for b in whole for v in b],
+                                          presentation=pres)
             verdicts.append(got.generates_over_Z)
         assert True in verdicts and False in verdicts
 
