@@ -257,7 +257,6 @@ def _cmd_generation_check(config):
 def _cmd_tree_generators(config):
     graph = load_graph(config.graph_path)
     result, supports = verify_tree_generators(graph, config.n, config.q,
-                                              detailed=True,
                                               budget=config.budget)
     report = {
         "command": "tree-generators",

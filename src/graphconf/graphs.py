@@ -284,34 +284,36 @@ def make_spider(legs_a=2, legs_b=3, bridge=1):
 # -- homeomorphism-preserving surgery ----------------------------------
 
 
-def subdivide(g, t):
-    """Replace every edge by a path of t edges.  t = 1 returns g unchanged."""
+def subdivide(g, t, edges=None):
+    """Replace every edge, or each edge numbered in ``edges``, by a path of
+    t edges.  t = 1, or no edge to replace, returns g unchanged."""
     if t < 1:
         raise GraphError("subdivision factor must be >= 1")
-    if t == 1:
+    if t == 1 or edges is not None and not edges:
         return g
     verts = list(g.vertices)
     next_id = max(verts) + 1 if verts else 0
-    edges = []
+    new_edges = []
     vlabels = dict(g.vertex_labels)
     elabels = {}
     old_elabels = dict(g.edge_labels)
     for i, (a, b) in enumerate(g.edges):
+        pieces = t if edges is None or i in edges else 1
         chain = [a]
-        for _ in range(t - 1):
+        for _ in range(pieces - 1):
             verts.append(next_id)
             if i in old_elabels:
                 vlabels[next_id] = old_elabels[i]
             chain.append(next_id)
             next_id += 1
         chain.append(b)
-        for j in range(t):
+        for j in range(pieces):
             if i in old_elabels:
-                elabels[len(edges)] = old_elabels[i]
-            edges.append((chain[j], chain[j + 1]))
+                elabels[len(new_edges)] = old_elabels[i]
+            new_edges.append((chain[j], chain[j + 1]))
     return Graph(
         vertices=tuple(verts),
-        edges=tuple(edges),
+        edges=tuple(new_edges),
         basepoint=g.basepoint,
         vertex_labels=_freeze_labels(vlabels),
         edge_labels=_freeze_labels(elabels),
@@ -320,35 +322,7 @@ def subdivide(g, t):
 
 def normalize_loops(g):
     """Subdivide each loop edge once; parallel edges are kept as they are."""
-    if not g.has_loops():
-        return g
-    verts = list(g.vertices)
-    next_id = max(verts) + 1
-    edges = []
-    vlabels = dict(g.vertex_labels)
-    elabels = {}
-    old_elabels = dict(g.edge_labels)
-    for i, (a, b) in enumerate(g.edges):
-        if a == b:
-            verts.append(next_id)
-            if i in old_elabels:
-                vlabels[next_id] = old_elabels[i]
-                elabels[len(edges)] = old_elabels[i]
-                elabels[len(edges) + 1] = old_elabels[i]
-            edges.append((a, next_id))
-            edges.append((next_id, b))
-            next_id += 1
-        else:
-            if i in old_elabels:
-                elabels[len(edges)] = old_elabels[i]
-            edges.append((a, b))
-    return Graph(
-        vertices=tuple(verts),
-        edges=tuple(edges),
-        basepoint=g.basepoint,
-        vertex_labels=_freeze_labels(vlabels),
-        edge_labels=_freeze_labels(elabels),
-    )
+    return subdivide(g, 2, {i for i, (a, b) in enumerate(g.edges) if a == b})
 
 
 def smooth(g, keep=()):

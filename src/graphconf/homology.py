@@ -24,25 +24,32 @@ class HomologyError(ValueError):
 
 @dataclass
 class HomologyPresentation:
-    """H_q of a complex: Betti number, torsion, and an exact solver that
-    expresses any q-cycle in free-part homology coordinates.  A cycle's
-    cycle-lattice coordinates are ``lattice_coords(_coords, cycle)``: its
-    entries at the rows of ``_coords``, forward-substituted through the
-    triangular block when there is one."""
+    """H_q of a complex or of a support in it: Betti number, torsion,
+    generators, and an exact solver that expresses any q-cycle in
+    free-part homology coordinates.  The generators are free ones first,
+    then one per torsion divisor.  A cycle's cycle-lattice coordinates are
+    ``lattice_coords(_coords, cycle)``: its entries at the rows of
+    ``_coords``, forward-substituted through the triangular block when
+    there is one."""
 
     complex: CubeComplex
     q: int
     betti: int
     torsion: tuple
-    cycle_basis: list
+    generators: list
     cycle_rank: int                    # dim Z_q
     _coords: tuple = field(repr=False, default=({}, None))
     _image_cols: list = field(repr=False, default_factory=list)
     _u_rows: dict = field(repr=False, default_factory=dict)
     _free_rows: list = field(repr=False, default_factory=list)
 
+    @property
+    def cycle_basis(self):
+        """Cycles whose classes are a basis of the free part."""
+        return self.generators[:self.betti]
+
     def is_cycle(self, zvec):
-        return not self.complex.boundary(self.q).apply(zvec)
+        return not self.complex.boundary(self.q) @ zvec
 
     def kernel_coords(self, zvec):
         """Coordinates of a cycle in the chosen basis of the cycle lattice."""
@@ -69,14 +76,14 @@ class HomologyPresentation:
                                      self._free_rows[i])
 
     def require_basis(self):
-        if self.betti and not self.cycle_basis:
+        if self.betti and not self.generators:
             raise HomologyError(
                 "this presentation was built without basis cycles")
         return self
 
 
-def homology(complex_, q, basis=True):
-    """Integral homology H_q with torsion, basis cycles, and a projector.
+def homology(complex_, q, basis=True, support=None):
+    """Integral homology H_q with torsion, generators, and a projector.
 
     Cycles are read in Z_q coordinates, and H_q is the cokernel of
     d_(q+1) read that way.  If d_q eliminates unimodularly with unit
@@ -88,13 +95,26 @@ def homology(complex_, q, basis=True):
     they come from ``kernel_with_coords``, which restricts to its own
     non-pivot columns when that is the coordinate map and otherwise
     forward-substitutes through a triangular block.
+
+    With ``support``, a per-degree cell injection as
+    ``subcomplex_supported_in`` returns it, this is H_q of the supported
+    subcomplex.  Supported cells are closed under faces, so their columns
+    of the ambient d_q and d_(q+1) are the subcomplex's boundaries up to
+    the numbering of rows: those columns are read directly, and cycles,
+    generators and coordinates stay in the ambient cell numbering.
     """
     if q < 0:
         raise HomologyError("degree must be nonnegative")
-    f_q = len(complex_.codes[q]) if q <= complex_.top_dimension else 0
+    if support is None:
+        f_q = len(complex_.codes[q]) if q <= complex_.top_dimension else 0
+    else:
+        cells = support[q] if q < len(support) else []
+        f_q = len(cells)
     if f_q == 0:
         return HomologyPresentation(complex_, q, 0, (), [], 0)
     d_q = complex_.boundary(q)
+    if support is not None:
+        d_q = d_q.select_columns(cells)
 
     coords = None
     if not basis:
@@ -105,9 +125,12 @@ def homology(complex_, q, basis=True):
             coords = ({j: i for i, j in enumerate(free)}, None)
     if coords is None:
         rk, kernel_basis, coords = kernel_with_coords(d_q)
+    d_up = complex_.boundary(q + 1)
+    if support is not None:
+        coords = ({cells[j]: i for j, i in coords[0].items()}, coords[1])
+        d_up = d_up.select_columns(support[q + 1] if q + 1 < len(support) else [])
     z = f_q - rk
-    image_cols = [lattice_coords(coords, col)
-                  for col in complex_.boundary(q + 1).columns()]
+    image_cols = [lattice_coords(coords, col) for col in d_up.columns()]
 
     m = SparseIntMatrix.view(z, image_cols)
     pivots, u_rows, uinv_cols = smith_diagonalize(m, track_u=True)
@@ -116,11 +139,14 @@ def homology(complex_, q, basis=True):
     torsion = tuple(d for _, _, d in pivots if d > 1)
     betti = z - len(pivots)
 
-    basis_vecs = (homology_generators(kernel_basis, pivots, uinv_cols,
-                                      torsion=False) if basis else [])
+    generators = []
+    if basis:
+        generators = homology_generators(kernel_basis, pivots, uinv_cols)
+        if support is not None:
+            generators = [push_cycle(vec, cells) for vec in generators]
 
     return HomologyPresentation(
-        complex_, q, betti, torsion, basis_vecs, z,
+        complex_, q, betti, torsion, generators, z,
         _coords=coords,
         _image_cols=image_cols,
         _u_rows=u_rows or {},
@@ -128,19 +154,17 @@ def homology(complex_, q, basis=True):
     )
 
 
-def homology_generators(kernel_basis, pivots, uinv_cols, torsion=True):
+def homology_generators(kernel_basis, pivots, uinv_cols):
     """Cycles whose classes generate H_q = Z_q / B_q, read off the Smith
-    form U M V = D of d_(q+1) in the coordinates of ``kernel_basis``
-    (``smith_diagonalize(M, track_u=True)``).  For each pivot (r, c, d),
-    column c of M V = U^-1 D is d times U^-1's column r, so U^-1's columns
-    at unit pivots lie in B_q, and the others generate Z_q modulo B_q.
-    The cycles are those columns, at the rows without a pivot
-    (the free part, in row order) and, with ``torsion``, then at the rows
-    whose divisor exceeds 1, summed over the kernel basis."""
+    form U M V = D of d_(q+1) in the coordinates of ``kernel_basis``, with
+    U^-1 tracked.  For each pivot (r, c, d), column c of M V = U^-1 D is d
+    times U^-1's column r, so U^-1's columns at unit pivots lie in B_q,
+    and the others generate Z_q modulo B_q.  The cycles are those columns,
+    at the rows without a pivot (the free part, in row order) and then at
+    the rows whose divisor exceeds 1, summed over the kernel basis."""
     pivot_rows = {r for r, _, _ in pivots}
     rows = [r for r in range(len(kernel_basis)) if r not in pivot_rows]
-    if torsion:
-        rows += [r for r, _, d in pivots if d > 1]
+    rows += [r for r, _, d in pivots if d > 1]
     cycles = []
     for r in rows:
         vec = {}
@@ -257,7 +281,6 @@ class ChainMap:
         self.reversed_edges = reversed_edges
         self._cell_image = complex_.tables.cell_map(vertex_map, edge_map,
                                                     reversed_edges)
-        self._images = [[] for _ in complex_.codes]   # built on first use
 
     def images(self, q, indices):
         """Indices of the images of the degree-q cells numbered ``indices``."""
@@ -269,18 +292,19 @@ class ChainMap:
             raise HomologyError(
                 "automorphism does not preserve the complex") from exc
 
+    def push(self, q, vectors):
+        """Images of the degree-q chains ``vectors``.  Only the cells they
+        use are mapped."""
+        cells = list({c for vec in vectors for c in vec})
+        image = dict(zip(cells, self.images(q, cells))) if cells else {}
+        return [{image[c]: v for c, v in vec.items()} for vec in vectors]
+
     def matrix(self, q):
         if q > self.complex.top_dimension:
             return SparseIntMatrix(0, 0)
         f = len(self.complex.codes[q])
         return SparseIntMatrix.from_columns(
-            f, [self.apply(q, {i: 1}) for i in range(f)])
-
-    def apply(self, q, vec):
-        if not self._images[q]:
-            self._images[q] = self.images(q, range(len(self.complex.codes[q])))
-        images = self._images[q]
-        return {images[i]: v for i, v in vec.items()}
+            f, self.push(q, [{i: 1} for i in range(f)]))
 
     def commutes_with_boundary(self):
         for q in range(1, self.complex.top_dimension + 1):
@@ -292,26 +316,20 @@ class ChainMap:
         return True
 
     def homology_matrix(self, presentation):
-        presentation.require_basis()
-        q = presentation.q
         cols = []
-        for vec in presentation.cycle_basis:
-            coords = presentation.project(self.apply(q, vec))
+        for vec in self.push(presentation.q,
+                             presentation.require_basis().cycle_basis):
+            coords = presentation.project(vec)
             cols.append({i: v for i, v in enumerate(coords) if v})
         return SparseIntMatrix.from_columns(presentation.betti, cols)
 
     def homology_trace(self, presentation):
         """Trace on free homology: the sum over basis cycles z_i of
-        coordinate i of the image of z_i.  Only the degree-q cells the basis
-        uses are mapped."""
-        basis = presentation.require_basis().cycle_basis
-        if not basis:
-            return 0
-        cells = list({c for vec in basis for c in vec})
-        image = dict(zip(cells, self.images(presentation.q, cells)))
-        return sum(
-            presentation.coordinate({image[c]: v for c, v in vec.items()}, i)
-            for i, vec in enumerate(basis))
+        coordinate i of the image of z_i."""
+        images = self.push(presentation.q,
+                           presentation.require_basis().cycle_basis)
+        return sum(presentation.coordinate(vec, i)
+                   for i, vec in enumerate(images))
 
 
 def permutation_action_map(complex_, vertex_map, edge_map=None):

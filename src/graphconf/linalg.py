@@ -123,7 +123,7 @@ class SparseIntMatrix:
             out._cols[j] = {i: v for i, v in acc.items() if v}
         return out
 
-    def apply(self, vec):
+    def __matmul__(self, vec):
         """self @ vec for a sparse vector dict col -> value."""
         acc = {}
         mine = self._cols

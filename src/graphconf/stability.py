@@ -16,12 +16,8 @@ from .homology import (
     betti_numbers,
     generated_check,
     homology,
-    homology_generators,
     permutation_action_map,
-    push_cycle,
 )
-from .linalg import (SparseIntMatrix, kernel_with_coords, lattice_coords,
-                     smith_diagonalize)
 
 
 class StabilityError(ValueError):
@@ -98,52 +94,48 @@ def _generator_supports(tree, q):
 
 def pushed_cycle_space(model, sub, q, ranks=None):
     """Cycles of the supported subcomplex whose classes generate its H_q,
-    pushed into the ambient model's chain group.  When ``ranks`` is a list,
-    the rank of the subcomplex's cycle lattice Z_q is appended to it.
-
-    Supported cells are closed under faces, so their columns of the ambient
-    d_q and d_(q+1) are the subcomplex's boundaries up to the numbering of
-    rows: the kernel is taken on the d_q columns directly, and the d_(q+1)
-    columns are read in its coordinates through rows renumbered by the
-    injection.  The generators with those columns span Z_q of the support,
-    and any chain map carries the columns into im d_(q+1), so a span check
-    on the generators gives the same verdict as one on all of Z_q."""
-    _, inj = subcomplex_supported_in(model, sub)
-    if q >= len(inj) or not inj[q]:
-        if ranks is not None:
-            ranks.append(0)
-        return []
-    cells = inj[q]
-    _, basis, (pos, block) = kernel_with_coords(
-        model.boundary(q).select_columns(cells))
+    in the ambient model's chain group.  When ``ranks`` is a list, the rank
+    of the subcomplex's cycle lattice Z_q is appended to it.  The
+    generators with the support's d_(q+1) columns span Z_q of the support,
+    and any chain map carries those columns into im d_(q+1), so a span
+    check on the generators gives the same verdict as one on all of Z_q."""
+    pres = homology(model, q, support=subcomplex_supported_in(model, sub)[1])
     if ranks is not None:
-        ranks.append(len(basis))
-    pos = {cells[k]: t for k, t in pos.items()}
-    upper = inj[q + 1] if q + 1 < len(inj) else []
-    image = [lattice_coords((pos, block), col)
-             for col in model.boundary(q + 1).select_columns(upper).columns()]
-    pivots, _, uinv_cols = smith_diagonalize(
-        SparseIntMatrix.view(len(basis), image), track_u=True)
-    return [push_cycle(vec, cells)
-            for vec in homology_generators(basis, pivots, uinv_cols)]
+        ranks.append(pres.cycle_rank)
+    return pres.generators
 
 
-def verify_tree_generators(tree, n, q, model=None, presentation=None,
-                           detailed=False, budget=DEFAULT_CELL_BUDGET):
+def _orbit_generators(model, q, orbits, ranks):
+    """Pushed homology generators of the supports in ``orbits``, pairs of
+    a representative support and the automorphisms carrying it to the
+    others: one presentation per orbit, carried by the automorphisms'
+    chain maps.  Appends each support's cycle rank to ``ranks``;
+    automorphic supports have equal ranks."""
+    out = []
+    for rep, maps in orbits:
+        rank = []
+        gens = pushed_cycle_space(model, rep, q, rank)
+        ranks.extend(rank * (1 + len(maps)))
+        if not gens:        # H_q(rep) = 0, as when q exceeds its top dimension
+            continue
+        out.extend(gens)
+        for vmap, emap in maps:
+            out.extend(permutation_action_map(model, vmap, emap).push(q, gens))
+    return out
+
+
+def verify_tree_generators(tree, n, q, budget=DEFAULT_CELL_BUDGET):
     """Check that products of basic (star and h) classes generate H_q over
     the integers: the homology generators of the subcomplexes supported on
-    embedded pieces, pushed in, must span.  With ``detailed``, returns the
-    ``GeneratedCheck`` and the supports."""
+    embedded pieces, pushed in, must span.  Returns the ``GeneratedCheck``
+    and the supports."""
     if not tree.is_tree():
         raise StabilityError("the generating theorem applies to trees")
-    model = model or build_model(tree, n, budget=budget)
-    pres = presentation or homology(model, q, basis=False)
+    model = build_model(tree, n, budget=budget)
+    pres = homology(model, q, basis=False)
     supports = _generator_supports(tree, q)
-    candidates = []
-    for sub in supports:
-        candidates.extend(pushed_cycle_space(model, sub, q))
-    result = generated_check(model, q, candidates, presentation=pres)
-    return (result, supports) if detailed else result.generates_over_Z
+    candidates = _orbit_generators(model, q, [(s, ()) for s in supports], [])
+    return generated_check(model, q, candidates, presentation=pres), supports
 
 
 # -- finite generation over the families --------------------------------------
@@ -199,27 +191,6 @@ class GenerationReport:
         }
 
 
-def _degree_candidates(instance, model, q, degrees, ranks):
-    """Pushed homology generators of the supports: one kernel and Smith
-    form per support orbit, carried to the other supports by the
-    automorphisms' chain maps.  Appends each support's cycle rank to
-    ``ranks``; automorphic supports have equal ranks."""
-    out = []
-    for rep, maps in support_orbits(instance, degrees):
-        rank = []
-        gens = pushed_cycle_space(model, rep, q, rank)
-        ranks.extend(rank * (1 + len(maps)))
-        if not gens:        # H_q(rep) = 0, as when q exceeds its top dimension
-            continue
-        out.extend(gens)
-        cells = sorted({i for vec in gens for i in vec})
-        for vmap, emap in maps:
-            chain_map = permutation_action_map(model, vmap, emap)
-            image = dict(zip(cells, chain_map.images(q, cells)))
-            out.extend({image[i]: v for i, v in vec.items()} for vec in gens)
-    return out
-
-
 def generation_degree_check(descriptor, n, q, d, sizes,
                             budget=DEFAULT_CELL_BUDGET, search_d_min=True):
     """Span check: do classes supported in degree-d images generate H_q of
@@ -229,10 +200,13 @@ def generation_degree_check(descriptor, n, q, d, sizes,
     if isinstance(sizes, int):
         sizes = (sizes,) * descriptor.arity
     sizes = tuple(sizes)
-    if isinstance(d, int):
-        degree = (d,) * descriptor.arity
-    else:
-        degree = tuple(d)
+    degree = (d,) * descriptor.arity if isinstance(d, int) else tuple(d)
+    if len(degree) != descriptor.arity or len(set(degree)) > 1:
+        # the d_min search and the asserted bound take one degree for
+        # every coordinate
+        raise StabilityError(
+            f"degree {degree} must repeat one value over the "
+            f"{descriptor.arity} coordinates")
     if any(dd > k for dd, k in zip(degree, sizes)):
         raise StabilityError("degree must not exceed the sizes componentwise")
 
@@ -246,8 +220,9 @@ def generation_degree_check(descriptor, n, q, d, sizes,
     def verdict_at(deg):
         if deg not in per_degree:
             ranks = []
-            cands = _degree_candidates(instance, model, q,
-                                       (deg,) * descriptor.arity, ranks)
+            cands = _orbit_generators(
+                model, q, support_orbits(instance, (deg,) * descriptor.arity),
+                ranks)
             counts[deg] = (sum(ranks), len(cands))
             per_degree[deg] = generated_check(model, q, cands,
                                               presentation=pres)

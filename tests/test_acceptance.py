@@ -173,8 +173,7 @@ def test_criterion_06_tree_generating_theorem():
     for name, tree in trees.items():
         for n in (1, 2, 3):
             for q in (0, 1, 2):
-                result, supports = verify_tree_generators(tree, n, q,
-                                                          detailed=True)
+                result, supports = verify_tree_generators(tree, n, q)
                 ok = result.generates_over_Z
                 assert ok, (name, n, q)
                 checked += 1

@@ -147,13 +147,19 @@ def check_generates_support(model, sub, q, pushed):
     """``pushed`` are cycles supported on ``sub``, one per nonzero class
     of the Smith form of the support's H_q (free and torsion, no unit
     divisor), and together with the subcomplex's d_(q+1) columns they have
-    all-unit Smith divisors in its Z_q coordinates.  Returns rank Z_q."""
+    all-unit Smith divisors in its Z_q coordinates.  The presentation of
+    the support read off the ambient columns has the subcomplex's Betti
+    number and torsion.  Returns rank Z_q."""
     subcx, inj = subcomplex_supported_in(model, sub)
+    pres = homology(model, q, support=inj)
     if q > subcx.top_dimension or not subcx.cells[q]:
-        assert pushed == []
+        assert pushed == [] and pres.cycle_rank == 0
         return 0
     back = {a: i for i, a in enumerate(inj[q])}
-    sub_pres = homology(subcx, q, basis=False)
+    sub_pres = homology(subcx, q)
+    assert (pres.betti, pres.torsion, pres.cycle_rank) == \
+        (sub_pres.betti, sub_pres.torsion, sub_pres.cycle_rank)
+    assert len(pres.generators) == len(sub_pres.generators)
     assert len(pushed) == sub_pres.betti + len(sub_pres.torsion)
     coords = [sub_pres.kernel_coords({back[a]: v for a, v in vec.items()})
               for vec in pushed]        # raises unless a supported cycle

@@ -10,6 +10,7 @@ from graphconf import (
     Graph,
     ModelError,
     SummandSpec,
+    StabilityError,
     betti_numbers,
     build_abrams_oracle,
     build_model,
@@ -254,6 +255,16 @@ class TestTwoCoordinateFamilies:
         rep = generation_degree_check(two_leg_family, 2, 1, (1, 1), (3, 3),
                                       search_d_min=False)
         assert not rep.generates_over_Z
+
+    def test_unequal_degrees_rejected(self, two_leg_family):
+        # verdicts, the d_min search and the asserted bound take one degree
+        # for every coordinate; (3, 0) once read as (3, 3), (0, 3) as (0, 0)
+        for d in ((3, 0), (0, 3), (3,), (3, 3, 3)):
+            with pytest.raises(StabilityError):
+                generation_degree_check(two_leg_family, 2, 1, d, (3, 3))
+        rep = generation_degree_check(two_leg_family, 2, 1, (3, 3), (3, 3),
+                                      search_d_min=False)
+        assert rep.degree == (3, 3) and rep.generates_over_Z
 
     def test_support_count_is_product_of_binomials(self, two_leg_family):
         from math import comb

@@ -307,7 +307,7 @@ class TestKernel:
             assert rk == fraction_rank(dense)
             assert len(basis) == m.cols - rk
             for i, vec in enumerate(basis):
-                assert not m.apply(vec)
+                assert not m @ vec
                 assert lattice_coords(coords, vec) == {i: 1}
             pos, block = coords
             assert sorted(pos.values()) == list(range(len(basis)))
@@ -339,7 +339,7 @@ class TestKernel:
                 combo = {}
                 for i, c in coeffs.items():
                     linalg.vec_axpy(combo, basis[i], -c)
-                assert not m.apply(combo)
+                assert not m @ combo
                 assert lattice_coords(coords, combo) == \
                     {i: c for i, c in coeffs.items() if c}
 

@@ -1,9 +1,16 @@
-"""The benchmark's tracer wraps graphconf functions by name; a renamed or
-deleted target would silently leave its layer empty."""
+"""The benchmark's tracer wraps graphconf functions by name, and its count
+hooks read their parameters by position or name; a renamed or deleted
+target or parameter would silently leave its layer or count empty."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
+
+from graphconf import Subgraph, build_model, make_star, subcomplex_supported_in
+from graphconf.stability import pushed_cycle_space
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -24,3 +31,44 @@ def test_every_trace_target_exists():
         if not callable(getattr(holder, attr, None)):
             missing.append(f"{module}.{owner + '.' if owner else ''}{attr}")
     assert not missing
+
+
+# (module, owner or None, name, position, parameter): what the tracer's
+# count hooks read, by position or by keyword
+HOOK_PARAMETERS = (
+    ("linalg", None, "rank_of_columns", 0, "columns"),
+    ("linalg", None, "kernel_with_coords", 0, "matrix"),
+    ("linalg", None, "smith_diagonalize", 0, "matrix"),
+    ("homology", None, "generated_check", 2, "candidate_cycles"),
+    ("homology", None, "generated_check", 3, "presentation"),
+    ("homology", "ChainMap", "homology_trace", 1, "presentation"),
+    ("complexes", "CubeComplex", "boundary", 1, "q"),
+)
+
+
+@pytest.mark.parametrize("module,owner,attr,position,name", HOOK_PARAMETERS)
+def test_hooked_parameters_keep_position_and_name(module, owner, attr,
+                                                  position, name):
+    holder = importlib.import_module(f"graphconf.{module}")
+    if owner:
+        holder = getattr(holder, owner)
+    params = list(inspect.signature(getattr(holder, attr)).parameters)
+    assert params[position:position + 1] == [name]
+
+
+def test_support_kernel_reads_only_the_supported_columns(monkeypatch):
+    """``linalg.kernel_nnz_in`` counts the matrix handed to
+    ``kernel_with_coords``; for a support that is its columns alone."""
+    homology = importlib.import_module("graphconf.homology")
+    seen = []
+    kernel = homology.kernel_with_coords
+    monkeypatch.setattr(homology, "kernel_with_coords",
+                        lambda matrix: seen.append(matrix) or kernel(matrix))
+    graph = make_star(3)
+    model = build_model(graph, 2)
+    sub = Subgraph(graph, frozenset(graph.vertices), frozenset({0, 1}))
+    subcx, inj = subcomplex_supported_in(model, sub)
+    pushed_cycle_space(model, sub, 1)
+    [matrix] = seen
+    assert matrix.cols == len(inj[1]) < len(model.codes[1])
+    assert matrix.nnz == subcx.boundary(1).nnz
