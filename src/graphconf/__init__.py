@@ -14,9 +14,7 @@ from .graphs import (
     SummandSpec,
     WEDGE_FI,
     circle_family,
-    full_subgraph,
     glue,
-    identify_vertices,
     interval_family,
     make_cycle_graph,
     make_h_graph,
@@ -27,7 +25,6 @@ from .graphs import (
     realize_family,
     smooth,
     subdivide,
-    support_embeddings,
     support_subgraphs,
     wedge,
     wedge_family,
@@ -60,7 +57,6 @@ from .homology import (
     generated_check,
     homology,
     homology_generators,
-    induced_inclusion_map,
     oracle_betti_numbers,
     permutation_action_map,
     push_cycle,

@@ -67,7 +67,7 @@ class CubeComplex:
 
     ``codes[q]`` holds the stored q-cells in order: integer codes read
     through ``tables`` (a ``_ModelTables``) in the main model, location
-    tuples in the oracle.  ``cells`` and ``cell_key`` give the canonical keys.
+    tuples in the oracle.  ``cells`` gives the canonical keys.
     """
 
     def __init__(self, graph, n, sinks, kind, cells_by_dim, tables=None):
@@ -109,11 +109,6 @@ class CubeComplex:
             key = self.tables.key
             self._cells = [tuple(map(key, cs)) for cs in self.codes]
         return self._cells
-
-    def cell_key(self, q, i):
-        """Canonical key of the i-th q-cell."""
-        code = self.codes[q][i]
-        return code if self.tables is None else self.tables.key(code)
 
     def code_index(self, q):
         """Stored cell -> position in ``codes[q]``, built on first use."""

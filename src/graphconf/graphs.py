@@ -477,15 +477,6 @@ class Subgraph:
         return (len(self.vertices) == self.graph.n_vertices
                 and len(self.edges) == self.graph.n_edges)
 
-    def union(self, other):
-        if other.graph is not self.graph:
-            raise GraphError("subgraphs of different parents")
-        return Subgraph(self.graph, self.vertices | other.vertices, self.edges | other.edges)
-
-
-def full_subgraph(g):
-    return Subgraph(g, frozenset(g.vertices), frozenset(range(g.n_edges)))
-
 
 # -- families ------------------------------------------------------------
 
@@ -734,29 +725,3 @@ def support_orbits(instance, degrees):
             emap = {e: ce[f] for e, f in emap.items()}
         maps.append((vmap, emap))
     return [(supports[0], maps)]
-
-
-def support_embeddings(descriptor, degrees, sizes):
-    """Realize the family at ``sizes`` and list the degree-``degrees`` supports."""
-    instance = realize_family(descriptor, sizes)
-    if isinstance(degrees, int):
-        degrees = (degrees,) * descriptor.arity
-    return support_subgraphs(instance, degrees)
-
-
-def identify_vertices(g, u, v):
-    """Self-glueing: identify two vertices of one graph (the smaller id
-    survives).  An edge between them becomes a loop; normalize afterwards."""
-    if u == v:
-        raise GraphError("identify two distinct vertices")
-    if u not in set(g.vertices) or v not in set(g.vertices):
-        raise GraphError("vertices to identify must exist")
-    keep, drop = min(u, v), max(u, v)
-    remap = {x: (keep if x == drop else x) for x in g.vertices}
-    verts = tuple(x for x in g.vertices if x != drop)
-    edges = tuple((remap[a], remap[b]) for a, b in g.edges)
-    basepoint = remap[g.basepoint] if g.basepoint is not None else None
-    vlabels = {remap[x]: l for x, l in g.vertex_labels if x != drop}
-    return Graph(vertices=verts, edges=edges, basepoint=basepoint,
-                 vertex_labels=_freeze_labels(vlabels),
-                 edge_labels=g.edge_labels)

@@ -1,6 +1,6 @@
 """Integral homology of the cube complexes: presentations with exact cycle
-bases and solvers, span (generation) checks, and the maps induced by
-subcomplex inclusions and graph automorphisms."""
+bases and solvers, of whole complexes and of supports in them, span
+(generation) checks, and the chain maps of graph automorphisms."""
 
 from __future__ import annotations
 
@@ -30,7 +30,8 @@ class HomologyPresentation:
     then one per torsion divisor.  A cycle's cycle-lattice coordinates are
     ``lattice_coords(_coords, cycle)``: its entries at the rows of
     ``_coords``, forward-substituted through the triangular block when
-    there is one."""
+    there is one.  A support's presentation keeps its supported q-cells in
+    ``_support`` and takes only cycles on them."""
 
     complex: CubeComplex
     q: int
@@ -42,6 +43,7 @@ class HomologyPresentation:
     _image_cols: list = field(repr=False, default_factory=list)
     _u_rows: dict = field(repr=False, default_factory=dict)
     _free_rows: list = field(repr=False, default_factory=list)
+    _support: frozenset | None = field(repr=False, default=None)
 
     @property
     def cycle_basis(self):
@@ -53,6 +55,8 @@ class HomologyPresentation:
 
     def kernel_coords(self, zvec):
         """Coordinates of a cycle in the chosen basis of the cycle lattice."""
+        if self._support is not None and not self._support.issuperset(zvec):
+            raise HomologyError("cycle is not supported on the support")
         if not self.is_cycle(zvec):
             raise HomologyError("vector is not a cycle")
         return lattice_coords(self._coords, zvec)
@@ -101,17 +105,21 @@ def homology(complex_, q, basis=True, support=None):
     subcomplex.  Supported cells are closed under faces, so their columns
     of the ambient d_q and d_(q+1) are the subcomplex's boundaries up to
     the numbering of rows: those columns are read directly, and cycles,
-    generators and coordinates stay in the ambient cell numbering.
+    generators and coordinates stay in the ambient cell numbering.  Such
+    a presentation rejects a cycle with an entry off the supported cells.
     """
     if q < 0:
         raise HomologyError("degree must be nonnegative")
     if support is None:
         f_q = len(complex_.codes[q]) if q <= complex_.top_dimension else 0
+        supported = None
     else:
         cells = support[q] if q < len(support) else []
         f_q = len(cells)
+        supported = frozenset(cells)
     if f_q == 0:
-        return HomologyPresentation(complex_, q, 0, (), [], 0)
+        return HomologyPresentation(complex_, q, 0, (), [], 0,
+                                    _support=supported)
     d_q = complex_.boundary(q)
     if support is not None:
         d_q = d_q.select_columns(cells)
@@ -151,6 +159,7 @@ def homology(complex_, q, basis=True, support=None):
         _image_cols=image_cols,
         _u_rows=u_rows or {},
         _free_rows=free_rows,
+        _support=supported,
     )
 
 
@@ -235,35 +244,8 @@ def generated_check(complex_, q, candidate_cycles, presentation=None):
     return GeneratedCheck(over_q, over_z, missing)
 
 
-# -- induced maps ------------------------------------------------------------
-
-
 def push_cycle(zvec, injection_q):
     return {injection_q[i]: v for i, v in zvec.items()}
-
-
-def induced_inclusion_map(subcomplex, injection, complex_, q,
-                          presentation=None, sub_presentation=None):
-    """Matrix of H_q(sub) -> H_q(ambient) on free parts, plus the pushed
-    basis cycles themselves (raw, for span checks)."""
-    if len(injection) < min(q, subcomplex.top_dimension) + 1:
-        raise HomologyError("injection does not cover the requested degree")
-    if q <= subcomplex.top_dimension and subcomplex.codes[q]:
-        inj = injection[q]
-        for i in (0, len(inj) - 1):
-            if complex_.cell_key(q, inj[i]) != subcomplex.cell_key(q, i):
-                raise HomologyError("injection inconsistent with the ambient complex")
-    pres_sub = (sub_presentation or homology(subcomplex, q)).require_basis()
-    pres = presentation or homology(complex_, q)
-    pushed = []
-    cols = []
-    for vec in pres_sub.cycle_basis:
-        pz = push_cycle(vec, injection[q])
-        pushed.append(pz)
-        coords = pres.project(pz)
-        cols.append({i: v for i, v in enumerate(coords) if v})
-    matrix = SparseIntMatrix.from_columns(pres.betti, cols)
-    return matrix, pushed
 
 
 # -- chain maps from graph automorphisms ------------------------------------

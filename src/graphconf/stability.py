@@ -5,7 +5,7 @@ eventual-polynomiality fits."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -164,31 +164,10 @@ class GenerationReport:
     elapsed_seconds: float
 
     def to_dict(self):
-        return {
-            "family_kind": self.family_kind,
-            "n": self.n,
-            "q": self.q,
-            "sizes": list(self.sizes),
-            "degree": list(self.degree),
-            "generates_over_Q": self.generates_over_Q,
-            "generates_over_Z": self.generates_over_Z,
-            "missing_rank": self.missing_rank,
-            "d_min": self.d_min,
-            "asserted_bound": self.asserted_bound,
-            "bound_clamped": self.bound_clamped,
-            "passes_asserted_bound": self.passes_asserted_bound,
-            "betti": self.betti,
-            "torsion": list(self.torsion),
-            "f_vector": list(self.f_vector),
-            "candidate_count": self.candidate_count,
-            "generator_count": self.generator_count,
-            "per_degree": {str(k): {
-                "generates_over_Q": v.generates_over_Q,
-                "generates_over_Z": v.generates_over_Z,
-                "missing_rank": v.missing_rank,
-            } for k, v in self.per_degree.items()},
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
+        return {**asdict(self),
+                "per_degree": {str(k): asdict(v)
+                               for k, v in self.per_degree.items()},
+                "elapsed_seconds": round(self.elapsed_seconds, 3)}
 
 
 def generation_degree_check(descriptor, n, q, d, sizes,
@@ -283,22 +262,20 @@ def generation_degree_check(descriptor, n, q, d, sizes,
 # -- polynomial growth ---------------------------------------------------------
 
 
-def _lagrange_coefficients(points):
-    """Exact monomial coefficients of the interpolating polynomial."""
-    size = len(points)
-    # solve the Vandermonde system over the rationals
-    rows = [[Fraction(x) ** j for j in range(size)] + [Fraction(y)]
-            for x, y in points]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pv = rows[col][col]
-        rows[col] = [v / pv for v in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    coeffs = [rows[i][size] for i in range(size)]
+def _forward_difference_coefficients(x0, values):
+    """Exact monomial coefficients of the polynomial through the points
+    (x0 + i, values[i]): Newton's form, the sum over j of the j-th forward
+    difference at x0 times binom(x - x0, j), expanded."""
+    coeffs = [Fraction(0)] * len(values)
+    binom = [Fraction(1)]              # binom(x - x0, j) by powers of x
+    diffs = list(values)
+    for j in range(len(values)):
+        for i, b in enumerate(binom):
+            coeffs[i] += diffs[0] * b
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        # binom(x - x0, j + 1) = binom(x - x0, j) * (x - x0 - j) / (j + 1)
+        binom = [(lo - (x0 + j) * hi) / (j + 1)
+                 for lo, hi in zip([0] + binom, binom + [0])]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -322,14 +299,16 @@ def dimension_polynomial_check(descriptor, n, q, window, degree_bound,
     if len(window) < degree_bound + 1 + holdout:
         raise StabilityError(
             "window must cover the interpolation points plus the holdout")
+    if window != list(range(window[0], window[0] + len(window))):
+        raise StabilityError("window must be consecutive sizes")
     if betti_values is None:
         betti_values = []
         for k in window:
             instance = realize_family(descriptor, (k,) * descriptor.arity)
             model = build_model(smooth(instance.graph), n, budget=budget)
             betti_values.append(betti_numbers(model, q)[q])
-    fit_points = list(zip(window, betti_values))[: degree_bound + 1]
-    coeffs = _lagrange_coefficients(fit_points)
+    coeffs = _forward_difference_coefficients(
+        window[0], betti_values[: degree_bound + 1])
     predictions = [_poly_eval(coeffs, k) for k in window]
     fits = all(pred == actual
                for pred, actual in zip(predictions[degree_bound + 1:],

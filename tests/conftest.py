@@ -12,6 +12,7 @@ def pytest_terminal_summary(terminalreporter):
 
 from graphconf import (
     Graph,
+    Subgraph,
     SummandSpec,
     circle_family,
     interval_family,
@@ -22,6 +23,19 @@ from graphconf import (
     wedge,
     wedge_family,
 )
+
+
+def full_subgraph(g):
+    """The whole graph as a support."""
+    return Subgraph(g, frozenset(g.vertices), frozenset(range(g.n_edges)))
+
+
+def identify_vertices(g, u, v):
+    """Self-glueing of an unlabelled graph: vertex ``v`` is identified
+    with ``u < v``, and an edge between them becomes a loop."""
+    remap = {x: (u if x == v else x) for x in g.vertices}
+    return Graph(vertices=tuple(x for x in g.vertices if x != v),
+                 edges=tuple((remap[a], remap[b]) for a, b in g.edges))
 
 
 @pytest.fixture(scope="session")

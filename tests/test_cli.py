@@ -402,6 +402,29 @@ class TestExitCodes:
         assert type(error).__name__ in lines[0]
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class TestGoldenReports:
+    """Whole reports of the star family, byte for byte as printed, less
+    the lines that vary from run to run (time taken, code version)."""
+
+    @pytest.mark.parametrize("argv,golden", [
+        (("generation-check", "--n", "2", "--q", "1", "--d", "4", "--K", "5"),
+         "generation_check_star_family.json"),
+        (("poly-fit", "--n", "2", "--q", "1", "--window", "3..7",
+          "--degree", "3", "--holdout", "1"),
+         "poly_fit_star_family.json"),
+    ], ids=["generation-check", "poly-fit"])
+    def test_report_is_unchanged(self, capsys, star_family_file, argv, golden):
+        assert main([argv[0], "--family", star_family_file, *argv[1:]]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines(True)
+                 if not line.startswith(('  "elapsed_seconds": ',
+                                         '  "code_version": '))]
+        with open(os.path.join(GOLDEN_DIR, golden)) as fh:
+            assert "".join(lines) == fh.read()
+
+
 class TestPayloads:
     def test_graph_payload_round_trip(self, graph_file):
         from graphconf.cli import load_graph

@@ -9,7 +9,6 @@ from graphconf import (
     build_abrams_oracle,
     build_model,
     betti_numbers,
-    full_subgraph,
     homology,
     make_cycle_graph,
     make_h_graph,
@@ -21,6 +20,7 @@ from graphconf import (
     Graph,
     Subgraph,
 )
+from conftest import full_subgraph
 
 
 def brute_force_interval_conf2():

@@ -18,11 +18,11 @@ from graphconf import (
     realize_family,
     smooth,
     subdivide,
-    support_embeddings,
     support_subgraphs,
     wedge,
     wedge_family,
 )
+from conftest import identify_vertices
 
 
 class TestConstructions:
@@ -104,7 +104,6 @@ class TestGlue:
         assert g.valence(0) == 4
 
     def test_self_glue_closes_a_path_into_a_circle(self):
-        from graphconf import identify_vertices
         g = identify_vertices(make_path_graph(2), 0, 2)
         assert (g.n_vertices, g.n_edges) == (2, 2)
         assert not g.has_loops()
@@ -113,7 +112,6 @@ class TestGlue:
         assert betti_numbers(build_model(g, 1), 1) == [1, 1]
 
     def test_self_glue_of_adjacent_vertices_normalizes(self):
-        from graphconf import identify_vertices, normalize_loops
         g = identify_vertices(make_path_graph(1), 0, 1)
         assert g.has_loops()
         assert not normalize_loops(g).has_loops()
@@ -289,25 +287,25 @@ class TestFamilies:
 
 class TestSupports:
     def test_wedge_support_count(self, star_family):
-        sups = support_embeddings(star_family, 2, (4,))
+        sups = support_subgraphs(realize_family(star_family, (4,)), (2,))
         assert len(sups) == comb(4, 2)
 
     def test_interval_full_degree_single_support(self, triangle):
         fam = interval_family(triangle)
-        sups = support_embeddings(fam, 3, (3,))
+        sups = support_subgraphs(realize_family(fam, (3,)), (3,))
         assert len(sups) == 1
         assert sups[0].is_whole_graph()
 
     def test_circle_support_count(self, triangle):
         fam = circle_family(triangle)
-        sups = support_embeddings(fam, 1, (5,))
+        sups = support_subgraphs(realize_family(fam, (5,)), (1,))
         assert len(sups) == 5
 
     def test_support_counts_binomial(self, triangle):
         fam = interval_family(triangle)
         for k in (3, 4):
             for d in range(k + 1):
-                sups = support_embeddings(fam, d, (k,))
+                sups = support_subgraphs(realize_family(fam, (k,)), (d,))
                 assert len(sups) == comb(k, d)
 
     def test_supports_connected_and_contain_backbone(self, triangle):
@@ -322,4 +320,4 @@ class TestSupports:
 
     def test_degree_above_size_rejected(self, star_family):
         with pytest.raises(GraphError):
-            support_embeddings(star_family, 5, (4,))
+            support_subgraphs(realize_family(star_family, (4,)), (5,))

@@ -7,11 +7,9 @@ from graphconf import (
     HomologyError,
     betti_numbers,
     build_model,
-    full_subgraph,
     generated_check,
     homology,
     homology_generators,
-    induced_inclusion_map,
     kernel_with_coords,
     lattice_coords,
     make_cycle_graph,
@@ -27,6 +25,7 @@ from graphconf import (
 )
 from graphconf.complexes import MODEL_KIND, CubeComplex
 from graphconf.linalg import SparseIntMatrix, smith_diagonalize
+from conftest import full_subgraph
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +182,20 @@ class TestGeneratedCheck:
 
 
 class TestInducedInclusion:
+    """H_1(support) -> H_1(ambient), read through the support's
+    presentation: its basis cycles, projected into the ambient H_1."""
+
+    @staticmethod
+    def inclusion(cx, sub_graph):
+        inj = subcomplex_supported_in(cx, sub_graph)[1]
+        sub_pres = homology(cx, 1, support=inj)
+        pres = homology(cx, 1)
+        cols = [{i: v for i, v in enumerate(pres.project(z)) if v}
+                for z in sub_pres.cycle_basis]
+        return sub_pres, SparseIntMatrix.from_columns(pres.betti, cols)
+
     def test_identity_inclusion(self, star3_model):
-        sub, inj = subcomplex_supported_in(
-            star3_model, full_subgraph(star3_model.graph))
-        mat, pushed = induced_inclusion_map(sub, inj, star3_model, 1)
+        _, mat = self.inclusion(star3_model, full_subgraph(star3_model.graph))
         assert mat.to_dense() == [[1]]
 
     def test_star3_into_star4_is_injective(self):
@@ -194,18 +203,35 @@ class TestInducedInclusion:
         cx = build_model(amb_graph, 2)
         sub_graph = Subgraph(amb_graph, frozenset({0, 1, 2, 3}),
                              frozenset({0, 1, 2}))
-        sub, inj = subcomplex_supported_in(cx, sub_graph)
-        assert homology(sub, 1).betti == 1
-        mat, pushed = induced_inclusion_map(sub, inj, cx, 1)
+        sub_pres, mat = self.inclusion(cx, sub_graph)
+        assert sub_pres.betti == 1
         assert rank_of_columns(mat.columns()) == 1
-        assert len(pushed) == 1
+        assert len(sub_pres.cycle_basis) == 1
 
     def test_zero_betti_subcomplex(self, star3_model):
         sub_graph = Subgraph(star3_model.graph, frozenset({0, 1}),
                              frozenset({0}))
-        sub, inj = subcomplex_supported_in(star3_model, sub_graph)
-        mat, pushed = induced_inclusion_map(sub, inj, star3_model, 1)
-        assert mat.cols == 0 and pushed == []
+        sub_pres, mat = self.inclusion(star3_model, sub_graph)
+        assert mat.cols == 0 and sub_pres.cycle_basis == []
+
+    def test_support_rejects_cycles_off_the_support(self):
+        star4 = make_star(4)
+        cx = build_model(star4, 2)
+        three_edges = Subgraph(star4, frozenset({0, 1, 2, 3}),
+                               frozenset({0, 1, 2}))
+        inj = subcomplex_supported_in(cx, three_edges)[1]
+        support_pres = homology(cx, 1, support=inj)
+        whole = homology(cx, 1)
+        on = [z for z in whole.cycle_basis if set(z) <= set(inj[1])]
+        off = [z for z in whole.cycle_basis if z not in on]
+        assert (len(on), len(off)) == (1, 4)
+        for z in off:
+            with pytest.raises(HomologyError):
+                support_pres.project(z)
+        with pytest.raises(HomologyError):
+            generated_check(cx, 1, whole.cycle_basis,
+                            presentation=support_pres)
+        assert support_pres.project(on[0]) == (1,)
 
 
 class TestPermutationAction:

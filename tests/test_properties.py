@@ -1,8 +1,12 @@
 """Property checks on random connected multigraphs (at most 5 vertices
-before loops are subdivided, parallel edges allowed) with n <= 3 particles.
-Examples are derandomized, so every run checks the same graphs."""
+before loops are subdivided, parallel edges allowed) with n <= 3 particles,
+and on the exact polynomial fit.  Examples are derandomized, so every run
+checks the same inputs."""
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
+from math import factorial
+
+from hypothesis import example, given, settings, strategies as st
 
 from graphconf import (
     Graph,
@@ -10,6 +14,7 @@ from graphconf import (
     betti_numbers,
     build_abrams_oracle,
     build_model,
+    dimension_polynomial_check,
     generated_check,
     homology,
     normalize_loops,
@@ -101,3 +106,45 @@ def test_generator_push_keeps_the_span_verdict(g, n, q, data):
         whole += lattice
     assert generated_check(model, q, pushed, presentation=pres) == \
         generated_check(model, q, whole, presentation=pres)
+
+
+def binomial_polynomial(j):
+    """Monomial coefficients of binom(x, j) = x (x - 1) ... (x - j + 1) / j!."""
+    poly = [Fraction(1)]
+    for i in range(j):
+        poly = [lo - i * hi for lo, hi in zip([0] + poly, poly + [0])]
+    return [c / factorial(j) for c in poly]
+
+
+@PROPERTY_SETTINGS
+@example(weights=[0, 0, 1], start=3, degree_bound=4, holdout=1, shift=1)
+@given(weights=st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+       start=st.integers(0, 30), degree_bound=st.integers(0, 4),
+       holdout=st.integers(1, 2),
+       shift=st.integers(-5, 5).filter(bool))
+def test_fit_recovers_integer_valued_polynomials(weights, start, degree_bound,
+                                                 holdout, shift):
+    """An integer-valued polynomial of degree <= 4 is an integer
+    combination of binom(k, j), j <= 4, so its monomial coefficients may be
+    fractions.  Fitted on a consecutive window, its exact coefficients come
+    back and every held-out value is predicted; a changed holdout value is
+    not."""
+    weights = weights[:degree_bound + 1]
+    expected = [Fraction(0)] * len(weights)
+    for j, w in enumerate(weights):
+        for i, c in enumerate(binomial_polynomial(j)):
+            expected[i] += w * c
+    while len(expected) > 1 and expected[-1] == 0:
+        expected.pop()
+    window = list(range(start, start + degree_bound + 1 + holdout))
+    values = [int(sum(c * k ** i for i, c in enumerate(expected)))
+              for k in window]
+    result = dimension_polynomial_check(None, 2, 1, window, degree_bound,
+                                        holdout, betti_values=values)
+    assert result["fits"]
+    assert result["coefficients"] == [str(c) for c in expected]
+    assert result["degree"] == len(expected) - 1
+    values[degree_bound + 1] += shift
+    assert not dimension_polynomial_check(
+        None, 2, 1, window, degree_bound, holdout,
+        betti_values=values)["fits"]

@@ -216,6 +216,11 @@ class TestPolynomialFit:
             dimension_polynomial_check(star_family, 2, 1, [3, 4, 5], 1, 1,
                                        budget=100)
 
+    def test_window_must_be_consecutive(self, star_family):
+        with pytest.raises(StabilityError):
+            dimension_polynomial_check(star_family, 2, 1, [3, 4, 6, 7], 1, 1,
+                                       betti_values=[1, 5, 19, 29])
+
     def test_members_are_smoothed(self, monkeypatch, triangle):
         import graphconf.stability as stability
         built = []
