@@ -14,6 +14,7 @@ from .graphs import (
     SummandSpec,
     WEDGE_FI,
     circle_family,
+    conf_euler,
     glue,
     interval_family,
     make_cycle_graph,

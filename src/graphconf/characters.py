@@ -9,7 +9,8 @@ a permutation g of the copies fixes exactly the cells supported on
 G ∨ m·H, m = m₁(g) the number of copies it fixes, each with sign +1, so the
 Hopf trace formula gives Σ_i (−1)^i χ_{H_i}(g) = χ(Conf_n(G_m)).  When the
 rational homology sits in degrees 0 (b_0 = 1, acted on trivially) and q ≥ 1
-only, this is χ_{H_q}(g) = (−1)^q (χ(Conf_n(G_m)) − 1).
+only, this is χ_{H_q}(g) = (−1)^q (χ(Conf_n(G_m)) − 1), and Gal's formula
+(``graphs.conf_euler``) gives χ(Conf_n(G_m)) without building a model.
 
 Partitions are plain tuples of weakly decreasing positive integers.  All
 arithmetic is exact; characters and multiplicities are integers.
@@ -22,7 +23,7 @@ from functools import lru_cache
 from math import factorial
 
 from .complexes import DEFAULT_CELL_BUDGET, build_model
-from .graphs import realize_family
+from .graphs import conf_euler, realize_family
 from .homology import betti_numbers, homology, permutation_action_map
 
 TRACES = "traces"
@@ -34,8 +35,8 @@ class CharacterError(ValueError):
 
 
 class CorruptedCharacterError(RuntimeError):
-    """A decomposition produced a non-integer or negative multiplicity,
-    which signals a bug upstream of the character pipeline."""
+    """Two exact computations that must agree did not (routes, Euler
+    characteristics, multiplicities): a bug upstream of the characters."""
 
 
 def is_partition(lam):
@@ -258,67 +259,57 @@ def fixed_points_apply(bettis, q):
         b == 0 for i, b in enumerate(bettis) if i not in (0, q))
 
 
-def fixed_point_values(k, q, euler):
-    """Class values on H_q from the Hopf trace formula, where ``euler(m)``
-    is the Euler characteristic of member m's model.  Valid only where
+def fixed_point_values(k, q, chis):
+    """Class values on H_q from the Hopf trace formula, where ``chis[m]``
+    is the Euler characteristic of Conf_n of member m.  Valid only where
     ``fixed_points_apply`` holds."""
-    return {mu: (-1) ** q * (euler(mu.count(1)) - 1) for mu in partitions(k)}
-
-
-def member_euler(descriptor, n, budget=DEFAULT_CELL_BUDGET, known=None):
-    """m -> Euler characteristic of the model of Conf_n of member m of a
-    one-coordinate family.  Members not in the dict ``known`` are built
-    once each, for their cell counts only, and added to it."""
-    cache = {} if known is None else known
-
-    def euler(m):
-        if m not in cache:
-            graph = realize_family(descriptor, (m,)).graph
-            cache[m] = build_model(graph, n, budget=budget).euler_characteristic()
-        return cache[m]
-    return euler
+    return {mu: (-1) ** q * (chis[mu.count(1)] - 1) for mu in partitions(k)}
 
 
 def window_reports(descriptor, n, q, window, budget=DEFAULT_CELL_BUDGET):
     """Character reports of H_q over consecutive sizes of a one-coordinate
     wedge family.
 
-    Until the fixed-point route has been checked, each size takes the trace
-    route.  The rank-only Betti loop then runs only if the Euler
-    characteristic equals 1 + (-1)^q b_q, which holds wherever the
-    fixed-point route applies; the first size where it applies also
-    computes the fixed-point values, and the two routes must agree on every
-    class, so every window checks each route against the other exactly.
-    Each later size runs the Betti loop first and, where the route applies,
-    reads its values from the Euler characteristics of members 0..k, each
-    model built once (a window member's is the model already built);
-    elsewhere it takes the trace route.  For q = 0 the route never applies
-    and no Betti loop runs.
+    Each χ comes from ``conf_euler`` and must equal the cell count of each
+    window size's model.  Until the fixed-point route has been checked,
+    each size takes the trace route, and runs the rank-only Betti loop only
+    if χ = 1 + (-1)^q b_q, which holds wherever the route applies; the
+    first size where it applies also computes the fixed-point values, and
+    the two routes must agree on every class.  Each later size runs the
+    Betti loop first and, where the route applies, reads its values from χ
+    of members 0..k, none of them built; elsewhere it takes the trace
+    route.  For q = 0 the route never applies and no Betti loop runs.
     """
-    known = {}
-    euler = member_euler(descriptor, n, budget, known)
+    def fixed_points(k):
+        return fixed_point_values(k, q, [
+            conf_euler(realize_family(descriptor, (m,)).graph, n)
+            for m in range(k + 1)])
+
     reports = []
     checked = False
     for k in window:
         instance = realize_family(descriptor, (k,))
         cx = build_model(instance.graph, n, budget=budget)
-        known[k] = cx.euler_characteristic()
+        chi = conf_euler(instance.graph, n)
+        if cx.euler_characteristic() != chi:
+            raise CorruptedCharacterError(
+                f"the model's Euler characteristic at k={k} is "
+                f"{cx.euler_characteristic()}, Gal's formula gives {chi}")
         if checked:
             bettis = betti_numbers(cx, max(q, cx.top_dimension))
             if fixed_points_apply(bettis, q):
                 reports.append(_report_from_values(
-                    k, q, n, bettis[q], fixed_point_values(k, q, euler),
-                    FIXED_POINTS))
+                    k, q, n, bettis[q], fixed_points(k), FIXED_POINTS))
                 continue
         rep = character_report(cx, homology(cx, q), instance)
-        if not checked and q >= 1 and known[k] == 1 + (-1) ** q * rep.betti:
+        if not checked and q >= 1 and chi == 1 + (-1) ** q * rep.betti:
             bettis = betti_numbers(cx, max(q, cx.top_dimension))
             if rep.betti != bettis[q]:
                 raise CorruptedCharacterError(
                     f"b_{q} = {rep.betti} from the presentation but "
                     f"{bettis[q]} from the Betti loop at k={k}")
             if fixed_points_apply(bettis, q):
-                values = fixed_point_values(k, q, euler)
+                values = fixed_points(k)
                 wrong = [mu for mu, _, v in rep.class_data if values[mu] != v]
                 if wrong:
                     raise CorruptedCharacterError(

@@ -64,7 +64,6 @@ class RunConfig:
     sizes: int | None = None
     window: tuple = ()
     fit_degree: int = 3
-    holdout: int = 1
     qmax: int | None = None
     budget: int = DEFAULT_CELL_BUDGET
     out: str | None = None
@@ -80,8 +79,8 @@ class RunConfig:
             raise ConfigError("--qmax must be nonnegative")
         if self.budget < 1:
             raise ConfigError("--budget must be positive")
-        if self.fit_degree < 0 or self.holdout < 0:
-            raise ConfigError("--degree and --holdout must be nonnegative")
+        if self.fit_degree < 0:
+            raise ConfigError("--degree must be nonnegative")
         if self.oracle and self.sinks:
             raise ConfigError("the discretized cross-check model has no sinks")
         for path in (self.graph_path, self.family_path):
@@ -329,7 +328,7 @@ def _cmd_poly_fit(config):
     descriptor = load_family(config.family_path)
     result = dimension_polynomial_check(
         descriptor, config.n, config.q, list(config.window),
-        config.fit_degree, config.holdout, budget=config.budget)
+        config.fit_degree, budget=config.budget)
     report = {"command": "poly-fit", "n": config.n, "q": config.q, **result}
     rows = [["k", "betti", "predicted"]]
     for k, b, p in zip(result["window"], result["betti"], result["predicted"]):
@@ -409,7 +408,6 @@ def build_parser():
     common(p, family=True)
     p.add_argument("--window", required=True, help="k0..k1")
     p.add_argument("--degree", type=int, default=3, dest="fit_degree")
-    p.add_argument("--holdout", type=int, default=1)
     return parser
 
 
@@ -426,7 +424,6 @@ def config_from_args(args):
         sizes=getattr(args, "K", None),
         window=_parse_window(args.window) if getattr(args, "window", None) else (),
         fit_degree=getattr(args, "fit_degree", 3),
-        holdout=getattr(args, "holdout", 1),
         qmax=getattr(args, "qmax", None),
         budget=args.budget,
         out=args.out,

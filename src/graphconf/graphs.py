@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb, factorial
 
 
 class GraphError(ValueError):
@@ -357,6 +358,20 @@ def smooth(g, keep=()):
                  edges=tuple(e for e in edges if e is not None))
 
 
+def conf_euler(g, n):
+    """χ(Conf_n(g)) of a graph without sinks by Gal's formula (Colloq. Math.
+    2001): n! times the t^n coefficient of Π_v (1 + (1 − val v) t) times
+    (1 − t)^(−|E|), whose t^j coefficient is binom(|E| + j − 1, j)."""
+    poly = [1]
+    for v in g.vertices:
+        a = 1 - g.valence(v)
+        poly = [lo + a * hi for lo, hi in zip(poly + [0], [0] + poly)]
+    e = g.n_edges
+    return factorial(n) * sum(
+        c * (comb(e + n - i - 1, n - i) if e else int(i == n))
+        for i, c in enumerate(poly[:n + 1]))
+
+
 # -- glueing -------------------------------------------------------------
 
 
@@ -574,16 +589,16 @@ def circle_family(summand):
     return FamilyDescriptor(CIRCLE_LAMBDA, None, (SummandSpec(summand),))
 
 
-def _circle_backbone(k):
+def _backbone(kind, k):
+    """The graph the k copies of an interval or circle member glue onto,
+    and the vertex each copy glues at."""
+    if kind == INTERVAL_DELTA:
+        return make_path_graph(k + 1), tuple(range(1, k + 1))
     if k >= 3:
-        g = make_cycle_graph(k)
-        return g, tuple(range(k))
-    if k == 2:
-        g = Graph(vertices=(0, 1), edges=((0, 1), (1, 0)), basepoint=0)
-        return g, (0, 1)
-    # k <= 1: the backbone would be a loop; it ships pre-normalized (one midpoint)
+        return make_cycle_graph(k), tuple(range(k))
+    # a 2-cycle; for k <= 1 it stands for a loop, normalized (one midpoint)
     g = Graph(vertices=(0, 1), edges=((0, 1), (1, 0)), basepoint=0)
-    return g, (0,) if k == 1 else ()
+    return g, (0, 1)[:k]
 
 
 @dataclass(frozen=True)
@@ -603,12 +618,11 @@ class FamilyInstance:
         return dict(dict(self.copy_edge_maps)[(coord, copy)])
 
     def base_part(self):
-        """Vertices and edges not belonging to any summand copy."""
-        labelled_v = {v for v, _ in self.graph.vertex_labels}
-        labelled_e = {e for e, _ in self.graph.edge_labels}
-        verts = frozenset(self.graph.vertices) - labelled_v
-        edges = frozenset(range(self.graph.n_edges)) - labelled_e
-        return verts, edges
+        """Vertices and edges not belonging to any summand copy: those of
+        the graph the copies glue onto, whose ids glueing keeps."""
+        base = self.descriptor.base if self.descriptor.kind == WEDGE_FI \
+            else _backbone(self.descriptor.kind, self.sizes[0])[0]
+        return frozenset(base.vertices), frozenset(range(base.n_edges))
 
     def summand_automorphism(self, coord, perm):
         """Vertex/edge maps of the graph automorphism permuting copies of one
@@ -654,11 +668,7 @@ def realize_family(descriptor, sizes):
     else:
         k = sizes[0]
         summand = descriptor.summands[0].graph
-        if descriptor.kind == INTERVAL_DELTA:
-            g = make_path_graph(k + 1)
-            attach = tuple(range(1, k + 1))
-        else:
-            g, attach = _circle_backbone(k)
+        g, attach = _backbone(descriptor.kind, k)
         for m in range(1, k + 1):
             g, vmap, emap = glue_with_maps(
                 g, summand, {summand.basepoint: attach[m - 1]}, label=(1, m))

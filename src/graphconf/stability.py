@@ -289,16 +289,16 @@ def _poly_eval(coeffs, x):
 
 
 def dimension_polynomial_check(descriptor, n, q, window, degree_bound,
-                               holdout, betti_values=None,
-                               budget=DEFAULT_CELL_BUDGET):
-    """Fit an exact polynomial of degree <= degree_bound to the first points
-    of the Betti sequence and verify it predicts every remaining point.
+                               betti_values=None, budget=DEFAULT_CELL_BUDGET):
+    """Fit an exact polynomial of degree <= degree_bound to the first
+    degree_bound + 1 points of the Betti sequence and verify it predicts
+    every later point of the window, of which there must be at least one.
     Each member is smoothed before its model is built: b_q depends only on
     the space, and a smoothed member has fewer cells."""
     window = list(window)
-    if len(window) < degree_bound + 1 + holdout:
+    if len(window) < degree_bound + 2:
         raise StabilityError(
-            "window must cover the interpolation points plus the holdout")
+            "window must cover the interpolation points and one more size")
     if window != list(range(window[0], window[0] + len(window))):
         raise StabilityError("window must be consecutive sizes")
     if betti_values is None:

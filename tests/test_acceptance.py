@@ -285,7 +285,7 @@ def test_criterion_13_representation_stability(star_family_descriptor):
 
 def test_criterion_14_polynomial_growth(star_family_descriptor):
     result = dimension_polynomial_check(star_family_descriptor, 2, 1,
-                                        [3, 4, 5, 6, 7], 3, 1)
+                                        [3, 4, 5, 6, 7], 3)
     ok = result["fits"] and result["degree"] <= 3
     report(14, ok,
            f"b1 over k=3..7 is {result['betti']}; exact fit of degree "

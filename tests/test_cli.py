@@ -184,7 +184,7 @@ class TestCommands:
             self, capsys, monkeypatch, star_family_file):
         import importlib
         homology = importlib.import_module("graphconf.homology")
-        calls = {"kernel": 0, "smith": 0, "chain maps": 0}
+        calls = {"kernel": 0, "smith": 0, "chain maps": 0, "models": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -198,43 +198,65 @@ class TestCommands:
                             counted("smith", homology.smith_diagonalize))
         monkeypatch.setattr(homology.ChainMap, "__init__", counted(
             "chain maps", homology.ChainMap.__init__))
+        characters = importlib.import_module("graphconf.characters")
+        monkeypatch.setattr(characters, "build_model",
+                            counted("models", characters.build_model))
         code, rep = run_cli(capsys, "rep-stability",
                             "--family", star_family_file,
                             "--n", "3", "--q", "1", "--window", "5..7")
         assert code == 0 and rep["stable"]
         # one presentation with basis and one chain map per class of S_5;
-        # the trace route at every size would take 3, 3 and 7 + 11 + 15
-        assert calls == {"kernel": 1, "smith": 1, "chain maps": 7}
+        # the trace route at every size would take 3, 3 and 7 + 11 + 15.
+        # Only the window's members are built
+        assert calls == {"kernel": 1, "smith": 1, "chain maps": 7, "models": 3}
+
+    @staticmethod
+    def _window_4_6_is_exit_four(capsys, family_file):
+        # member m of the star family has m edges; the window 4..6 builds the
+        # models of members 4..6 only, each checked against Gal's formula
+        code = main(["rep-stability", "--family", family_file,
+                     "--n", "2", "--q", "1", "--window", "4..6"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("internal error: CorruptedCharacterError")
+        return captured.err
 
     @pytest.mark.parametrize("member", range(7))
     @pytest.mark.parametrize("error", [1, -1])
     def test_wrong_euler_characteristic_is_exit_four(
             self, capsys, monkeypatch, star_family_file, member, error):
-        # member m of the star family has m edges.  A wrong Euler
-        # characteristic is caught by the cross-check at the first size,
-        # by the identity class, or, for m = k - 2 and below at later sizes,
-        # by the trivial multiplicity: it moves by error * D(k - m) /
-        # (m! (k - m)!), D the derangement count, which is no integer.
-        # A wrong value at m = 4 fails the Euler test that precedes the
-        # Betti loop at k = 4, so the cross-check moves to k = 5, which
-        # needs no member 4, and k = 6 catches it
+        # a wrong formula value for a built member fails the check against
+        # its model.  One for a smaller member is caught by the cross-check
+        # at k = 4 or, for m = 3, which no class of S_4 fixes, at k = 5 by
+        # the trivial multiplicity: it moves by error * D(k - m) /
+        # (m! (k - m)!), D the derangement count, which is no integer
+        import graphconf.characters as characters
+        real = characters.conf_euler
+        monkeypatch.setattr(
+            characters, "conf_euler",
+            lambda g, n: real(g, n) + error * (g.n_edges == member))
+        err = self._window_4_6_is_exit_four(capsys, star_family_file)
+        if member >= 4:
+            assert f"at k={member} is" in err and "Gal's formula" in err
+        elif member <= 2:   # used at k = 4, where both routes run
+            assert "fixed points and traces disagree at k=4" in err
+
+    @pytest.mark.parametrize("member", range(4, 7))
+    @pytest.mark.parametrize("error", [1, -1])
+    def test_wrong_model_euler_characteristic_is_exit_four(
+            self, capsys, monkeypatch, star_family_file, member, error):
         from graphconf.complexes import CubeComplex
         real = CubeComplex.euler_characteristic
         monkeypatch.setattr(
             CubeComplex, "euler_characteristic",
             lambda cx: real(cx) + error * (cx.graph.n_edges == member))
-        code = main(["rep-stability", "--family", star_family_file,
-                     "--n", "2", "--q", "1", "--window", "4..6"])
-        captured = capsys.readouterr()
-        assert code == 4
-        assert captured.err.startswith("internal error: CorruptedCharacterError")
-        if member in (0, 1, 2):   # used at k = 4, where both routes run
-            assert "fixed points and traces disagree at k=4" in captured.err
+        err = self._window_4_6_is_exit_four(capsys, star_family_file)
+        assert f"at k={member} is" in err and "Gal's formula" in err
 
     def test_poly_fit(self, capsys, star_family_file):
         code, rep = run_cli(capsys, "poly-fit", "--family", star_family_file,
                             "--n", "2", "--q", "1", "--window", "3..6",
-                            "--degree", "2", "--holdout", "1")
+                            "--degree", "2")
         assert code == 0
         assert rep["fits"] is True
         assert rep["coefficients"] == ["1", "-3", "1"]
@@ -319,6 +341,13 @@ class TestExitCodes:
                      "--n", "2", "--q", "1", "--window", "7..3"]) == 2
         assert capsys.readouterr().err == \
             "error: window start must not exceed its end\n"
+
+    def test_poly_fit_window_with_no_checked_size_is_exit_two(
+            self, capsys, star_family_file):
+        # degree + 1 sizes fix the polynomial and leave nothing to check
+        assert main(["poly-fit", "--family", star_family_file, "--n", "2",
+                     "--q", "1", "--window", "3..6", "--degree", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: window must cover")
 
     def test_rep_stability_rejects_product_families(self, capsys, tmp_path):
         from graphconf import Graph, SummandSpec, wedge_family
@@ -413,9 +442,11 @@ class TestGoldenReports:
         (("generation-check", "--n", "2", "--q", "1", "--d", "4", "--K", "5"),
          "generation_check_star_family.json"),
         (("poly-fit", "--n", "2", "--q", "1", "--window", "3..7",
-          "--degree", "3", "--holdout", "1"),
+          "--degree", "3"),
          "poly_fit_star_family.json"),
-    ], ids=["generation-check", "poly-fit"])
+        (("rep-stability", "--n", "2", "--q", "1", "--window", "3..7"),
+         "rep_stability_star_family.json"),
+    ], ids=["generation-check", "poly-fit", "rep-stability"])
     def test_report_is_unchanged(self, capsys, star_family_file, argv, golden):
         assert main([argv[0], "--family", star_family_file, *argv[1:]]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines(True)

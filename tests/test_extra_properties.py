@@ -216,7 +216,7 @@ class TestTriangleWedgeStability:
         from graphconf import dimension_polynomial_check
         fam, reps = reports
         assert [r.betti for r in reps] == [19, 37, 61, 91]
-        fit = dimension_polynomial_check(fam, 2, 1, [3, 4, 5, 6], 2, 1,
+        fit = dimension_polynomial_check(fam, 2, 1, [3, 4, 5, 6], 2,
                                          betti_values=[r.betti for r in reps])
         assert fit["fits"] and fit["coefficients"] == ["1", "-3", "3"]
 

@@ -8,6 +8,7 @@ from graphconf import (
     GraphError,
     SummandSpec,
     circle_family,
+    conf_euler,
     glue,
     interval_family,
     make_cycle_graph,
@@ -268,6 +269,16 @@ class TestFamilies:
             base_v, base_e = inst.base_part()
             assert len(base_e) == k
 
+    def test_conf_euler_closed_cases(self):
+        # a point holds one particle; Conf_n of an interval is n! points;
+        # Conf_n of a circle is (n - 1)! circles up to homotopy
+        point = Graph(vertices=(0,), edges=())
+        assert [conf_euler(point, n) for n in range(4)] == [1, 1, 0, 0]
+        assert [conf_euler(make_path_graph(1), n) for n in range(4)] == \
+            [1, 1, 2, 6]
+        assert [conf_euler(make_cycle_graph(3), n) for n in range(4)] == \
+            [1, 0, 0, 0]
+
     def test_family_requires_based_summand_valence(self):
         with pytest.raises(GraphError):
             interval_family(make_path_graph(2))  # basepoint has valence 1
@@ -317,6 +328,15 @@ class TestSupports:
             sg = Graph(vertices=tuple(sorted(sub.vertices)),
                        edges=tuple(inst.graph.edges[e] for e in sorted(sub.edges)))
             assert sg.is_connected()
+
+    def test_labelled_base_is_the_base_part(self, star_family, interval):
+        base = realize_family(star_family, (2,)).graph
+        fam = wedge_family(base, [SummandSpec(interval, (0,), (0,))])
+        inst = realize_family(fam, (3,))
+        assert inst.base_part() == (frozenset(base.vertices),
+                                    frozenset(range(base.n_edges)))
+        for sub in support_subgraphs(inst, (1,)):
+            assert len(sub.vertices) == 4 and len(sub.edges) == 3
 
     def test_degree_above_size_rejected(self, star_family):
         with pytest.raises(GraphError):

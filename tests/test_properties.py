@@ -1,7 +1,8 @@
 """Property checks on random connected multigraphs (at most 5 vertices
-before loops are subdivided, parallel edges allowed) with n <= 3 particles,
-and on the exact polynomial fit.  Examples are derandomized, so every run
-checks the same inputs."""
+before loops are subdivided, parallel edges allowed) with n <= 3 particles
+(n = 4 for Gal's Euler characteristic on small graphs), and on the exact
+polynomial fit.  Examples are derandomized, so every run checks the same
+inputs."""
 
 from fractions import Fraction
 from math import factorial
@@ -14,6 +15,7 @@ from graphconf import (
     betti_numbers,
     build_abrams_oracle,
     build_model,
+    conf_euler,
     dimension_polynomial_check,
     generated_check,
     homology,
@@ -59,6 +61,18 @@ def test_betti_numbers_ignore_vertex_labels(g, n, data):
                        edges=tuple((rename[a], rename[b]) for a, b in order))
     assert betti_numbers(build_model(relabelled, n)) == \
         betti_numbers(build_model(g, n))
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(), st.integers(0, 4))
+def test_gal_formula_counts_the_cells_of_both_models(g, n):
+    """Gal's χ(Conf_n) equals the alternating cell count of the model, at
+    n = 4 on graphs with at most 5 edges, and of the oracle for n <= 3."""
+    if n == 4 and g.n_edges > 5:
+        n = 3
+    assert conf_euler(g, n) == build_model(g, n).euler_characteristic()
+    if n <= 3:
+        assert conf_euler(g, n) == build_abrams_oracle(g, n).euler_characteristic()
 
 
 def integral_homology(complex_, n):
@@ -140,11 +154,11 @@ def test_fit_recovers_integer_valued_polynomials(weights, start, degree_bound,
     values = [int(sum(c * k ** i for i, c in enumerate(expected)))
               for k in window]
     result = dimension_polynomial_check(None, 2, 1, window, degree_bound,
-                                        holdout, betti_values=values)
+                                        betti_values=values)
     assert result["fits"]
     assert result["coefficients"] == [str(c) for c in expected]
     assert result["degree"] == len(expected) - 1
     values[degree_bound + 1] += shift
     assert not dimension_polynomial_check(
-        None, 2, 1, window, degree_bound, holdout,
+        None, 2, 1, window, degree_bound,
         betti_values=values)["fits"]

@@ -123,6 +123,19 @@ class TestGenerationDegree:
         with pytest.raises(StabilityError):
             generation_degree_check(star_family, 2, 1, 6, 5)
 
+    def test_copy_labels_on_the_base_change_nothing(self, interval):
+        # a realized member carries copy labels; used as a base, its
+        # labelled vertices and edges stay in every support
+        path = make_path_graph(2)
+        labelled = Graph(path.vertices, path.edges, path.basepoint,
+                         vertex_labels=((1, (1, 1)), (2, (1, 2))),
+                         edge_labels=((0, (1, 1)), (1, (1, 2))))
+        reports = [generation_degree_check(
+            wedge_family(base, [SummandSpec(interval, (0,), (0,))]),
+            2, 1, 2, 4, search_d_min=False) for base in (path, labelled)]
+        for rep in reports:
+            assert (rep.missing_rank, rep.candidate_count) == (5, 294)
+
     def test_budget_exceeded(self, star_family):
         with pytest.raises(BudgetExceeded):
             generation_degree_check(star_family, 2, 1, 4, 5, budget=100)
@@ -193,32 +206,32 @@ class TestSupportOrbits:
 class TestPolynomialFit:
     def test_constant_dimensions(self, star_family):
         result = dimension_polynomial_check(
-            star_family, 1, 0, [2, 3, 4, 5], 1, 1,
+            star_family, 1, 0, [2, 3, 4, 5], 1,
             betti_values=[1, 1, 1, 1])
         assert result["fits"] and result["degree"] == 0
 
     def test_tree_has_no_loops(self, star_family):
         result = dimension_polynomial_check(
-            star_family, 1, 1, [2, 3, 4, 5], 1, 1)
+            star_family, 1, 1, [2, 3, 4, 5], 1)
         assert result["fits"]
         assert result["betti"] == [0, 0, 0, 0]
         assert result["coefficients"] == ["0"]
 
     def test_quadratic_star_growth(self, star_family):
         result = dimension_polynomial_check(star_family, 2, 1,
-                                            [3, 4, 5, 6, 7], 3, 1)
+                                            [3, 4, 5, 6, 7], 3)
         assert result["fits"]
         assert result["degree"] == 2
         assert result["coefficients"] == ["1", "-3", "1"]
 
     def test_budget_exceeded(self, star_family):
         with pytest.raises(BudgetExceeded):
-            dimension_polynomial_check(star_family, 2, 1, [3, 4, 5], 1, 1,
+            dimension_polynomial_check(star_family, 2, 1, [3, 4, 5], 1,
                                        budget=100)
 
     def test_window_must_be_consecutive(self, star_family):
         with pytest.raises(StabilityError):
-            dimension_polynomial_check(star_family, 2, 1, [3, 4, 6, 7], 1, 1,
+            dimension_polynomial_check(star_family, 2, 1, [3, 4, 6, 7], 1,
                                        betti_values=[1, 5, 19, 29])
 
     def test_members_are_smoothed(self, monkeypatch, triangle):
@@ -231,7 +244,7 @@ class TestPolynomialFit:
 
         monkeypatch.setattr(stability, "build_model", recording_build_model)
         family, window = interval_family(triangle), [1, 2, 3, 4, 5]
-        result = dimension_polynomial_check(family, 2, 1, window, 3, 1)
+        result = dimension_polynomial_check(family, 2, 1, window, 3)
         members = [realize_family(family, (k,)).graph for k in window]
         assert built == [smooth(g) for g in members]
         assert result["betti"] == [
@@ -240,10 +253,10 @@ class TestPolynomialFit:
 
     def test_window_too_short_rejected(self, star_family):
         with pytest.raises(StabilityError):
-            dimension_polynomial_check(star_family, 2, 1, [3, 4], 3, 1)
+            dimension_polynomial_check(star_family, 2, 1, [3, 4], 3)
 
     def test_holdout_mismatch_fails(self, star_family):
         result = dimension_polynomial_check(
-            star_family, 2, 1, [1, 2, 3, 4], 1, 1,
+            star_family, 2, 1, [1, 2, 3, 4], 1,
             betti_values=[1, 2, 3, 5])
         assert not result["fits"]
