@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .characters import stability_verdict, window_reports
@@ -48,45 +46,24 @@ class ConfigError(ValueError):
     pass
 
 
-# -- configuration -------------------------------------------------------------
+# -- arguments -----------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    command: str
-    graph_path: str | None = None
-    family_path: str | None = None
-    n: int = 0
-    q: int = 0
-    sinks: tuple = ()
-    oracle: bool = False
-    degree: int | None = None
-    sizes: int | None = None
-    window: tuple = ()
-    fit_degree: int = 3
-    qmax: int | None = None
-    budget: int = DEFAULT_CELL_BUDGET
-    out: str | None = None
-    csv_out: str | None = None
-    search_d_min: bool = True
-
-    def validate(self):
-        if self.n < 0:
-            raise ConfigError("--n must be nonnegative")
-        if self.q < 0:
-            raise ConfigError("--q must be nonnegative")
-        if self.qmax is not None and self.qmax < 0:
-            raise ConfigError("--qmax must be nonnegative")
-        if self.budget < 1:
-            raise ConfigError("--budget must be positive")
-        if self.fit_degree < 0:
-            raise ConfigError("--degree must be nonnegative")
-        if self.oracle and self.sinks:
-            raise ConfigError("the discretized cross-check model has no sinks")
-        for path in (self.graph_path, self.family_path):
-            if path is not None and not os.path.exists(path):
-                raise ConfigError(f"input file not found: {path}")
-        return self
+def check_args(args):
+    """The checks argparse cannot express; parses ``--sinks`` and
+    ``--window`` in place."""
+    if "sinks" in args:
+        args.sinks = _parse_sinks(args.sinks)
+    if "window" in args:
+        args.window = _parse_window(args.window)
+    for name in ("n", "q", "qmax", "degree"):
+        value = vars(args).get(name)
+        if value is not None and value < 0:
+            raise ConfigError(f"--{name} must be nonnegative")
+    if args.budget < 1:
+        raise ConfigError("--budget must be positive")
+    if vars(args).get("oracle") and args.sinks:
+        raise ConfigError("the discretized cross-check model has no sinks")
 
 
 def _parse_window(text):
@@ -111,12 +88,24 @@ def _parse_sinks(text):
 # -- graph / family files --------------------------------------------------------
 
 
+def _read_json(path):
+    """The JSON in an input file; a file that cannot be opened or is not
+    UTF-8 text is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"input file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc}") from exc
+
+
 def load_graph(path):
-    with open(path) as fh:
-        try:
-            return graph_from_payload(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad graph file {path}: {exc}") from exc
+    try:
+        data = _read_json(path)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad graph file {path}: {exc}") from exc
+    return graph_from_payload(data)
 
 
 def graph_from_payload(data):
@@ -132,8 +121,7 @@ def graph_to_payload(graph):
 
 def load_family(path):
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = _read_json(path)
         kind = data["kind"]
         summands = []
         for item in data["summands"]:
@@ -174,23 +162,23 @@ def canonical_json(payload):
 # -- commands ---------------------------------------------------------------------
 
 
-def _load_graph(config):
-    return normalize_loops(load_graph(config.graph_path))
+def _load_graph(args):
+    return normalize_loops(load_graph(args.graph))
 
 
-def _build_complex(config, graph):
-    if config.oracle:
-        return build_abrams_oracle(graph, config.n, budget=config.budget)
-    return build_model(graph, config.n, config.sinks, budget=config.budget)
+def _build_complex(args, graph):
+    if args.oracle:
+        return build_abrams_oracle(graph, args.n, budget=args.budget)
+    return build_model(graph, args.n, args.sinks, budget=args.budget)
 
 
-def _cmd_model(config):
-    cx = _build_complex(config, _load_graph(config))
+def _cmd_model(args):
+    cx = _build_complex(args, _load_graph(args))
     report = {
         "command": "model",
         "kind": cx.kind,
-        "n": config.n,
-        "sinks": sorted(config.sinks),
+        "n": args.n,
+        "sinks": sorted(args.sinks),
         "f_vector": cx.f_vector(),
         "euler_characteristic": cx.euler_characteristic(),
         "total_cells": cx.total_cells,
@@ -198,13 +186,13 @@ def _cmd_model(config):
     return report, True, []
 
 
-def _cmd_homology(config):
+def _cmd_homology(args):
     # homology is a topological invariant: smoothing keeps the space
-    cx = _build_complex(config, smooth(_load_graph(config), config.sinks))
-    pres = homology(cx, config.q, basis=False)
+    cx = _build_complex(args, smooth(_load_graph(args), args.sinks))
+    pres = homology(cx, args.q, basis=False)
     report = {
         "command": "homology",
-        "q": config.q,
+        "q": args.q,
         "betti": pres.betti,
         "torsion": list(pres.torsion),
         "cells": cx.f_vector(),
@@ -212,17 +200,17 @@ def _cmd_homology(config):
     return report, True, []
 
 
-def _cmd_oracle_compare(config):
-    graph = smooth(_load_graph(config))
-    qmax = config.qmax if config.qmax is not None else min(config.n, 2)
-    cx = build_model(graph, config.n, budget=config.budget)
+def _cmd_oracle_compare(args):
+    graph = smooth(_load_graph(args))
+    qmax = args.qmax if args.qmax is not None else min(args.n, 2)
+    cx = build_model(graph, args.n, budget=args.budget)
     model_betti = betti_numbers(cx, qmax)
-    oracle_betti = oracle_betti_numbers(graph, config.n, qmax,
-                                        budget=config.budget)
+    oracle_betti = oracle_betti_numbers(graph, args.n, qmax,
+                                        budget=args.budget)
     match = model_betti == oracle_betti
     report = {
         "command": "oracle-compare",
-        "n": config.n,
+        "n": args.n,
         "qmax": qmax,
         "model_betti": model_betti,
         "oracle_betti": oracle_betti,
@@ -232,13 +220,11 @@ def _cmd_oracle_compare(config):
     return report, match, []
 
 
-def _cmd_generation_check(config):
-    descriptor = load_family(config.family_path)
-    if config.degree is None or config.sizes is None:
-        raise ConfigError("generation-check needs --d and --K")
+def _cmd_generation_check(args):
+    descriptor = load_family(args.family)
     rep = generation_degree_check(
-        descriptor, config.n, config.q, config.degree, config.sizes,
-        budget=config.budget, search_d_min=config.search_d_min)
+        descriptor, args.n, args.q, args.d, args.K,
+        budget=args.budget, search_d_min=not args.no_dmin_search)
     if rep.generates_over_Q and not rep.generates_over_Z:
         print("warning: candidates span over Q but not over Z; "
               "a torsion obstruction is in the way", file=sys.stderr)
@@ -253,14 +239,14 @@ def _cmd_generation_check(config):
     return report, bool(ok), rows
 
 
-def _cmd_tree_generators(config):
-    graph = load_graph(config.graph_path)
-    result, supports = verify_tree_generators(graph, config.n, config.q,
-                                              budget=config.budget)
+def _cmd_tree_generators(args):
+    graph = load_graph(args.graph)
+    result, supports = verify_tree_generators(graph, args.n, args.q,
+                                              budget=args.budget)
     report = {
         "command": "tree-generators",
-        "n": config.n,
-        "q": config.q,
+        "n": args.n,
+        "q": args.q,
         "generates_over_Q": result.generates_over_Q,
         "generates_over_Z": result.generates_over_Z,
         "missing_rank": result.missing_rank,
@@ -270,20 +256,20 @@ def _cmd_tree_generators(config):
     return report, result.generates_over_Z, []
 
 
-def _cmd_rep_stability(config):
-    descriptor = load_family(config.family_path)
+def _cmd_rep_stability(args):
+    descriptor = load_family(args.family)
     if descriptor.kind != WEDGE_FI:
         raise ConfigError("rep-stability needs a wedge family: only there "
                           "does S_k act by permuting the summand copies")
     if descriptor.arity != 1:
         raise ConfigError("rep-stability windows run over one-coordinate "
                           "families only")
-    if len(config.window) < 2:
+    if len(args.window) < 2:
         raise ConfigError("rep-stability needs a window of at least two sizes")
-    reports = window_reports(descriptor, config.n, config.q, config.window,
-                             budget=config.budget)
+    reports = window_reports(descriptor, args.n, args.q, args.window,
+                             budget=args.budget)
     per_k = []
-    for k, rep in zip(config.window, reports):
+    for k, rep in zip(args.window, reports):
         per_k.append({
             "k": k,
             "betti": rep.betti,
@@ -301,9 +287,9 @@ def _cmd_rep_stability(config):
     verdict = stability_verdict(reports)
     report = {
         "command": "rep-stability",
-        "n": config.n,
-        "q": config.q,
-        "window": list(config.window),
+        "n": args.n,
+        "q": args.q,
+        "window": list(args.window),
         "stable": verdict["stable"],
         "table": [
             {"lambda": list(lam), "multiplicities": list(row)}
@@ -313,7 +299,7 @@ def _cmd_rep_stability(config):
         "per_k": per_k,
     }
     rows = [["k", "betti"] + [str(list(lam)) for lam in sorted(verdict["table"])]]
-    for i, k in enumerate(config.window):
+    for i, k in enumerate(args.window):
         rows.append([k, reports[i].betti] +
                     [verdict["table"][lam][i] for lam in sorted(verdict["table"])])
     return report, verdict["stable"], rows
@@ -324,12 +310,12 @@ def _padded_label(lam, k):
     return list(pad(lam, k)) if pad_is_valid(lam, k) else None
 
 
-def _cmd_poly_fit(config):
-    descriptor = load_family(config.family_path)
+def _cmd_poly_fit(args):
+    descriptor = load_family(args.family)
     result = dimension_polynomial_check(
-        descriptor, config.n, config.q, list(config.window),
-        config.fit_degree, budget=config.budget)
-    report = {"command": "poly-fit", "n": config.n, "q": config.q, **result}
+        descriptor, args.n, args.q, list(args.window),
+        args.degree, budget=args.budget)
+    report = {"command": "poly-fit", "n": args.n, "q": args.q, **result}
     rows = [["k", "betti", "predicted"]]
     for k, b, p in zip(result["window"], result["betti"], result["predicted"]):
         rows.append([k, b, p])
@@ -407,76 +393,43 @@ def build_parser():
     p = sub.add_parser("poly-fit", help="exact polynomial fit of Betti growth")
     common(p, family=True)
     p.add_argument("--window", required=True, help="k0..k1")
-    p.add_argument("--degree", type=int, default=3, dest="fit_degree")
+    p.add_argument("--degree", type=int, default=3)
     return parser
 
 
-def config_from_args(args):
-    cfg = RunConfig(
-        command=args.command,
-        graph_path=getattr(args, "graph", None),
-        family_path=getattr(args, "family", None),
-        n=args.n,
-        q=getattr(args, "q", 0),
-        sinks=_parse_sinks(getattr(args, "sinks", "")),
-        oracle=getattr(args, "oracle", False),
-        degree=getattr(args, "d", None),
-        sizes=getattr(args, "K", None),
-        window=_parse_window(args.window) if getattr(args, "window", None) else (),
-        fit_degree=getattr(args, "fit_degree", 3),
-        qmax=getattr(args, "qmax", None),
-        budget=args.budget,
-        out=args.out,
-        csv_out=args.csv_out,
-        search_d_min=not getattr(args, "no_dmin_search", False),
-    )
-    return cfg.validate()
-
-
-def run(config):
-    """Dispatch a validated config; returns (report, ok, csv_rows)."""
-    handler = COMMANDS.get(config.command)
-    if handler is None:
-        raise ConfigError(f"unknown command {config.command!r}")
+def run(args):
+    """Dispatch checked arguments; returns (report, ok, csv_rows)."""
     started = time.perf_counter()
-    report, ok, rows = handler(config)
+    report, ok, rows = COMMANDS[args.command](args)
     report["ok"] = bool(ok)
     report["elapsed_seconds"] = round(time.perf_counter() - started, 3)
     report["code_version"] = __version__
     return report, ok, rows
 
 
-def _emit(config, report, rows):
+def _emit(args, report, rows):
     text = json.dumps(report, indent=2, sort_keys=True)
-    if config.out:
-        with open(config.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    if config.csv_out and rows:
-        with open(config.csv_out, "w", newline="") as fh:
+    if args.csv_out and rows:
+        with open(args.csv_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerows(rows)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report, ok, rows = run(config)
+        check_args(args)
+        report, ok, rows = run(args)
     except BudgetExceeded as exc:
         print(json.dumps({"error": "budget-exceeded", "detail": str(exc),
-                          "command": config.command}, indent=2))
+                          "command": args.command}, indent=2))
         return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, ModelError, StabilityError) as exc:
+    except (ConfigError, GraphError, ModelError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
@@ -484,7 +437,7 @@ def main(argv=None):
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
     try:
-        _emit(config, report, rows)
+        _emit(args, report, rows)
     except OSError as exc:
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2

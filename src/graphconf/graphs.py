@@ -18,10 +18,6 @@ class GraphError(ValueError):
     """Invalid graph construction or argument."""
 
 
-def _freeze_labels(labels):
-    return tuple(sorted(labels.items()))
-
-
 def _json_labels(value):
     """A labels object of a graph file; absent or null reads as empty."""
     if value is None:
@@ -38,7 +34,7 @@ def _labels_from_json(labels):
         if not isinstance(value, list):
             raise GraphError(f"label {value!r} of {key} is not a list")
     try:
-        return _freeze_labels({int(k): tuple(v) for k, v in labels.items()})
+        return tuple(sorted((int(k), tuple(v)) for k, v in labels.items()))
     except ValueError as exc:
         raise GraphError(f"label keys must be integers: {exc}") from exc
 
@@ -287,7 +283,8 @@ def make_spider(legs_a=2, legs_b=3, bridge=1):
 
 def subdivide(g, t, edges=None):
     """Replace every edge, or each edge numbered in ``edges``, by a path of
-    t edges.  t = 1, or no edge to replace, returns g unchanged."""
+    t edges.  t = 1, or no edge to replace, returns g unchanged; otherwise
+    the result keeps g's basepoint and carries no labels."""
     if t < 1:
         raise GraphError("subdivision factor must be >= 1")
     if t == 1 or edges is not None and not edges:
@@ -295,30 +292,14 @@ def subdivide(g, t, edges=None):
     verts = list(g.vertices)
     next_id = max(verts) + 1 if verts else 0
     new_edges = []
-    vlabels = dict(g.vertex_labels)
-    elabels = {}
-    old_elabels = dict(g.edge_labels)
     for i, (a, b) in enumerate(g.edges):
         pieces = t if edges is None or i in edges else 1
-        chain = [a]
-        for _ in range(pieces - 1):
-            verts.append(next_id)
-            if i in old_elabels:
-                vlabels[next_id] = old_elabels[i]
-            chain.append(next_id)
-            next_id += 1
-        chain.append(b)
-        for j in range(pieces):
-            if i in old_elabels:
-                elabels[len(new_edges)] = old_elabels[i]
-            new_edges.append((chain[j], chain[j + 1]))
-    return Graph(
-        vertices=tuple(verts),
-        edges=tuple(new_edges),
-        basepoint=g.basepoint,
-        vertex_labels=_freeze_labels(vlabels),
-        edge_labels=_freeze_labels(elabels),
-    )
+        chain = [a, *range(next_id, next_id + pieces - 1), b]
+        verts.extend(chain[1:-1])
+        next_id += pieces - 1
+        new_edges.extend(zip(chain, chain[1:]))
+    return Graph(vertices=tuple(verts), edges=tuple(new_edges),
+                 basepoint=g.basepoint)
 
 
 def normalize_loops(g):
@@ -401,13 +382,13 @@ def _check_marked_subgraph(g, marked_vertices, marked_edges, side):
         raise GraphError(f"{side}: vertex-only glueing must identify a single vertex")
 
 
-def glue_with_maps(a, b, vertex_map, edge_map=None, label=None):
+def glue_with_maps(a, b, vertex_map, edge_map=None):
     """Glue b onto a along the correspondence b-subgraph -> a-subgraph.
 
     ``vertex_map`` maps marked b-vertices to a-vertices; ``edge_map`` maps
     marked b-edges to a-edges (empty for a point glueing).  Returns the new
     graph plus the embedding of all of b into it (vertex and edge maps).
-    New parts coming from b get ``label`` when given.
+    The new graph keeps a's ids and basepoint and carries no labels.
     """
     edge_map = dict(edge_map or {})
     vertex_map = dict(vertex_map)
@@ -422,34 +403,22 @@ def glue_with_maps(a, b, vertex_map, edge_map=None, label=None):
     verts = list(a.vertices)
     next_id = max(verts) + 1 if verts else 0
     vmap = {}
-    vlabels = dict(a.vertex_labels)
     for v in b.vertices:
         if v in vertex_map:
             vmap[v] = vertex_map[v]
         else:
             vmap[v] = next_id
             verts.append(next_id)
-            if label is not None:
-                vlabels[next_id] = label
             next_id += 1
     edges = list(a.edges)
-    elabels = dict(a.edge_labels)
     emap = {}
     for i, (u, v) in enumerate(b.edges):
         if i in edge_map:
             emap[i] = edge_map[i]
         else:
             emap[i] = len(edges)
-            if label is not None:
-                elabels[len(edges)] = label
             edges.append((vmap[u], vmap[v]))
-    out = Graph(
-        vertices=tuple(verts),
-        edges=tuple(edges),
-        basepoint=a.basepoint,
-        vertex_labels=_freeze_labels(vlabels),
-        edge_labels=_freeze_labels(elabels),
-    )
+    out = Graph(vertices=tuple(verts), edges=tuple(edges), basepoint=a.basepoint)
     return out, vmap, emap
 
 
@@ -603,19 +572,14 @@ def _backbone(kind, k):
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """A realized family member with its summand bookkeeping."""
+    """A realized family member.  ``copies`` maps each (coord, copy) to the
+    vertex map and edge map embedding that copy of the coordinate's summand
+    in ``graph``."""
 
     descriptor: FamilyDescriptor
     sizes: tuple
     graph: Graph
-    copy_vertex_maps: tuple   # sorted (((coord, copy), ((summand vid, vid), ...)), ...)
-    copy_edge_maps: tuple
-
-    def copy_vmap(self, coord, copy):
-        return dict(dict(self.copy_vertex_maps)[(coord, copy)])
-
-    def copy_emap(self, coord, copy):
-        return dict(dict(self.copy_edge_maps)[(coord, copy)])
+    copies: dict
 
     def base_part(self):
         """Vertices and edges not belonging to any summand copy: those of
@@ -634,26 +598,24 @@ class FamilyInstance:
         vmap = {v: v for v in self.graph.vertices}
         emap = {e: e for e in range(self.graph.n_edges)}
         for m, m2 in perm.items():
-            src_v = self.copy_vmap(coord, m)
-            dst_v = self.copy_vmap(coord, m2)
+            src_v, src_e = self.copies[coord, m]
+            dst_v, dst_e = self.copies[coord, m2]
             for sv, gv in src_v.items():
                 vmap[gv] = dst_v[sv]
-            src_e = self.copy_emap(coord, m)
-            dst_e = self.copy_emap(coord, m2)
             for se, ge in src_e.items():
                 emap[ge] = dst_e[se]
         return vmap, emap
 
 
 def realize_family(descriptor, sizes):
-    """Assemble the family member at the given sizes, labelling each copy."""
+    """Assemble the family member at the given sizes, recording where each
+    summand copy lands."""
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != descriptor.arity:
         raise GraphError(f"expected {descriptor.arity} sizes, got {len(sizes)}")
     if any(s < 0 for s in sizes):
         raise GraphError("sizes must be nonnegative")
-    cv_maps = {}
-    ce_maps = {}
+    copies = {}
 
     if descriptor.kind == WEDGE_FI:
         g = descriptor.base
@@ -661,27 +623,17 @@ def realize_family(descriptor, sizes):
             vertex_map = dict(zip(spec.summand_vertices, spec.base_vertices))
             edge_map = dict(zip(spec.summand_edges, spec.base_edges))
             for m in range(1, sizes[i - 1] + 1):
-                g, vmap, emap = glue_with_maps(g, spec.graph, vertex_map,
-                                               edge_map, label=(i, m))
-                cv_maps[(i, m)] = tuple(sorted(vmap.items()))
-                ce_maps[(i, m)] = tuple(sorted(emap.items()))
+                g, vmap, emap = glue_with_maps(g, spec.graph, vertex_map, edge_map)
+                copies[i, m] = vmap, emap
     else:
         k = sizes[0]
         summand = descriptor.summands[0].graph
         g, attach = _backbone(descriptor.kind, k)
         for m in range(1, k + 1):
             g, vmap, emap = glue_with_maps(
-                g, summand, {summand.basepoint: attach[m - 1]}, label=(1, m))
-            cv_maps[(1, m)] = tuple(sorted(vmap.items()))
-            ce_maps[(1, m)] = tuple(sorted(emap.items()))
-
-    return FamilyInstance(
-        descriptor=descriptor,
-        sizes=sizes,
-        graph=g,
-        copy_vertex_maps=tuple(sorted(cv_maps.items())),
-        copy_edge_maps=tuple(sorted(ce_maps.items())),
-    )
+                g, summand, {summand.basepoint: attach[m - 1]})
+            copies[1, m] = vmap, emap
+    return FamilyInstance(descriptor, sizes, g, copies)
 
 
 def support_subgraphs(instance, degrees):
@@ -703,8 +655,9 @@ def support_subgraphs(instance, degrees):
         edges = set(base_e)
         for i, copies in enumerate(choice, start=1):
             for m in copies:
-                verts.update(dict(instance.copy_vmap(i, m)).values())
-                edges.update(dict(instance.copy_emap(i, m)).values())
+                vmap, emap = instance.copies[i, m]
+                verts.update(vmap.values())
+                edges.update(emap.values())
         out.append(Subgraph(instance.graph, frozenset(verts), frozenset(edges)))
     return out
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -46,6 +48,19 @@ def run_cli(capsys, *argv):
     return code, json.loads(out) if out.strip().startswith("{") else out
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def matches_golden(out, golden):
+    """Whether a printed report equals a golden one, less the lines that
+    vary from run to run (time taken, code version)."""
+    lines = [line for line in out.splitlines(True)
+             if not line.startswith(('  "elapsed_seconds": ',
+                                     '  "code_version": '))]
+    with open(os.path.join(GOLDEN_DIR, golden)) as fh:
+        return "".join(lines) == fh.read()
+
+
 class TestCommands:
     def test_model_reproduces_sink_figure(self, capsys, interval_file):
         code, rep = run_cli(capsys, "model", "--graph", interval_file,
@@ -67,6 +82,20 @@ class TestCommands:
                             "--n", "2")
         assert code == 0
         assert rep["verdict"] == "MATCH"
+
+    def test_parser_defaults(self, capsys, graph_file, star_family_file):
+        # each default is declared once, in build_parser
+        code, rep = run_cli(capsys, "homology", "--graph", graph_file,
+                            "--n", "2")
+        assert (code, rep["q"]) == (0, 1)
+        code, rep = run_cli(capsys, "oracle-compare", "--graph", graph_file,
+                            "--n", "2")
+        assert (code, rep["qmax"]) == (0, 2)
+        assert main(["poly-fit", "--family", star_family_file, "--n", "2",
+                     "--q", "1", "--window", "3..7"]) == 0
+        assert matches_golden(capsys.readouterr().out,
+                              "poly_fit_star_family.json")
+        assert main(["model", "--graph", graph_file, "--n", "2"]) == 0
 
     def test_invariant_commands_smooth_the_graph(self, capsys, monkeypatch,
                                                  tmp_path, triangle):
@@ -285,6 +314,34 @@ class TestExitCodes:
         assert main(["model", "--graph", graph_file, "--n", "2",
                      "--sinks", "0", "--oracle"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("model", "--graph"),
+        ("rep-stability", "--window", "2..3", "--family"),
+        ("poly-fit", "--window", "3..7", "--family"),
+    ], ids=["model", "rep-stability", "poly-fit"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_input_is_config_error(self, capsys, tmp_path, argv,
+                                              kind):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe")
+        assert main([*argv, str(path), "--n", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unreadable_input_exits_two_from_the_process(self, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphconf.cli", "model",
+             "--graph", str(tmp_path), "--n", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr[:7]) == ("", "error: ")
+
     def test_malformed_graph_json_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"vertices": [0, 1], "edges": [[0, 1]')
@@ -431,12 +488,8 @@ class TestExitCodes:
         assert type(error).__name__ in lines[0]
 
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-
-
 class TestGoldenReports:
-    """Whole reports of the star family, byte for byte as printed, less
-    the lines that vary from run to run (time taken, code version)."""
+    """Whole reports of the star family, byte for byte as printed."""
 
     @pytest.mark.parametrize("argv,golden", [
         (("generation-check", "--n", "2", "--q", "1", "--d", "4", "--K", "5"),
@@ -449,11 +502,7 @@ class TestGoldenReports:
     ], ids=["generation-check", "poly-fit", "rep-stability"])
     def test_report_is_unchanged(self, capsys, star_family_file, argv, golden):
         assert main([argv[0], "--family", star_family_file, *argv[1:]]) == 0
-        lines = [line for line in capsys.readouterr().out.splitlines(True)
-                 if not line.startswith(('  "elapsed_seconds": ',
-                                         '  "code_version": '))]
-        with open(os.path.join(GOLDEN_DIR, golden)) as fh:
-            assert "".join(lines) == fh.read()
+        assert matches_golden(capsys.readouterr().out, golden)
 
 
 class TestPayloads:

@@ -241,8 +241,11 @@ class TestTwoCoordinateFamilies:
     def test_realization_is_a_star(self, two_leg_family):
         inst = realize_family(two_leg_family, (2, 3))
         assert inst.graph.valence(0) == 5
-        labels = {l for _, l in inst.graph.edge_labels}
-        assert labels == {(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)}
+        assert set(inst.copies) == {(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)}
+        owned = [e for _, emap in inst.copies.values() for e in emap.values()]
+        # each copy owns one edge, and together they own every edge
+        assert all(len(emap) == 1 for _, emap in inst.copies.values())
+        assert sorted(owned) == list(range(inst.graph.n_edges))
 
     def test_componentwise_generation(self, two_leg_family):
         rep = generation_degree_check(two_leg_family, 2, 1, (2, 2), (3, 3),

@@ -238,7 +238,33 @@ class TestFamilies:
         g = inst.graph
         assert (g.n_vertices, g.n_edges) == (5, 4)
         assert g.valence(0) == 4
-        assert len(dict(g.edge_labels)) == 4
+        # 4 copies, each owning one edge of its own
+        assert sorted(inst.copies) == [(1, 1), (1, 2), (1, 3), (1, 4)]
+        assert all(len(emap) == 1 for _, emap in inst.copies.values())
+        assert sorted(e for _, emap in inst.copies.values()
+                      for e in emap.values()) == [0, 1, 2, 3]
+
+    def test_member_on_a_realized_base_has_no_labels(self, star_family,
+                                                     interval):
+        # member 2 of the star family as a base; copies are recorded in
+        # ``copies`` only, so the base's copies do not reappear as labels
+        base = realize_family(star_family, (2,)).graph
+        fam = wedge_family(base, [SummandSpec(interval, (0,), (0,))])
+        inst = realize_family(fam, (2,))
+        g = inst.graph
+        assert g.vertex_labels == () and g.edge_labels == ()
+        assert json.loads(g.to_json())["labels"] == {"vertices": {},
+                                                     "edges": {}}
+        new_v = set(g.vertices) - set(base.vertices)
+        new_e = set(range(g.n_edges)) - set(range(base.n_edges))
+        v_images = [set(vmap.values()) for vmap, _ in inst.copies.values()]
+        e_images = [set(emap.values()) for _, emap in inst.copies.values()]
+        for v in new_v:
+            assert sum(v in image for image in v_images) == 1
+        for e in new_e:
+            assert sum(e in image for image in e_images) == 1
+        assert set().union(*v_images) - set(base.vertices) == new_v
+        assert set().union(*e_images) == new_e
 
     def test_wedge_edge_count_formula(self, triangle):
         fam = wedge_family(triangle, [SummandSpec(make_star(2), (0,), (0,))])
