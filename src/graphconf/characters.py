@@ -193,7 +193,8 @@ def unpad(lam):
 
 def homology_character(complex_, presentation, instance, perm):
     """Exact trace of the action of a summand permutation on free homology."""
-    vmap, emap = instance.summand_automorphism(1, perm)
+    vmap, emap = instance.copy_automorphism(
+        {(1, m): (1, c) for m, c in perm.items()})
     chain_map = permutation_action_map(complex_, vmap, emap)
     return chain_map.homology_trace(presentation)
 

@@ -80,9 +80,12 @@ def _parse_sinks(text):
     if not text:
         return ()
     try:
-        return tuple(int(v) for v in text.split(","))
+        sinks = tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad sink list {text!r}") from exc
+    if len(set(sinks)) != len(sinks):
+        raise ConfigError(f"repeated vertex in sink list {text!r}")
+    return sinks
 
 
 # -- graph / family files --------------------------------------------------------
@@ -344,7 +347,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=False, family=False, q=True):
+    def common(p, graph=False, family=False, q=True, table=False):
         if graph:
             p.add_argument("--graph", required=True, help="graph JSON file")
         if family:
@@ -355,8 +358,9 @@ def build_parser():
         p.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET,
                        help="cell budget per complex")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--csv", dest="csv_out", default=None,
-                       help="write the CSV table here")
+        if table:
+            p.add_argument("--csv", dest="csv_out", default=None,
+                           help="write the CSV table here")
 
     p = sub.add_parser("model", help="build a configuration model")
     common(p, graph=True, q=False)
@@ -376,7 +380,7 @@ def build_parser():
 
     p = sub.add_parser("generation-check",
                        help="finite-generation span check for a family")
-    common(p, family=True)
+    common(p, family=True, table=True)
     p.add_argument("--d", type=int, required=True, help="candidate degree")
     p.add_argument("--K", type=int, required=True, help="window size")
     p.add_argument("--no-dmin-search", action="store_true")
@@ -387,11 +391,11 @@ def build_parser():
 
     p = sub.add_parser("rep-stability",
                        help="character multiplicities over a window")
-    common(p, family=True)
+    common(p, family=True, table=True)
     p.add_argument("--window", required=True, help="k0..k1")
 
     p = sub.add_parser("poly-fit", help="exact polynomial fit of Betti growth")
-    common(p, family=True)
+    common(p, family=True, table=True)
     p.add_argument("--window", required=True, help="k0..k1")
     p.add_argument("--degree", type=int, default=3)
     return parser
@@ -414,8 +418,9 @@ def _emit(args, report, rows):
             fh.write(text + "\n")
     else:
         print(text)
-    if args.csv_out and rows:
-        with open(args.csv_out, "w", newline="") as fh:
+    csv_out = vars(args).get("csv_out")
+    if csv_out and rows:
+        with open(csv_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerows(rows)
 

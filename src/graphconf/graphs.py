@@ -117,60 +117,36 @@ class Graph:
             adj[b].append((a, i))
         return adj
 
-    def components(self):
+    def _bfs(self, u):
+        """Breadth-first walk from u: each vertex reached, mapped to the
+        (vertex, edge id) it was reached from (None at u)."""
         adj = self.adjacency()
-        seen = set()
-        comps = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            comp = []
-            stack = [v]
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w, _ in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        prev = {u: None}
+        queue = [u]
+        for x in queue:
+            for y, e in adj[x]:
+                if y not in prev:
+                    prev[y] = x, e
+                    queue.append(y)
+        return prev
 
     def is_connected(self):
-        return len(self.components()) <= 1
+        return not self.vertices or \
+            len(self._bfs(self.vertices[0])) == self.n_vertices
 
     def is_tree(self):
         return self.is_connected() and self.n_edges == self.n_vertices - 1
 
     def tree_path(self, u, w):
-        """Vertex path from u to w (BFS shortest path; unique in a tree)."""
-        if u == w:
-            return [u]
-        adj = self.adjacency()
-        prev = {u: None}
-        queue = [u]
-        while queue:
-            nxt = []
-            for x in queue:
-                for y, _ in adj[x]:
-                    if y not in prev:
-                        prev[y] = x
-                        if y == w:
-                            path = [w]
-                            while path[-1] != u:
-                                path.append(prev[path[-1]])
-                            return path[::-1]
-                        nxt.append(y)
-            queue = nxt
-        raise GraphError(f"no path from {u} to {w}")
-
-    def edge_between(self, a, b):
-        """Index of the unique edge with endpoint set {a, b}; error if not unique."""
-        hits = [i for i, (x, y) in enumerate(self.edges) if {x, y} == {a, b}]
-        if len(hits) != 1:
-            raise GraphError(f"edge between {a} and {b} not unique ({len(hits)} found)")
-        return hits[0]
+        """Edge ids of the BFS shortest path from u to w (unique in a tree)."""
+        prev = self._bfs(u)
+        if w not in prev:
+            raise GraphError(f"no path from {u} to {w}")
+        path = []
+        while prev[w] is not None:
+            w, e = prev[w]
+            path.append(e)
+        return path[::-1]
 
     # -- serialization ---------------------------------------------------
 
@@ -283,12 +259,10 @@ def make_spider(legs_a=2, legs_b=3, bridge=1):
 
 def subdivide(g, t, edges=None):
     """Replace every edge, or each edge numbered in ``edges``, by a path of
-    t edges.  t = 1, or no edge to replace, returns g unchanged; otherwise
-    the result keeps g's basepoint and carries no labels."""
+    t edges.  The result is a new graph that keeps g's basepoint and
+    carries no labels."""
     if t < 1:
         raise GraphError("subdivision factor must be >= 1")
-    if t == 1 or edges is not None and not edges:
-        return g
     verts = list(g.vertices)
     next_id = max(verts) + 1 if verts else 0
     new_edges = []
@@ -517,31 +491,19 @@ class FamilyDescriptor:
 
     @property
     def arity(self):
-        return len(self.summands) if self.kind == WEDGE_FI else 1
-
-    def all_trees(self):
-        """Whether every constituent graph (base, summands, glued parts) is a tree."""
-        if self.kind != WEDGE_FI:
-            return False
-        if not self.base.is_tree():
-            return False
-        return all(spec.graph.is_tree() for spec in self.summands)
-
-    def point_glued(self):
-        if self.kind != WEDGE_FI:
-            return False
-        return all(len(spec.summand_vertices) == 1 and not spec.summand_edges
-                   for spec in self.summands)
+        return len(self.summands)
 
     def generation_bound(self, n):
-        """Per-coordinate finite-generation degree asserted for this family."""
+        """Per-coordinate finite-generation degree asserted for this family:
+        2n when base and summands are trees, 3n when every summand glues at
+        a single vertex."""
         if self.kind == INTERVAL_DELTA:
             return n
         if self.kind == CIRCLE_LAMBDA:
             return 6 * n
-        if self.all_trees():
+        if self.base.is_tree() and all(s.graph.is_tree() for s in self.summands):
             return 2 * n
-        if self.point_glued():
+        if not any(s.summand_edges for s in self.summands):
             return 3 * n
         return None
 
@@ -574,32 +536,26 @@ def _backbone(kind, k):
 class FamilyInstance:
     """A realized family member.  ``copies`` maps each (coord, copy) to the
     vertex map and edge map embedding that copy of the coordinate's summand
-    in ``graph``."""
+    in ``graph``; ``base_part`` holds the vertices and edges of the graph
+    the copies glue onto, whose ids glueing keeps."""
 
     descriptor: FamilyDescriptor
     sizes: tuple
     graph: Graph
     copies: dict
+    base_part: tuple    # (frozenset of vertices, frozenset of edge ids)
 
-    def base_part(self):
-        """Vertices and edges not belonging to any summand copy: those of
-        the graph the copies glue onto, whose ids glueing keeps."""
-        base = self.descriptor.base if self.descriptor.kind == WEDGE_FI \
-            else _backbone(self.descriptor.kind, self.sizes[0])[0]
-        return frozenset(base.vertices), frozenset(range(base.n_edges))
-
-    def summand_automorphism(self, coord, perm):
-        """Vertex/edge maps of the graph automorphism permuting copies of one
-        coordinate by ``perm`` (a dict copy index -> copy index)."""
-        sizes_i = self.sizes[coord - 1]
-        if sorted(perm) != list(range(1, sizes_i + 1)) or \
-                sorted(perm.values()) != list(range(1, sizes_i + 1)):
-            raise GraphError("not a permutation of the copy indices")
+    def copy_automorphism(self, perm):
+        """Vertex/edge maps of the graph automorphism carrying copy (i, m)
+        onto copy ``perm[i, m]``; copies ``perm`` does not name stay put.
+        ``perm`` must permute its keys within each coordinate."""
+        if set(perm.values()) != set(perm) or not self.copies.keys() >= set(perm) \
+                or any(i != j for (i, _), (j, _) in perm.items()):
+            raise GraphError("not a permutation of the copies of each coordinate")
         vmap = {v: v for v in self.graph.vertices}
         emap = {e: e for e in range(self.graph.n_edges)}
-        for m, m2 in perm.items():
-            src_v, src_e = self.copies[coord, m]
-            dst_v, dst_e = self.copies[coord, m2]
+        for src, dst in perm.items():
+            (src_v, src_e), (dst_v, dst_e) = self.copies[src], self.copies[dst]
             for sv, gv in src_v.items():
                 vmap[gv] = dst_v[sv]
             for se, ge in src_e.items():
@@ -609,31 +565,53 @@ class FamilyInstance:
 
 def realize_family(descriptor, sizes):
     """Assemble the family member at the given sizes, recording where each
-    summand copy lands."""
+    summand copy lands.  A wedge copy glues at its spec's marks onto the
+    base; interval/circle copy m glues its basepoint at the m-th attaching
+    vertex of the backbone."""
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != descriptor.arity:
         raise GraphError(f"expected {descriptor.arity} sizes, got {len(sizes)}")
     if any(s < 0 for s in sizes):
         raise GraphError("sizes must be nonnegative")
-    copies = {}
-
     if descriptor.kind == WEDGE_FI:
         g = descriptor.base
-        for i, spec in enumerate(descriptor.summands, start=1):
-            vertex_map = dict(zip(spec.summand_vertices, spec.base_vertices))
-            edge_map = dict(zip(spec.summand_edges, spec.base_edges))
-            for m in range(1, sizes[i - 1] + 1):
-                g, vmap, emap = glue_with_maps(g, spec.graph, vertex_map, edge_map)
-                copies[i, m] = vmap, emap
+        glued = [((i, m), spec) for i, spec in enumerate(descriptor.summands, 1)
+                 for m in range(1, sizes[i - 1] + 1)]
     else:
-        k = sizes[0]
-        summand = descriptor.summands[0].graph
-        g, attach = _backbone(descriptor.kind, k)
-        for m in range(1, k + 1):
-            g, vmap, emap = glue_with_maps(
-                g, summand, {summand.basepoint: attach[m - 1]})
-            copies[1, m] = vmap, emap
-    return FamilyInstance(descriptor, sizes, g, copies)
+        g, attach = _backbone(descriptor.kind, sizes[0])
+        h = descriptor.summands[0].graph
+        glued = [((1, m), SummandSpec(h, (h.basepoint,), (v,)))
+                 for m, v in enumerate(attach, 1)]
+    base_part = frozenset(g.vertices), frozenset(range(g.n_edges))
+    copies = {}
+    for key, spec in glued:
+        g, vmap, emap = glue_with_maps(
+            g, spec.graph, dict(zip(spec.summand_vertices, spec.base_vertices)),
+            dict(zip(spec.summand_edges, spec.base_edges)))
+        copies[key] = vmap, emap
+    return FamilyInstance(descriptor, sizes, g, copies, base_part)
+
+
+def _copy_choices(instance, degrees):
+    """The copies each degree-``degrees`` support takes, per coordinate."""
+    degrees = tuple(int(d) for d in degrees)
+    if len(degrees) != instance.descriptor.arity:
+        raise GraphError("degree tuple arity mismatch")
+    if not all(0 <= d <= k for d, k in zip(degrees, instance.sizes)):
+        raise GraphError("degrees must satisfy 0 <= d <= size componentwise")
+    return list(product(*(combinations(range(1, k + 1), d)
+                          for d, k in zip(degrees, instance.sizes))))
+
+
+def _support(instance, choice):
+    """The base part plus the copies ``choice`` takes in each coordinate."""
+    verts, edges = map(set, instance.base_part)
+    for i, chosen in enumerate(choice, start=1):
+        for m in chosen:
+            vmap, emap = instance.copies[i, m]
+            verts.update(vmap.values())
+            edges.update(emap.values())
+    return Subgraph(instance.graph, frozenset(verts), frozenset(edges))
 
 
 def support_subgraphs(instance, degrees):
@@ -642,30 +620,7 @@ def support_subgraphs(instance, degrees):
     Injections from smaller objects factor through degree-d objects, so these
     supports are exactly the images that matter for span checks.
     """
-    degrees = tuple(int(d) for d in degrees)
-    if len(degrees) != instance.descriptor.arity:
-        raise GraphError("degree tuple arity mismatch")
-    for d, k in zip(degrees, instance.sizes):
-        if d < 0 or d > k:
-            raise GraphError("degrees must satisfy 0 <= d <= size componentwise")
-    base_v, base_e = instance.base_part()
-    out = []
-    for choice in _copy_choices(instance, degrees):
-        verts = set(base_v)
-        edges = set(base_e)
-        for i, copies in enumerate(choice, start=1):
-            for m in copies:
-                vmap, emap = instance.copies[i, m]
-                verts.update(vmap.values())
-                edges.update(emap.values())
-        out.append(Subgraph(instance.graph, frozenset(verts), frozenset(edges)))
-    return out
-
-
-def _copy_choices(instance, degrees):
-    """The copies each degree-``degrees`` support takes, per coordinate."""
-    return product(*(combinations(range(1, k + 1), int(d))
-                     for d, k in zip(degrees, instance.sizes)))
+    return [_support(instance, choice) for choice in _copy_choices(instance, degrees)]
 
 
 def support_orbits(instance, degrees):
@@ -677,14 +632,10 @@ def support_orbits(instance, degrees):
     if instance.descriptor.kind != WEDGE_FI:
         return [(sub, []) for sub in supports]
     maps = []
-    for choice in list(_copy_choices(instance, degrees))[1:]:
-        vmap = {v: v for v in instance.graph.vertices}
-        emap = {e: e for e in range(instance.graph.n_edges)}
-        for coord, (copies, k) in enumerate(zip(choice, instance.sizes), 1):
-            rest = tuple(m for m in range(1, k + 1) if m not in copies)
-            cv, ce = instance.summand_automorphism(
-                coord, dict(zip(range(1, k + 1), copies + rest)))
-            vmap = {v: cv[w] for v, w in vmap.items()}
-            emap = {e: ce[f] for e, f in emap.items()}
-        maps.append((vmap, emap))
+    for choice in _copy_choices(instance, degrees)[1:]:
+        perm = {}
+        for i, (chosen, k) in enumerate(zip(choice, instance.sizes), 1):
+            order = chosen + tuple(m for m in range(1, k + 1) if m not in chosen)
+            perm.update({(i, m): (i, c) for m, c in enumerate(order, 1)})
+        maps.append(instance.copy_automorphism(perm))
     return [(supports[0], maps)]

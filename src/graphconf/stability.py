@@ -47,19 +47,16 @@ def _h_pieces(tree):
     essential = tree.essential_vertices()
     ess = set(essential)
     for v, w in combinations(essential, 2):
-        path = tree.tree_path(v, w)
-        if any(u in ess for u in path[1:-1]):
+        path_edges = tree.tree_path(v, w)
+        path = {u for e in path_edges for u in tree.edges[e]}
+        if ess & path - {v, w}:
             continue
-        path_edges = [tree.edge_between(path[i], path[i + 1])
-                      for i in range(len(path) - 1)]
         legs_v = [e for e, _ in tree.incident(v) if e not in path_edges]
         legs_w = [e for e, _ in tree.incident(w) if e not in path_edges]
         for la in combinations(legs_v, 2):
             for lb in combinations(legs_w, 2):
                 edges = set(path_edges) | set(la) | set(lb)
-                verts = set(path)
-                for e in edges:
-                    verts.update(tree.edges[e])
+                verts = {u for e in edges for u in tree.edges[e]}
                 pieces.append(Subgraph(tree, frozenset(verts), frozenset(edges)))
     return pieces
 

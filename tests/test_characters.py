@@ -228,7 +228,8 @@ class TestTraceProjection:
         pres = homology(cx, 1)
         assert pres.betti > 0
         for mu in partitions(k):
-            vmap, emap = inst.summand_automorphism(1, class_representative(mu))
+            vmap, emap = inst.copy_automorphism(
+                {(1, m): (1, c) for m, c in class_representative(mu).items()})
             cm = permutation_action_map(cx, vmap, emap)
             assert cm.homology_trace(pres) == _diagonal_sum(cm, pres)
 
@@ -243,11 +244,10 @@ class TestTraceProjection:
         identity = (partitions(2)[-1], partitions(3)[-1])
         for mu1 in partitions(2):
             for mu2 in partitions(3):
-                vmap1, emap1 = inst.summand_automorphism(1, class_representative(mu1))
-                vmap2, emap2 = inst.summand_automorphism(2, class_representative(mu2))
-                cm = permutation_action_map(
-                    cx, {v: vmap2[vmap1[v]] for v in vmap1},
-                    {e: emap2[emap1[e]] for e in emap1})
+                perm = {(i, m): (i, c)
+                        for i, mu in ((1, mu1), (2, mu2))
+                        for m, c in class_representative(mu).items()}
+                cm = permutation_action_map(cx, *inst.copy_automorphism(perm))
                 trace = cm.homology_trace(pres)
                 assert trace == _diagonal_sum(cm, pres)
                 if (mu1, mu2) == identity:

@@ -314,6 +314,26 @@ class TestExitCodes:
         assert main(["model", "--graph", graph_file, "--n", "2",
                      "--sinks", "0", "--oracle"]) == 2
 
+    def test_repeated_sink_is_config_error(self, capsys, graph_file):
+        assert main(["model", "--graph", graph_file, "--n", "2",
+                     "--sinks", "0,0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("model", "--graph"),
+        ("homology", "--graph"),
+        ("oracle-compare", "--graph"),
+        ("tree-generators", "--graph"),
+    ])
+    def test_csv_only_on_table_commands(self, capsys, tmp_path, graph_file,
+                                        argv):
+        # only generation-check, rep-stability and poly-fit write a table
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, graph_file, "--n", "1", "--csv",
+                  str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ("model", "--graph"),
         ("rep-stability", "--window", "2..3", "--family"),

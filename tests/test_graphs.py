@@ -128,8 +128,13 @@ class TestSurgery:
         assert (g.n_vertices, g.n_edges) == (10, 9)
 
     def test_subdivide_identity(self):
-        g = make_star(3)
-        assert subdivide(g, 1) is g
+        g = Graph(vertices=(0, 1, 2, 3), edges=((0, 1), (0, 2), (0, 3)),
+                  basepoint=0, vertex_labels=((1, (1, 1)),),
+                  edge_labels=((0, (1, 1)),))
+        for s in (subdivide(g, 1), subdivide(g, 3, set())):
+            assert (s.vertices, s.edges, s.basepoint) == \
+                (g.vertices, g.edges, g.basepoint)
+            assert not s.vertex_labels and not s.edge_labels
 
     def test_subdivide_preserves_euler(self):
         for g in (make_star(4), make_cycle_graph(5), make_h_graph()):
@@ -142,8 +147,12 @@ class TestSurgery:
         assert not g.has_loops()
         assert (g.n_vertices, g.n_edges) == (2, 2)
         # parallel edges stay
-        par = Graph(vertices=(0, 1), edges=((0, 1), (1, 0)))
-        assert normalize_loops(par) is par
+        par = Graph(vertices=(0, 1), edges=((0, 1), (1, 0)), basepoint=1,
+                    vertex_labels=((1, (1, 1)),), edge_labels=((1, (1, 1)),))
+        g = normalize_loops(par)
+        assert (g.vertices, g.edges, g.basepoint) == \
+            (par.vertices, par.edges, par.basepoint)
+        assert not g.vertex_labels and not g.edge_labels
 
 
 class TestSmooth:
@@ -292,7 +301,7 @@ class TestFamilies:
     def test_circle_family_backbone_edges(self, triangle):
         for k in (3, 4, 5):
             inst = realize_family(circle_family(triangle), (k,))
-            base_v, base_e = inst.base_part()
+            base_v, base_e = inst.base_part
             assert len(base_e) == k
 
     def test_conf_euler_closed_cases(self):
@@ -311,7 +320,8 @@ class TestFamilies:
 
     def test_summand_automorphism_permutes_copies(self, star_family):
         inst = realize_family(star_family, (3,))
-        vmap, emap = inst.summand_automorphism(1, {1: 2, 2: 1, 3: 3})
+        vmap, emap = inst.copy_automorphism(
+            {(1, 1): (1, 2), (1, 2): (1, 1), (1, 3): (1, 3)})
         assert vmap[0] == 0
         moved = {v for v, w in vmap.items() if v != w}
         assert len(moved) == 2
@@ -319,7 +329,9 @@ class TestFamilies:
     def test_summand_automorphism_rejects_non_permutation(self, star_family):
         inst = realize_family(star_family, (3,))
         with pytest.raises(GraphError):
-            inst.summand_automorphism(1, {1: 1, 2: 2, 3: 2})
+            inst.copy_automorphism({(1, 1): (1, 1), (1, 2): (1, 2), (1, 3): (1, 2)})
+        with pytest.raises(GraphError):     # a copy that does not exist
+            inst.copy_automorphism({(1, 1): (1, 4), (1, 4): (1, 1)})
 
 
 class TestSupports:
@@ -348,7 +360,7 @@ class TestSupports:
     def test_supports_connected_and_contain_backbone(self, triangle):
         fam = circle_family(triangle)
         inst = realize_family(fam, (4,))
-        base_v, base_e = inst.base_part()
+        base_v, base_e = inst.base_part
         for sub in support_subgraphs(inst, (2,)):
             assert base_v <= sub.vertices and base_e <= sub.edges
             sg = Graph(vertices=tuple(sorted(sub.vertices)),
@@ -359,7 +371,7 @@ class TestSupports:
         base = realize_family(star_family, (2,)).graph
         fam = wedge_family(base, [SummandSpec(interval, (0,), (0,))])
         inst = realize_family(fam, (3,))
-        assert inst.base_part() == (frozenset(base.vertices),
+        assert inst.base_part == (frozenset(base.vertices),
                                     frozenset(range(base.n_edges)))
         for sub in support_subgraphs(inst, (1,)):
             assert len(sub.vertices) == 4 and len(sub.edges) == 3

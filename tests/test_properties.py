@@ -1,17 +1,20 @@
 """Property checks on random connected multigraphs (at most 5 vertices
 before loops are subdivided, parallel edges allowed) with n <= 3 particles
-(n = 4 for Gal's Euler characteristic on small graphs), and on the exact
-polynomial fit.  Examples are derandomized, so every run checks the same
-inputs."""
+(n = 4 for Gal's Euler characteristic on small graphs), on the exact
+polynomial fit, on the copy permutations of random wedge family members,
+and on graph walks against networkx.  Examples are derandomized, so every
+run checks the same inputs."""
 
 from fractions import Fraction
 from math import factorial
 
+import networkx as nx
 from hypothesis import example, given, settings, strategies as st
 
 from graphconf import (
     Graph,
     Subgraph,
+    SummandSpec,
     betti_numbers,
     build_abrams_oracle,
     build_model,
@@ -21,8 +24,12 @@ from graphconf import (
     homology,
     normalize_loops,
     pushed_cycle_space,
+    realize_family,
     smooth,
+    support_subgraphs,
+    wedge_family,
 )
+from graphconf.graphs import support_orbits
 
 from test_cycle_coordinates import whole_lattice
 
@@ -162,3 +169,94 @@ def test_fit_recovers_integer_valued_polynomials(weights, start, degree_bound,
     assert not dimension_polynomial_check(
         None, 2, 1, window, degree_bound,
         betti_values=values)["fits"]
+
+
+@st.composite
+def wedge_members(draw):
+    """A member of a wedge family with one or two coordinates at sizes up to
+    3: each summand glues at one vertex or along one edge of the base."""
+    base = draw(connected_multigraphs(max_vertices=4))
+    specs = []
+    for _ in range(draw(st.integers(1, 2))):
+        h = draw(connected_multigraphs(max_vertices=4))
+        if base.n_edges and h.n_edges and draw(st.booleans()):
+            se = draw(st.integers(0, h.n_edges - 1))
+            be = draw(st.integers(0, base.n_edges - 1))
+            specs.append(SummandSpec(h, h.edges[se], base.edges[be], (se,), (be,)))
+        else:
+            specs.append(SummandSpec(h, (draw(st.sampled_from(h.vertices)),),
+                                     (draw(st.sampled_from(base.vertices)),)))
+    sizes = tuple(draw(st.integers(0, 3)) for _ in specs)
+    return realize_family(wedge_family(base, specs), sizes)
+
+
+@PROPERTY_SETTINGS
+@given(wedge_members(), st.data())
+def test_copy_automorphism_is_a_graph_automorphism(inst, data):
+    """A permutation of the copies within each coordinate moves the graph
+    onto itself, fixes the base part and carries copy (i, m) onto copy
+    perm[i, m]."""
+    perm = {}
+    for i, k in enumerate(inst.sizes, start=1):
+        image = data.draw(st.permutations(range(1, k + 1)))
+        perm.update({(i, m): (i, c) for m, c in enumerate(image, start=1)})
+    vmap, emap = inst.copy_automorphism(perm)
+    g = inst.graph
+    assert sorted(vmap) == sorted(vmap.values()) == sorted(g.vertices)
+    assert sorted(emap) == sorted(emap.values()) == list(range(g.n_edges))
+    for e, (a, b) in enumerate(g.edges):
+        assert g.edges[emap[e]] == (vmap[a], vmap[b])
+    base_v, base_e = inst.base_part
+    assert all(vmap[v] == v for v in base_v)
+    assert all(emap[e] == e for e in base_e)
+    for src, dst in perm.items():
+        (src_v, src_e), (dst_v, dst_e) = inst.copies[src], inst.copies[dst]
+        assert all(vmap[src_v[x]] == dst_v[x] for x in src_v)
+        assert all(emap[src_e[x]] == dst_e[x] for x in src_e)
+
+
+@PROPERTY_SETTINGS
+@given(wedge_members(), st.data())
+def test_support_orbit_maps_reach_every_support(inst, data):
+    """The orbit maps carry the representative onto each further support,
+    in the order support_subgraphs lists them."""
+    degrees = tuple(data.draw(st.integers(0, k)) for k in inst.sizes)
+    supports = support_subgraphs(inst, degrees)
+    [(rep, maps)] = support_orbits(inst, degrees)
+    assert rep == supports[0] and len(maps) == len(supports) - 1
+    for (vmap, emap), sub in zip(maps, supports[1:]):
+        assert {vmap[v] for v in rep.vertices} == sub.vertices
+        assert {emap[e] for e in rep.edges} == sub.edges
+
+
+def to_networkx(g):
+    nxg = nx.MultiGraph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(g.edges)
+    return nxg
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 6).flatmap(lambda nv: st.lists(
+    st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=7)
+    .map(lambda edges: Graph(vertices=tuple(range(nv)), edges=tuple(edges)))))
+def test_connectivity_agrees_with_networkx(g):
+    """On multigraphs with loops, connected or not."""
+    assert g.is_connected() == nx.is_connected(to_networkx(g))
+    assert g.is_tree() == nx.is_tree(to_networkx(g))
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(max_vertices=8, max_extra_edges=0), st.data())
+def test_tree_path_is_the_networkx_shortest_path(tree, data):
+    """Edges stored in a drawn order and orientation."""
+    order = data.draw(st.permutations(tree.edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(order),
+                               max_size=len(order)))
+    tree = Graph(vertices=tree.vertices, edges=tuple(
+        (b, a) if flip else (a, b) for (a, b), flip in zip(order, flips)))
+    u, w = (data.draw(st.sampled_from(tree.vertices)) for _ in range(2))
+    path = nx.shortest_path(to_networkx(tree), u, w)
+    edge_id = {frozenset(e): i for i, e in enumerate(tree.edges)}
+    assert tree.tree_path(u, w) == [edge_id[frozenset(step)]
+                                    for step in zip(path, path[1:])]

@@ -113,7 +113,8 @@ class TestGenerationDegree:
         for sub in support_subgraphs(inst, (2,)):
             candidates.extend(pushed_cycle_space(model, sub, 1))
         base = generated_check(model, 1, candidates, presentation=pres)
-        vmap, emap = inst.summand_automorphism(1, {1: 3, 2: 1, 3: 4, 4: 2})
+        vmap, emap = inst.copy_automorphism(
+            {(1, 1): (1, 3), (1, 2): (1, 1), (1, 3): (1, 4), (1, 4): (1, 2)})
         cm = permutation_action_map(model, vmap, emap)
         permuted = cm.push(1, candidates)
         moved = generated_check(model, 1, permuted, presentation=pres)
