@@ -30,8 +30,11 @@ class HomologyPresentation:
     then one per torsion divisor.  A cycle's cycle-lattice coordinates are
     ``lattice_coords(_coords, cycle)``: its entries at the rows of
     ``_coords``, forward-substituted through the triangular block when
-    there is one.  A support's presentation keeps its supported q-cells in
-    ``_support`` and takes only cycles on them."""
+    there is one.  U, the Smith row transform of the image columns, carries
+    them to homology coordinates at ``_rows``: the rows without a pivot
+    (the free part), then the rows whose divisor exceeds 1.  A support's
+    presentation keeps its supported q-cells in ``_support`` and takes
+    only cycles on them."""
 
     complex: CubeComplex
     q: int
@@ -42,8 +45,9 @@ class HomologyPresentation:
     _coords: tuple = field(repr=False, default=({}, None))
     _image_cols: list = field(repr=False, default_factory=list)
     _u_rows: dict = field(repr=False, default_factory=dict)
-    _free_rows: list = field(repr=False, default_factory=list)
+    _rows: list = field(repr=False, default_factory=list)
     _support: frozenset | None = field(repr=False, default=None)
+    _u_cols: dict | None = field(repr=False, default=None, compare=False)
 
     @property
     def cycle_basis(self):
@@ -61,23 +65,31 @@ class HomologyPresentation:
             raise HomologyError("vector is not a cycle")
         return lattice_coords(self._coords, zvec)
 
-    def _free_coordinate(self, y, r):
-        """Free row r of U applied to cycle-lattice coordinates y."""
-        row = self._u_rows.get(r)
-        if row is None:
-            return y.get(r, 0)
-        return sum(u * y[k] for k, u in row.items() if k in y)
+    def homology_coords(self, zvec):
+        """Coordinates of a cycle's class: U applied to its cycle-lattice
+        coordinates, read at ``_rows`` (the free part first; torsion
+        entries are not reduced mod their divisors).  The columns of U at
+        those rows are gathered once, with the rows U does not store read
+        as unit rows."""
+        if self._u_cols is None:
+            self._u_cols = {}
+            for i, r in enumerate(self._rows):
+                for k, u in self._u_rows.get(r, {r: 1}).items():
+                    self._u_cols.setdefault(k, {})[i] = u
+        out = {}
+        for k, v in self.kernel_coords(zvec).items():
+            for i, u in self._u_cols.get(k, {}).items():
+                out[i] = out.get(i, 0) + u * v
+        return {i: v for i, v in out.items() if v}
 
     def project(self, zvec):
         """Free-part homology coordinates of a cycle (exact integers)."""
-        y = self.kernel_coords(zvec)
-        return tuple(self._free_coordinate(y, r) for r in self._free_rows)
+        coords = self.homology_coords(zvec)
+        return tuple(coords.get(i, 0) for i in range(self.betti))
 
     def coordinate(self, zvec, i):
-        """Free-part homology coordinate i of a cycle: ``project(zvec)[i]``
-        at the cost of one row of U."""
-        return self._free_coordinate(self.kernel_coords(zvec),
-                                     self._free_rows[i])
+        """Free-part homology coordinate i of a cycle: ``project(zvec)[i]``."""
+        return self.homology_coords(zvec).get(i, 0)
 
     def require_basis(self):
         if self.betti and not self.generators:
@@ -143,7 +155,8 @@ def homology(complex_, q, basis=True, support=None):
     m = SparseIntMatrix.view(z, image_cols)
     pivots, u_rows, uinv_cols = smith_diagonalize(m, track_u=True)
     pivot_rows = {r for r, _, _ in pivots}
-    free_rows = [r for r in range(z) if r not in pivot_rows]
+    rows = [r for r in range(z) if r not in pivot_rows]
+    rows += [r for r, _, d in pivots if d > 1]
     torsion = tuple(d for _, _, d in pivots if d > 1)
     betti = z - len(pivots)
 
@@ -158,7 +171,7 @@ def homology(complex_, q, basis=True, support=None):
         _coords=coords,
         _image_cols=image_cols,
         _u_rows=u_rows or {},
-        _free_rows=free_rows,
+        _rows=rows,
         _support=supported,
     )
 
@@ -226,19 +239,18 @@ class GeneratedCheck:
 def generated_check(complex_, q, candidate_cycles, presentation=None):
     """Do the candidates' classes, together with the boundary image, span?
 
-    Over Q: the classes span H_q tensor Q.  Over Z: candidates plus
-    im d_(q+1) generate the full cycle lattice Z_q, checked through the
-    Smith divisors of [image | candidates] in cycle-lattice coordinates
-    (trivial cokernel).
+    Over Q: the classes span H_q tensor Q.  Over Z: they generate H_q =
+    Z^b + sum of Z/d_i.  Checked in homology coordinates, through the Smith
+    divisors of the candidates' coordinates beside one column d_i e_i per
+    torsion divisor; U carries Z_q / B_q onto that group, so this is the
+    verdict of [image | candidates] in cycle-lattice coordinates.
     """
     pres = presentation or homology(complex_, q, basis=False)
-    cols = list(pres._image_cols)
-    for zvec in candidate_cycles:
-        cols.append(pres.kernel_coords(zvec))   # validates the cycle condition
-    # a view: Smith copies a column before its first write
-    divisors = smith_normal_form(SparseIntMatrix.view(pres.cycle_rank, cols))
-    rk = len(divisors)
-    missing = pres.cycle_rank - rk
+    # homology_coords validates the cycle condition
+    cols = [pres.homology_coords(zvec) for zvec in candidate_cycles]
+    cols += [{pres.betti + i: d} for i, d in enumerate(pres.torsion)]
+    divisors = smith_normal_form(SparseIntMatrix.view(len(pres._rows), cols))
+    missing = len(pres._rows) - len(divisors)
     over_q = missing == 0
     over_z = over_q and all(d == 1 for d in divisors)
     return GeneratedCheck(over_q, over_z, missing)

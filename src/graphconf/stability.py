@@ -102,23 +102,51 @@ def pushed_cycle_space(model, sub, q, ranks=None):
     return pres.generators
 
 
-def _orbit_generators(model, q, orbits, ranks):
+def _support_generators(model, q, orbits, ranks):
     """Pushed homology generators of the supports in ``orbits``, pairs of
     a representative support and the automorphisms carrying it to the
-    others: one presentation per orbit, carried by the automorphisms'
-    chain maps.  Appends each support's cycle rank to ``ranks``;
-    automorphic supports have equal ranks."""
-    out = []
+    others.  Every representative is presented at once, and its cycle rank
+    appended to ``ranks`` once per support of its orbit (automorphic
+    supports have equal ranks).  Returns the number of generators over all
+    supports and an iterator over the supports' generator lists that
+    pushes a further support through its chain map only when reached."""
+    presented = []
     for rep, maps in orbits:
         rank = []
-        gens = pushed_cycle_space(model, rep, q, rank)
+        presented.append((pushed_cycle_space(model, rep, q, rank), maps))
         ranks.extend(rank * (1 + len(maps)))
-        if not gens:        # H_q(rep) = 0, as when q exceeds its top dimension
-            continue
-        out.extend(gens)
-        for vmap, emap in maps:
-            out.extend(permutation_action_map(model, vmap, emap).push(q, gens))
-    return out
+
+    def pushes():
+        for gens, maps in presented:
+            if gens:        # H_q(rep) = 0, as when q exceeds its top dimension
+                yield gens
+                for vmap, emap in maps:
+                    yield permutation_action_map(model, vmap, emap).push(q, gens)
+
+    return sum(len(gens) * (1 + len(maps)) for gens, maps in presented), pushes()
+
+
+def _orbit_span_check(model, q, orbits, pres, ranks):
+    """The span check of the generators of every support in ``orbits``,
+    with the number of those generators.  Supports are taken one at a
+    time, and the generators so far are checked when their count first
+    reaches b_q + t and each time it doubles.  A superset of a generating
+    set generates, so the first prefix that generates over Z settles the
+    verdict; a prefix that does not proves nothing, so a failing check
+    ends on all the generators."""
+    count, pushes = _support_generators(model, q, orbits, ranks)
+    candidates, checked = [], -1
+    target = pres.betti + len(pres.torsion)
+    for gens in pushes:
+        candidates.extend(gens)
+        if len(candidates) >= target:
+            verdict = generated_check(model, q, candidates, presentation=pres)
+            if verdict.generates_over_Z:
+                return verdict, count
+            checked, target = len(candidates), 2 * len(candidates)
+    if checked < len(candidates):
+        verdict = generated_check(model, q, candidates, presentation=pres)
+    return verdict, count
 
 
 def verify_tree_generators(tree, n, q, budget=DEFAULT_CELL_BUDGET):
@@ -131,8 +159,8 @@ def verify_tree_generators(tree, n, q, budget=DEFAULT_CELL_BUDGET):
     model = build_model(tree, n, budget=budget)
     pres = homology(model, q, basis=False)
     supports = _generator_supports(tree, q)
-    candidates = _orbit_generators(model, q, [(s, ()) for s in supports], [])
-    return generated_check(model, q, candidates, presentation=pres), supports
+    check, _ = _orbit_span_check(model, q, [(s, ()) for s in supports], pres, [])
+    return check, supports
 
 
 # -- finite generation over the families --------------------------------------
@@ -196,12 +224,10 @@ def generation_degree_check(descriptor, n, q, d, sizes,
     def verdict_at(deg):
         if deg not in per_degree:
             ranks = []
-            cands = _orbit_generators(
+            per_degree[deg], generators = _orbit_span_check(
                 model, q, support_orbits(instance, (deg,) * descriptor.arity),
-                ranks)
-            counts[deg] = (sum(ranks), len(cands))
-            per_degree[deg] = generated_check(model, q, cands,
-                                              presentation=pres)
+                pres, ranks)
+            counts[deg] = (sum(ranks), generators)
         return per_degree[deg]
 
     scalar_d = degree[0]

@@ -287,10 +287,11 @@ def test_criterion_14_polynomial_growth(star_family_descriptor):
     result = dimension_polynomial_check(star_family_descriptor, 2, 1,
                                         [3, 4, 5, 6, 7], 3)
     ok = result["fits"] and result["degree"] <= 3
+    past_fit = ", ".join(str(k) for k in result["window"][3 + 1:])
     report(14, ok,
            f"b1 over k=3..7 is {result['betti']}; exact fit of degree "
            f"{result['degree']} with coefficients {result['coefficients']}, "
-           f"holdout exact")
+           f"predicts b1 at k = {past_fit}")
 
 
 def test_criterion_15_character_machinery():

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from graphconf import (
+    GeneratedCheck,
     Subgraph,
     build_model,
     generated_check,
@@ -133,6 +134,18 @@ def span(model, q, supports, pres):
     return generated_check(model, q, candidates, presentation=pres)
 
 
+def lattice_span_check(pres, candidates):
+    """The span check by its definition in cycle-lattice coordinates: the
+    candidates with im d_(q+1) generate Z_q over Q when [image | candidates]
+    has full rank, and over Z when its Smith divisors are all 1 as well."""
+    cols = list(pres._image_cols) + [pres.kernel_coords(z) for z in candidates]
+    divisors = smith_normal_form(SparseIntMatrix.view(pres.cycle_rank, cols))
+    missing = pres.cycle_rank - len(divisors)
+    return GeneratedCheck(missing == 0,
+                          missing == 0 and all(d == 1 for d in divisors),
+                          missing)
+
+
 def whole_lattice(model, sub, q):
     """A basis of the support's cycle lattice Z_q, taken with
     ``kernel_with_coords`` on the subcomplex's own d_q and pushed in."""
@@ -253,15 +266,22 @@ class TestMaximalSupports:
 
 class TestSmithInputView:
     def test_repeated_checks_leave_image_columns_intact(self):
-        # generated_check hands the presentation's image columns to Smith
-        # without a copy; the engine must copy each before writing to it
+        # generated_check reads candidates through the columns of the
+        # presentation's row transform U, and the lattice rule hands the
+        # image columns to Smith without a copy; neither may be written to
         tree = make_spider(2, 3, 1)
         model = build_model(tree, 3)
         pres = homology(model, 1, basis=False)
         saved = copy.deepcopy(pres._image_cols)
+        saved_u = copy.deepcopy(pres._u_rows)
         assert sum(map(len, saved)) > len(saved)
+        assert sum(map(len, saved_u.values())) > len(saved_u)
         supports = _generator_supports(tree, 1)
         first = span(model, 1, supports, pres)
         second = span(model, 1, supports, pres)
         assert first == second and first.generates_over_Z
+        candidates = [v for sub in supports
+                      for v in pushed_cycle_space(model, sub, 1)]
+        assert lattice_span_check(pres, candidates) == first
         assert pres._image_cols == saved
+        assert pres._u_rows == saved_u

@@ -26,6 +26,7 @@ from graphconf import (
 from graphconf.complexes import MODEL_KIND, CubeComplex
 from graphconf.linalg import SparseIntMatrix, smith_diagonalize
 from conftest import full_subgraph
+from test_cycle_coordinates import lattice_span_check
 
 
 @pytest.fixture(scope="module")
@@ -451,3 +452,42 @@ class TestTorsionPresentation:
             assert torsion_left(y[2:]) == (pres.cycle_rank - 2, [])
             # generators plus boundaries give all of Z_1
             assert torsion_left(y) == (pres.cycle_rank, [])
+
+    def test_span_check_in_homology_coordinates_keeps_the_lattice_verdict(self):
+        # H_1 = Z^2 + Z/2 + Z/6 + Z/12: candidate sets that kill none, some
+        # or all of the torsion get the verdict of [image | candidates] in
+        # Z_1 coordinates, with and without a presentation handed in
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(6):
+            cx = torsion_complex(rng, (2, 1, 3, 1, 4, 6), free=2)
+            pres = homology(cx, 1)
+            g = pres.generators
+            boundaries = cx.boundary(2).columns()
+
+            def combo(*terms):
+                """An integer combination of cycles, plus random boundaries."""
+                z = {}
+                terms += tuple((rng.randint(-2, 2), col) for col in boundaries)
+                for coeff, vec in terms:
+                    for cell, v in vec.items():
+                        z[cell] = z.get(cell, 0) + coeff * v
+                return {c: v for c, v in z.items() if v}
+
+            candidate_sets = [
+                [], g[:2], g[:2] + [g[2]], g[:2] + g[3:],
+                g[:2] + [combo((1, g[2]), (1, g[3])), g[4]],
+                g[:2] + [g[2], g[3], combo((3, g[4]))],
+                g[:2] + [g[2], g[3], combo((5, g[4]))],
+                [combo((2, g[0])), g[1]] + g[2:],
+                [combo((1, g[0]), (1, g[1])), combo((1, g[0]), (2, g[1]))] + g[2:],
+                g, [combo(*((rng.randint(-3, 3), vec) for vec in g))
+                    for _ in range(5)],
+            ]
+            for cands in candidate_sets:
+                want = lattice_span_check(pres, cands)
+                assert generated_check(cx, 1, cands, presentation=pres) == want
+                assert generated_check(cx, 1, cands) == want
+                seen.add((want.generates_over_Q, want.generates_over_Z))
+            assert lattice_span_check(pres, g).generates_over_Z
+        assert seen == {(False, False), (True, False), (True, True)}

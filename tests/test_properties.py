@@ -2,14 +2,17 @@
 before loops are subdivided, parallel edges allowed) with n <= 3 particles
 (n = 4 for Gal's Euler characteristic on small graphs), on the exact
 polynomial fit, on the copy permutations of random wedge family members,
-and on graph walks against networkx.  Examples are derandomized, so every
+on the span check that stops at a generating prefix of supports, and on
+graph walks against networkx.  Examples are derandomized, so every
 run checks the same inputs."""
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import networkx as nx
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from graphconf import (
     Graph,
@@ -22,6 +25,7 @@ from graphconf import (
     dimension_polynomial_check,
     generated_check,
     homology,
+    interval_family,
     normalize_loops,
     pushed_cycle_space,
     realize_family,
@@ -30,8 +34,9 @@ from graphconf import (
     wedge_family,
 )
 from graphconf.graphs import support_orbits
+from graphconf.stability import _orbit_span_check, _support_generators
 
-from test_cycle_coordinates import whole_lattice
+from test_cycle_coordinates import lattice_span_check, whole_lattice
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -227,6 +232,46 @@ def test_support_orbit_maps_reach_every_support(inst, data):
     for (vmap, emap), sub in zip(maps, supports[1:]):
         assert {vmap[v] for v in rep.vertices} == sub.vertices
         assert {emap[e] for e in rep.edges} == sub.edges
+
+
+@st.composite
+def interval_members(draw):
+    """A member of an interval family at size 1 to 3, its summand a random
+    multigraph glued at a drawn vertex of valence at least 2."""
+    h = draw(connected_multigraphs(max_vertices=3))
+    ends = [v for edge in h.edges for v in edge]
+    glue = [v for v in h.vertices if ends.count(v) >= 2]
+    assume(glue)
+    h = Graph(vertices=h.vertices, edges=h.edges,
+              basepoint=draw(st.sampled_from(glue)))
+    return realize_family(interval_family(h), (draw(st.integers(1, 3)),))
+
+
+@pytest.mark.parametrize("members", [wedge_members(), interval_members()],
+                         ids=["wedge", "interval"])
+def test_stop_early_span_check_keeps_the_lattice_verdict(members):
+    """At n = 2, q = 1 and every degree up to the sizes, the span check
+    that stops at the first generating prefix of supports gives the
+    verdict of all the supports' generators in cycle-lattice coordinates,
+    and counts every generator.  Both verdicts occur."""
+    seen = set()
+
+    @settings(PROPERTY_SETTINGS, max_examples=30)
+    @given(members)
+    def check(inst):
+        model = build_model(inst.graph, 2)
+        pres = homology(model, 1, basis=False)
+        for degrees in product(*(range(k + 1) for k in inst.sizes)):
+            orbits = support_orbits(inst, degrees)
+            count, pushes = _support_generators(model, 1, orbits, [])
+            every = [vec for gens in pushes for vec in gens]
+            want = lattice_span_check(pres, every)
+            assert _orbit_span_check(model, 1, orbits, pres, []) == \
+                (want, count) and count == len(every), degrees
+            seen.add(want.generates_over_Z)
+
+    check()
+    assert seen == {True, False}
 
 
 def to_networkx(g):

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from graphconf import (
     make_path_graph,
     make_spider,
     make_star,
+    permutation_action_map,
     realize_family,
     smith_normal_form,
     smooth,
@@ -27,10 +29,14 @@ from graphconf import (
     verify_tree_generators,
     wedge_family,
 )
+from graphconf import stability
 from graphconf.graphs import support_orbits
-from graphconf.stability import _orbit_generators, pushed_cycle_space
+from graphconf.stability import (_orbit_span_check, _support_generators,
+                                 pushed_cycle_space)
 
-from test_cycle_coordinates import check_generates_support, whole_lattice
+from test_cycle_coordinates import (check_generates_support,
+                                    lattice_span_check, whole_lattice)
+from test_homology import torsion_complex
 
 
 class TestTreeGenerators:
@@ -184,10 +190,11 @@ class TestSupportOrbits:
             assert sum(1 + len(maps) for _, maps in orbits) == len(supports)
             assert len(orbits) == (len(supports) if name == "interval" else 1)
             ranks, own_ranks = [], []
-            moved = _orbit_generators(model, 1, orbits, ranks)
+            count, pushes = _support_generators(model, 1, orbits, ranks)
+            moved = [vec for gens in pushes for vec in gens]
             own = [pushed_cycle_space(model, sub, 1, own_ranks)
                    for sub in supports]
-            assert len(moved) == sum(len(b) for b in own)
+            assert count == len(moved) == sum(len(b) for b in own)
             whole = [whole_lattice(model, sub, 1) for sub in supports]
             assert ranks == own_ranks == [len(b) for b in whole]
             start = 0
@@ -200,8 +207,54 @@ class TestSupportOrbits:
             got = generated_check(model, 1, moved, presentation=pres)
             assert got == generated_check(model, 1, [v for b in whole for v in b],
                                           presentation=pres)
+            assert _orbit_span_check(model, 1, orbits, pres, []) == (got, count)
             verdicts.append(got.generates_over_Z)
         assert True in verdicts and False in verdicts
+
+    def test_span_check_stops_at_a_generating_prefix(self, star_family,
+                                                     monkeypatch):
+        # on the star with 6 leaves at n = 2, the generators of 8 of the 15
+        # degree-4 supports already generate H_1 (b_1 = 19)
+        inst = realize_family(star_family, (6,))
+        model = build_model(inst.graph, 2)
+        pres = homology(model, 1, basis=False)
+        orbits = support_orbits(inst, (4,))
+        [(_, maps)] = orbits
+        count, pushes = _support_generators(model, 1, orbits, [])
+        every = [vec for gens in pushes for vec in gens]
+        want = lattice_span_check(pres, every)
+        assert want.generates_over_Z and count == len(every)
+        pushed = []
+
+        def counting(*args):
+            pushed.append(args)
+            return permutation_action_map(*args)
+
+        monkeypatch.setattr(stability, "permutation_action_map", counting)
+        assert _orbit_span_check(model, 1, orbits, pres, []) == (want, count)
+        assert 0 < len(pushed) < len(maps)
+
+    def test_a_prefix_generating_only_over_q_settles_nothing(self,
+                                                               monkeypatch):
+        # H_1 = Z^2 + Z/2 + Z/6 + Z/12; the first support's generators reach
+        # b_1 + t = 5 and span over Q, but miss the Z/12 generator by a
+        # factor 3, which the second support carries
+        cx = torsion_complex(random.Random(47), (2, 1, 3, 1, 4, 6), free=2)
+        pres = homology(cx, 1)
+        g = pres.generators
+        chunks = {"first": g[:4] + [{c: 3 * v for c, v in g[4].items()}],
+                  "second": [g[4]]}
+
+        def presented(model, sub, q, ranks):
+            ranks.append(pres.cycle_rank)
+            return chunks[sub]
+
+        monkeypatch.setattr(stability, "pushed_cycle_space", presented)
+        prefix = lattice_span_check(pres, chunks["first"])
+        assert prefix.generates_over_Q and not prefix.generates_over_Z
+        got = _orbit_span_check(cx, 1, [("first", []), ("second", [])], pres, [])
+        assert got == (lattice_span_check(pres, g), 6)
+        assert got[0].generates_over_Z
 
 
 class TestPolynomialFit:
