@@ -126,11 +126,12 @@ class CubeComplex:
         in the memo."""
         if q < 0:
             return SparseIntMatrix(0, 0)
-        if q == 0 or q > self.top_dimension:
-            rows = len(self.codes[q - 1]) if 1 <= q <= self.top_dimension + 1 else 0
-            return SparseIntMatrix(rows, len(self.codes[q]) if q <= self.top_dimension else 0)
         if dropped is None and q in self._boundaries:
             return self._boundaries[q]
+        if q == 0 or q > self.top_dimension:
+            rows = len(self.codes[q - 1]) if 1 <= q <= self.top_dimension + 1 else 0
+            mat = SparseIntMatrix(rows, len(self.codes[q]) if q <= self.top_dimension else 0)
+            return mat if dropped is not None else self._boundaries.setdefault(q, mat)
         if self.tables is not None:
             faces = self.tables.faces
         else:

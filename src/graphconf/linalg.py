@@ -5,15 +5,17 @@ and no modular shortcuts on any answer-bearing path.  Matrices are stored
 column-wise as dicts row -> value with no explicit zeros.
 
 Rank, kernel and Smith form share one elimination engine, ``_eliminate``:
-one pivot choice and one column update.  ``rank_of_columns`` calls it bare
-(after a union-find fast path for incidence matrices), ``kernel_with_coords``
-tracks the column transform V, and ``smith_diagonalize`` also clears each
-pivot column by row operations, tracking U and its inverse when asked, then
-fixes the divisor chain.  A kernel vector's coordinates are read off its
-entries at a set of rows where the basis is lower-triangular, by forward
-substitution (``lattice_coords``); after a unimodular elimination with
-unit pivots those rows are the non-pivot columns and the block is the
-identity.
+one pivot choice and one column update.  ``rank_of_columns`` calls it bare,
+``kernel_with_coords`` tracks the column transform V, and
+``smith_diagonalize`` also clears each pivot column by row operations,
+tracking U and its inverse when asked, then fixes the divisor chain.  A
+kernel vector's coordinates are read off its entries at a set of rows where
+the basis is lower-triangular, by forward substitution (``lattice_coords``);
+after a unimodular elimination with unit pivots those rows are the
+non-pivot columns and the block is the identity.  All three skip the
+engine on a graph's incidence matrix (every nonzero column e_i - e_j): one
+union-find, ``_spanning_forest``, gives the forest the engine would pivot
+on, and the rank, kernel and Smith form follow.
 """
 
 from __future__ import annotations
@@ -336,10 +338,10 @@ def _eliminate(cols, V=None, smith=False, U=None, Uinv=None):
 # -- rank ------------------------------------------------------------------
 
 
-def _incidence_rank(columns, pivots):
-    """Rank of a matrix whose every column is e_i - e_j: vertices minus
-    components of the graph the columns {j: col} draw on the row indices.
-    When ``pivots`` is a list, the spanning forest's edges are appended."""
+def _spanning_forest(columns):
+    """Yield the columns of the spanning forest, greedy in column order, of
+    the graph that the columns {j: col}, each e_i - e_j, draw on the row
+    indices: the only union-find, shared by rank, kernel and Smith."""
     parent = {}
 
     def find(x):
@@ -350,19 +352,46 @@ def _incidence_rank(columns, pivots):
             parent[x], x = root, parent[x]
         return root
 
-    rank = 0
     for j, col in columns.items():
-        (r1, _), (r2, _) = col.items()
+        r1, r2 = col
         for r in (r1, r2):
             if r not in parent:
                 parent[r] = r
         a, b = find(r1), find(r2)
         if a != b:
             parent[a] = b
-            rank += 1
-            if pivots is not None:
-                pivots.append(j)
-    return rank
+            yield j
+
+
+def _rooted_forest(columns, forest):
+    """Root each tree of the forest by one walk over its own edges:
+    {vertex: (parent vertex, parent column, depth, root)}, with parent and
+    parent column None at a root."""
+    adjacent = {}
+    for j in forest:
+        a, b = columns[j]
+        adjacent.setdefault(a, []).append((b, j))
+        adjacent.setdefault(b, []).append((a, j))
+    tree = {}
+    for root in adjacent:
+        if root not in tree:
+            tree[root] = (None, None, 0, root)
+            walk = [root]
+            for v in walk:
+                for u, j in adjacent[v]:
+                    if u not in tree:
+                        tree[u] = (v, j, tree[v][2] + 1, root)
+                        walk.append(u)
+    return tree
+
+
+def _incidence_rank(columns, pivots):
+    """Rank of an incidence matrix {j: col}; when ``pivots`` is a list,
+    the spanning forest's columns are appended."""
+    found = pivots if pivots is not None else []
+    size = len(found)
+    found.extend(_spanning_forest(columns))
+    return len(found) - size
 
 
 def _looks_like_incidence(columns):
@@ -416,10 +445,32 @@ def kernel_with_coords(matrix):
     new basis.  A pivot row is cleared from every column pivoted after it,
     so the new basis restricted to the pivot rows is lower-triangular in
     pivot order.
+
+    On an incidence matrix the engine's columns keep length 2, so it takes
+    them in index order and pivots on ``_spanning_forest``'s forest.  Its
+    basis vector at a free column f, a 1 at f and otherwise on the forest,
+    is unique: f's fundamental cycle, walked here on the rooted forest.
     """
     ncols = matrix.cols
+    cols = {j: col for j, col in enumerate(matrix.columns()) if col}
+    if _looks_like_incidence(cols.values()):
+        forest = list(_spanning_forest(cols))
+        tree, in_forest = _rooted_forest(cols, forest), set(forest)
+        free = [j for j in range(ncols) if j not in in_forest]
+        basis = []
+        for f in free:
+            basis.append(vec := {f: 1})
+            if f in cols:      # a zero column's vector is its unit vector
+                (a, s), (b, _) = cols[f].items()
+                while a != b:  # what is left of column f is s (e_a - e_b)
+                    if tree[a][2] < tree[b][2]:
+                        a, b, s = b, a, -s
+                    parent, j = tree[a][:2]    # a's parent column moves a up
+                    vec[j] = -s * cols[j][a]
+                    a = parent
+        return len(forest), basis, ({j: i for i, j in enumerate(free)}, None)
     V = {j: {j: 1} for j in range(ncols)}
-    found = _eliminate({j: col for j, col in enumerate(matrix.columns()) if col}, V)
+    found = _eliminate(cols, V)
     pivot_cols = {j for _, j, _ in found}
     free = [j for j in range(ncols) if j not in pivot_cols]
     basis = [V[j] for j in free]
@@ -498,11 +549,26 @@ def smith_diagonalize(matrix, track_u=False):
     (row, col, divisor) with the divisor chain d1 | d2 | ... enforced, and,
     when tracked, u_rows / uinv_cols hold the row transform U and its
     inverse (U @ M @ V is the diagonal; V is not kept).
+
+    On an incidence matrix every divisor is 1, pivoted at (v, parent
+    column of v) for each non-root v of the rooted spanning forest: by
+    depth, those rows are triangular with a unit diagonal.  U's row at a
+    root is its tree's indicator, which kills every column, and U^-1's
+    column v is e_v - e_root.  A row in no column is a free unit row.
     """
+    cols = {j: col for j, col in enumerate(matrix.columns()) if col}
     u_rows = {} if track_u else None
     uinv_cols = {} if track_u else None
-    pivots = _eliminate({j: col for j, col in enumerate(matrix.columns()) if col},
-                        smith=True, U=u_rows, Uinv=uinv_cols)
+    if _looks_like_incidence(cols.values()):
+        tree = _rooted_forest(cols, _spanning_forest(cols))
+        pivots = [(v, j, 1) for v, (_, j, _, _) in tree.items() if j is not None]
+        if track_u:
+            for v, (parent, _, _, root) in tree.items():
+                u_rows.setdefault(root, {})[v] = 1
+                if parent is not None:
+                    uinv_cols[v] = {v: 1, root: -1}
+        return pivots, u_rows, uinv_cols
+    pivots = _eliminate(cols, smith=True, U=u_rows, Uinv=uinv_cols)
     _chain_fix(pivots, u_rows, uinv_cols)
     return pivots, u_rows, uinv_cols
 

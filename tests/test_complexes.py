@@ -204,6 +204,17 @@ class TestBoundaryPath:
             assert cx.boundary(q) is full
 
     @pytest.mark.parametrize("build", [build_model, build_abrams_oracle])
+    def test_zero_boundaries_are_memoized(self, star3, build):
+        cx = build(star3, 2)
+        for q in (0, cx.top_dimension + 1, cx.top_dimension + 2):
+            zero = cx.boundary(q)
+            assert zero.is_zero() and cx.boundary(q) is zero
+            assert cx.boundary(q, set()) is not zero
+        assert (cx.boundary(0).rows, cx.boundary(0).cols) == (0, len(cx.codes[0]))
+        top = cx.boundary(cx.top_dimension + 1)
+        assert (top.rows, top.cols) == (len(cx.codes[-1]), 0)
+
+    @pytest.mark.parametrize("build", [build_model, build_abrams_oracle])
     def test_betti_loop_leaves_no_memo(self, h_graph, build):
         cx = build(h_graph, 2)
         assert betti_numbers(cx) == [1, 3, 0]

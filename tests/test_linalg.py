@@ -391,3 +391,44 @@ class TestEngine:
         for q in range(cx.top_dimension + 1):
             homology(cx, q)
         assert {q: cx.boundary(q).columns() for q in saved} == saved
+
+
+class TestIncidenceForest:
+    """Kernels and Smith forms of incidence matrices are read off the
+    spanning forest that the rank path builds, without the engine."""
+
+    # a triangle 0-1-2 with a pendant vertex 3, a parallel edge, a zero
+    # column, and an isolated row 4
+    COLUMNS = [{0: 1, 1: -1}, {1: 1, 2: -1}, {}, {2: -1, 0: 1},
+               {3: 1, 1: -1}, {1: 1, 0: -1}]
+
+    def test_fundamental_cycles(self):
+        m = SparseIntMatrix.from_columns(5, self.COLUMNS)
+        rank, basis, coords = kernel_with_coords(m)
+        assert rank == 3
+        assert basis == [{2: 1}, {3: 1, 0: -1, 1: -1}, {5: 1, 0: 1}]
+        assert coords == ({2: 0, 3: 1, 5: 2}, None)
+        for vec in basis:
+            assert not m @ vec
+
+    def test_smith_pivots_and_transforms(self):
+        m = SparseIntMatrix.from_columns(5, self.COLUMNS)
+        pivots, u_rows, uinv_cols = smith_diagonalize(m, track_u=True)
+        assert sorted(pivots) == [(1, 0, 1), (2, 1, 1), (3, 4, 1)]
+        assert u_rows == {0: {0: 1, 1: 1, 2: 1, 3: 1}}
+        assert uinv_cols == {v: {v: 1, 0: -1} for v in (1, 2, 3)}
+        assert smith_diagonalize(m)[0] == pivots
+
+    def test_engine_and_rank_path_are_not_called(self, monkeypatch):
+        calls = []
+        for name in ("_eliminate", "_incidence_rank"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name, **k:
+                                calls.append(name) or real(*a, **k))
+        m = SparseIntMatrix.from_columns(5, self.COLUMNS)
+        kernel_with_coords(m)
+        smith_diagonalize(m, track_u=True)
+        smith_normal_form(m)
+        assert calls == []
+        assert rank_of_columns(m.columns()) == 3
+        assert calls == ["_incidence_rank"]

@@ -2,10 +2,12 @@
 before loops are subdivided, parallel edges allowed) with n <= 3 particles
 (n = 4 for Gal's Euler characteristic on small graphs), on the exact
 polynomial fit, on the copy permutations of random wedge family members,
-on the span check that stops at a generating prefix of supports, and on
-graph walks against networkx.  Examples are derandomized, so every
-run checks the same inputs."""
+on the span check that stops at a generating prefix of supports, on
+graph walks against networkx, and on the forest path that kernels and
+Smith forms of incidence matrices take.  Examples are derandomized, so
+every run checks the same inputs."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -16,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from graphconf import (
     Graph,
+    SparseIntMatrix,
     Subgraph,
     SummandSpec,
     betti_numbers,
@@ -26,6 +29,8 @@ from graphconf import (
     generated_check,
     homology,
     interval_family,
+    kernel_with_coords,
+    linalg,
     normalize_loops,
     pushed_cycle_space,
     realize_family,
@@ -34,6 +39,7 @@ from graphconf import (
     wedge_family,
 )
 from graphconf.graphs import support_orbits
+from graphconf.linalg import smith_diagonalize
 from graphconf.stability import _orbit_span_check, _support_generators
 
 from test_cycle_coordinates import lattice_span_check, whole_lattice
@@ -305,3 +311,99 @@ def test_tree_path_is_the_networkx_shortest_path(tree, data):
     edge_id = {frozenset(e): i for i, e in enumerate(tree.edges)}
     assert tree.tree_path(u, w) == [edge_id[frozenset(step)]
                                     for step in zip(path, path[1:])]
+
+
+@st.composite
+def incidence_matrices(draw, max_vertices=8, max_edges=12):
+    """A random networkx multigraph, with isolated vertices, several
+    components and parallel edges allowed, and its incidence matrix with a
+    random sign on each column; a loop gives a zero column."""
+    nv = draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.sampled_from((1, -1))),
+                          max_size=max_edges))
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(nv))
+    g.add_edges_from((a, b) for a, b, _ in edges)
+    columns = [{a: s, b: -s} if a != b else {} for a, b, s in edges]
+    return g, SparseIntMatrix.from_columns(nv, columns)
+
+
+def engine_kernel(matrix):
+    """``kernel_with_coords`` by the elimination engine with V tracked.  On
+    an incidence matrix the basis restricted to the non-pivot columns is
+    their unit vectors, so no triangular block is needed."""
+    ncols = matrix.cols
+    V = {j: {j: 1} for j in range(ncols)}
+    found = linalg._eliminate(
+        {j: col for j, col in enumerate(matrix.columns()) if col}, V)
+    pivot_cols = {j for _, j, _ in found}
+    free = [j for j in range(ncols) if j not in pivot_cols]
+    assert all(V[j].get(j) == 1 and all(k == j or k in pivot_cols for k in V[j])
+               for j in free)
+    return len(found), [V[j] for j in free], ({j: i for i, j in enumerate(free)}, None)
+
+
+def test_incidence_kernel_is_the_engine_kernel():
+    seen = set()
+
+    @PROPERTY_SETTINGS
+    @given(incidence_matrices())
+    def check(case):
+        g, m = case
+        assert kernel_with_coords(m) == engine_kernel(m)
+        seen.update(feature for feature, present in (
+            ("zero column", any(not col for col in m.columns())),
+            ("isolated vertex", any(d == 0 for _, d in g.degree())),
+            ("components", nx.number_connected_components(g) > 1),
+            ("parallel edges", any(g.number_of_edges(a, b) > 1
+                                   for a, b in g.edges() if a != b)),
+        ) if present)
+
+    check()
+    assert seen == {"zero column", "isolated vertex", "components", "parallel edges"}
+
+
+@PROPERTY_SETTINGS
+@given(incidence_matrices())
+def test_incidence_smith_form_is_read_off_the_forest(case):
+    g, m = case
+    pivots, u_rows, uinv_cols = smith_diagonalize(m, track_u=True)
+    assert all(d == 1 for *_, d in pivots)
+    assert len(pivots) == m.rows - nx.number_connected_components(g)
+    for i in range(m.rows):
+        row = u_rows.get(i, {i: 1})
+        for j in range(m.rows):
+            col = uinv_cols.get(j, {j: 1})
+            assert sum(v * col.get(k, 0) for k, v in row.items()) == (i == j)
+    pivot_rows = {r for r, _, _ in pivots}
+    for r in set(range(m.rows)) - pivot_rows:
+        row = u_rows.get(r, {r: 1})
+        assert all(sum(v * col.get(k, 0) for k, v in row.items()) == 0
+                   for col in m.columns())
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(), st.integers(0, 3))
+def test_h0_coordinates_name_the_component(g, n):
+    """b_0 counts the components of the model's 1-skeleton, and a 0-cell's
+    class is the unit vector of its component: one component when the
+    graph has an essential vertex."""
+    model = build_model(g, n)
+    pres = homology(model, 0)
+    skeleton = nx.MultiGraph()
+    skeleton.add_nodes_from(range(len(model.codes[0]) if model.codes else 0))
+    skeleton.add_edges_from(tuple(col) for col in model.boundary(1).columns())
+    components = list(nx.connected_components(skeleton))
+    assert pres.betti == len(components) and pres.torsion == ()
+    unit = {}
+    for i, component in enumerate(components):
+        for z in component:
+            coords = pres.homology_coords({z: 1})
+            assert list(coords.values()) == [1]
+            unit.setdefault(i, coords)
+            assert coords == unit[i]
+    assert len({tuple(c) for c in unit.values()}) == len(components)
+    valence = Counter(v for e in g.edges for v in e)
+    if max(valence.values(), default=0) >= 3:
+        assert pres.betti == 1
