@@ -56,7 +56,7 @@ def check_args(args):
         args.sinks = _parse_sinks(args.sinks)
     if "window" in args:
         args.window = _parse_window(args.window)
-    for name in ("n", "q", "qmax", "degree"):
+    for name in ("n", "q", "qmax", "degree", "d", "K"):
         value = vars(args).get(name)
         if value is not None and value < 0:
             raise ConfigError(f"--{name} must be nonnegative")

@@ -26,15 +26,16 @@ class HomologyError(ValueError):
 class HomologyPresentation:
     """H_q of a complex or of a support in it: Betti number, torsion,
     generators, and an exact solver that expresses any q-cycle in
-    free-part homology coordinates.  The generators are free ones first,
-    then one per torsion divisor.  A cycle's cycle-lattice coordinates are
-    ``lattice_coords(_coords, cycle)``: its entries at the rows of
-    ``_coords``, forward-substituted through the triangular block when
-    there is one.  U, the Smith row transform of the image columns, carries
-    them to homology coordinates at ``_rows``: the rows without a pivot
-    (the free part), then the rows whose divisor exceeds 1.  A support's
-    presentation keeps its supported q-cells in ``_support`` and takes
-    only cycles on them."""
+    homology coordinates.  The generators are free ones first, then one
+    per torsion divisor, and the homology coordinates follow that order.
+    A cycle's cycle-lattice coordinates are ``lattice_coords(_coords,
+    cycle)``: its entries at the rows of ``_coords``, forward-substituted
+    through the triangular block when there is one.  ``_projector`` maps
+    each cycle-lattice coordinate k to the homology coordinates it feeds,
+    {i: U[rows[i]][k]}, where U is the Smith row transform of the image
+    columns and ``rows`` are the homology rows.  A support's presentation
+    keeps its supported q-cells in ``_support`` and takes only cycles on
+    them."""
 
     complex: CubeComplex
     q: int
@@ -43,42 +44,29 @@ class HomologyPresentation:
     generators: list
     cycle_rank: int                    # dim Z_q
     _coords: tuple = field(repr=False, default=({}, None))
-    _image_cols: list = field(repr=False, default_factory=list)
-    _u_rows: dict = field(repr=False, default_factory=dict)
-    _rows: list = field(repr=False, default_factory=list)
+    _projector: dict = field(repr=False, default_factory=dict)
     _support: frozenset | None = field(repr=False, default=None)
-    _u_cols: dict | None = field(repr=False, default=None, compare=False)
 
     @property
     def cycle_basis(self):
         """Cycles whose classes are a basis of the free part."""
         return self.generators[:self.betti]
 
-    def is_cycle(self, zvec):
-        return not self.complex.boundary(self.q) @ zvec
-
     def kernel_coords(self, zvec):
         """Coordinates of a cycle in the chosen basis of the cycle lattice."""
         if self._support is not None and not self._support.issuperset(zvec):
             raise HomologyError("cycle is not supported on the support")
-        if not self.is_cycle(zvec):
+        if self.complex.boundary(self.q) @ zvec:
             raise HomologyError("vector is not a cycle")
         return lattice_coords(self._coords, zvec)
 
     def homology_coords(self, zvec):
-        """Coordinates of a cycle's class: U applied to its cycle-lattice
-        coordinates, read at ``_rows`` (the free part first; torsion
-        entries are not reduced mod their divisors).  The columns of U at
-        those rows are gathered once, with the rows U does not store read
-        as unit rows."""
-        if self._u_cols is None:
-            self._u_cols = {}
-            for i, r in enumerate(self._rows):
-                for k, u in self._u_rows.get(r, {r: 1}).items():
-                    self._u_cols.setdefault(k, {})[i] = u
+        """Coordinates of a cycle's class: its cycle-lattice coordinates
+        carried through ``_projector`` (the free part first; torsion
+        entries are not reduced mod their divisors)."""
         out = {}
         for k, v in self.kernel_coords(zvec).items():
-            for i, u in self._u_cols.get(k, {}).items():
+            for i, u in self._projector.get(k, {}).items():
                 out[i] = out.get(i, 0) + u * v
         return {i: v for i, v in out.items() if v}
 
@@ -86,10 +74,6 @@ class HomologyPresentation:
         """Free-part homology coordinates of a cycle (exact integers)."""
         coords = self.homology_coords(zvec)
         return tuple(coords.get(i, 0) for i in range(self.betti))
-
-    def coordinate(self, zvec, i):
-        """Free-part homology coordinate i of a cycle: ``project(zvec)[i]``."""
-        return self.homology_coords(zvec).get(i, 0)
 
     def require_basis(self):
         if self.betti and not self.generators:
@@ -111,6 +95,13 @@ def homology(complex_, q, basis=True, support=None):
     they come from ``kernel_with_coords``, which restricts to its own
     non-pivot columns when that is the coordinate map and otherwise
     forward-substitutes through a triangular block.
+
+    Smith on the image columns, U M V = D, gives the homology rows: the
+    rows without a pivot (the free part), then the rows whose divisor
+    exceeds 1.  U's rows there carry cycle-lattice coordinates to
+    homology coordinates; the projector holds them column by column,
+    reading a row that U does not store as a unit row.  U^-1's columns
+    there are the generators (``homology_generators``).
 
     With ``support``, a per-degree cell injection as
     ``subcomplex_supported_in`` returns it, this is H_q of the supported
@@ -159,34 +150,33 @@ def homology(complex_, q, basis=True, support=None):
     rows += [r for r, _, d in pivots if d > 1]
     torsion = tuple(d for _, _, d in pivots if d > 1)
     betti = z - len(pivots)
+    projector = {}
+    for i, r in enumerate(rows):
+        for k, u in u_rows.get(r, {r: 1}).items():
+            projector.setdefault(k, {})[i] = u
 
     generators = []
     if basis:
-        generators = homology_generators(kernel_basis, pivots, uinv_cols)
+        generators = homology_generators(kernel_basis, rows, uinv_cols)
         if support is not None:
             generators = [push_cycle(vec, cells) for vec in generators]
 
     return HomologyPresentation(
         complex_, q, betti, torsion, generators, z,
         _coords=coords,
-        _image_cols=image_cols,
-        _u_rows=u_rows or {},
-        _rows=rows,
+        _projector=projector,
         _support=supported,
     )
 
 
-def homology_generators(kernel_basis, pivots, uinv_cols):
+def homology_generators(kernel_basis, rows, uinv_cols):
     """Cycles whose classes generate H_q = Z_q / B_q, read off the Smith
     form U M V = D of d_(q+1) in the coordinates of ``kernel_basis``, with
     U^-1 tracked.  For each pivot (r, c, d), column c of M V = U^-1 D is d
     times U^-1's column r, so U^-1's columns at unit pivots lie in B_q,
-    and the others generate Z_q modulo B_q.  The cycles are those columns,
-    at the rows without a pivot (the free part, in row order) and then at
-    the rows whose divisor exceeds 1, summed over the kernel basis."""
-    pivot_rows = {r for r, _, _ in pivots}
-    rows = [r for r in range(len(kernel_basis)) if r not in pivot_rows]
-    rows += [r for r, _, d in pivots if d > 1]
+    and the others generate Z_q modulo B_q.  The cycles are U^-1's columns
+    at ``rows`` (the homology rows: those without a pivot, then those whose
+    divisor exceeds 1), summed over the kernel basis."""
     cycles = []
     for r in rows:
         vec = {}
@@ -249,8 +239,9 @@ def generated_check(complex_, q, candidate_cycles, presentation=None):
     # homology_coords validates the cycle condition
     cols = [pres.homology_coords(zvec) for zvec in candidate_cycles]
     cols += [{pres.betti + i: d} for i, d in enumerate(pres.torsion)]
-    divisors = smith_normal_form(SparseIntMatrix.view(len(pres._rows), cols))
-    missing = len(pres._rows) - len(divisors)
+    rows = pres.betti + len(pres.torsion)
+    divisors = smith_normal_form(SparseIntMatrix.view(rows, cols))
+    missing = rows - len(divisors)
     over_q = missing == 0
     over_z = over_q and all(d == 1 for d in divisors)
     return GeneratedCheck(over_q, over_z, missing)
@@ -322,7 +313,7 @@ class ChainMap:
         coordinate i of the image of z_i."""
         images = self.push(presentation.q,
                            presentation.require_basis().cycle_basis)
-        return sum(presentation.coordinate(vec, i)
+        return sum(presentation.homology_coords(vec).get(i, 0)
                    for i, vec in enumerate(images))
 
 

@@ -4,7 +4,9 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 lines.  All arithmetic is exact; every comparison is equality (tolerance 0).
 """
 
+import json
 import time
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -18,6 +20,7 @@ from graphconf import (
     circle_family,
     decompose,
     class_size,
+    conf_euler,
     dimension_polynomial_check,
     generation_degree_check,
     homology,
@@ -41,6 +44,7 @@ from graphconf import (
     wedge_family,
     Graph,
 )
+from graphconf.cli import main
 
 import conftest
 from conftest import corpus_graphs
@@ -318,3 +322,36 @@ def test_criterion_15_character_machinery():
            "character tables for k <= 7 satisfy both orthogonality "
            "relations; regular representation decomposes with hook-length "
            "multiplicities")
+
+
+def test_criterion_16_nonplanar_torsion_survey(tmp_path, capsys):
+    t0 = time.time()
+    graphs = {
+        "K3,3": (Graph(vertices=tuple(range(6)),
+                       edges=tuple((i, j) for i in range(3) for j in range(3, 6))),
+                 [1, 12, 41, 0]),
+        "K5": (Graph(vertices=tuple(range(5)),
+                     edges=tuple(combinations(range(5), 2))),
+               [1, 18, 167, 0]),
+    }
+    ok, parts = True, []
+    for name, (g, expected) in graphs.items():
+        path = tmp_path / "graph.json"
+        path.write_text(g.to_json())
+        reports = []
+        for q in range(4):
+            out = tmp_path / f"q{q}.json"
+            code = main(["homology", "--graph", str(path), "--n", "3",
+                         "--q", str(q), "--out", str(out)])
+            assert code == 0, (name, q, capsys.readouterr().err)
+            reports.append(json.loads(out.read_text()))
+        betti = [r["betti"] for r in reports]
+        torsion = [r["torsion"] for r in reports]
+        euler = sum((-1) ** q * b for q, b in enumerate(betti))
+        ok &= (betti == expected and torsion == [[]] * 4
+               and euler == conf_euler(g, 3)
+               and betti == betti_numbers(build_model(g, 3), 3))
+        parts.append(f"{name}: b = {tuple(betti)}, torsion {torsion}, "
+                     f"Euler characteristic {euler}")
+    report(16, ok, "n=3, q=0..3 through `graphconf homology`: "
+           + "; ".join(parts) + f" in {time.time() - t0:.1f}s")

@@ -305,6 +305,18 @@ class TestExitCodes:
     def test_negative_n_is_config_error(self, capsys, graph_file):
         assert main(["homology", "--graph", graph_file, "--n", "-1"]) == 2
 
+    def test_negative_d_is_config_error_before_any_model(self, capsys,
+                                                        star_family_file):
+        # a budget of 5 cells would exit 3 once a model is built
+        assert main(["generation-check", "--family", star_family_file,
+                     "--n", "3", "--d", "-1", "--K", "3", "--budget", "5"]) == 2
+        assert "--d must be nonnegative" in capsys.readouterr().err
+
+    def test_negative_K_is_config_error(self, capsys, star_family_file):
+        assert main(["generation-check", "--family", star_family_file,
+                     "--n", "3", "--d", "1", "--K", "-1"]) == 2
+        assert "--K must be nonnegative" in capsys.readouterr().err
+
     def test_negative_qmax_is_config_error(self, capsys, graph_file):
         assert main(["oracle-compare", "--graph", graph_file, "--n", "2",
                      "--qmax", "-1"]) == 2

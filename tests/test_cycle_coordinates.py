@@ -138,7 +138,8 @@ def lattice_span_check(pres, candidates):
     """The span check by its definition in cycle-lattice coordinates: the
     candidates with im d_(q+1) generate Z_q over Q when [image | candidates]
     has full rank, and over Z when its Smith divisors are all 1 as well."""
-    cols = list(pres._image_cols) + [pres.kernel_coords(z) for z in candidates]
+    image = pres.complex.boundary(pres.q + 1).columns()
+    cols = [pres.kernel_coords(z) for z in [*image, *candidates]]
     divisors = smith_normal_form(SparseIntMatrix.view(pres.cycle_rank, cols))
     missing = pres.cycle_rank - len(divisors)
     return GeneratedCheck(missing == 0,
@@ -176,8 +177,10 @@ def check_generates_support(model, sub, q, pushed):
     assert len(pushed) == sub_pres.betti + len(sub_pres.torsion)
     coords = [sub_pres.kernel_coords({back[a]: v for a, v in vec.items()})
               for vec in pushed]        # raises unless a supported cycle
+    image = [sub_pres.kernel_coords(col)
+             for col in subcx.boundary(q + 1).columns()]
     divisors = smith_normal_form(SparseIntMatrix.from_columns(
-        sub_pres.cycle_rank, list(sub_pres._image_cols) + coords))
+        sub_pres.cycle_rank, image + coords))
     assert divisors == [1] * sub_pres.cycle_rank
     return sub_pres.cycle_rank
 
@@ -266,16 +269,16 @@ class TestMaximalSupports:
 
 class TestSmithInputView:
     def test_repeated_checks_leave_image_columns_intact(self):
-        # generated_check reads candidates through the columns of the
-        # presentation's row transform U, and the lattice rule hands the
-        # image columns to Smith without a copy; neither may be written to
+        # generated_check reads candidates through the presentation's
+        # coordinate map and projector, and the lattice rule reads the
+        # image columns through the same map; neither may be written to
         tree = make_spider(2, 3, 1)
         model = build_model(tree, 3)
         pres = homology(model, 1, basis=False)
-        saved = copy.deepcopy(pres._image_cols)
-        saved_u = copy.deepcopy(pres._u_rows)
-        assert sum(map(len, saved)) > len(saved)
-        assert sum(map(len, saved_u.values())) > len(saved_u)
+        saved = copy.deepcopy(pres._coords)
+        saved_projector = copy.deepcopy(pres._projector)
+        assert saved[0]
+        assert sum(map(len, saved_projector.values())) > len(saved_projector)
         supports = _generator_supports(tree, 1)
         first = span(model, 1, supports, pres)
         second = span(model, 1, supports, pres)
@@ -283,5 +286,5 @@ class TestSmithInputView:
         candidates = [v for sub in supports
                       for v in pushed_cycle_space(model, sub, 1)]
         assert lattice_span_check(pres, candidates) == first
-        assert pres._image_cols == saved
-        assert pres._u_rows == saved_u
+        assert pres._coords == saved
+        assert pres._projector == saved_projector

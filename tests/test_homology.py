@@ -112,31 +112,6 @@ class TestProjection:
         with pytest.raises(HomologyError):
             pres.project({0: 1})
 
-    def test_coordinate_is_one_entry_of_project(self, star3_model):
-        rng = random.Random(3)
-        for cx in (star3_model, build_model(make_star(4), 2)):
-            pres = homology(cx, 1)
-            d2 = cx.boundary(2)
-            vectors = list(pres.cycle_basis)
-            for _ in range(10):
-                z = {}
-                for vec in pres.cycle_basis:
-                    c = rng.randint(-3, 3)
-                    for cell, v in vec.items():
-                        z[cell] = z.get(cell, 0) + c * v
-                w = {rng.randrange(d2.cols): rng.randint(-2, 2) for _ in range(3)}
-                for cell, v in (d2 @ w).items():
-                    z[cell] = z.get(cell, 0) + v
-                vectors.append({c: v for c, v in z.items() if v})
-            for z in vectors:
-                assert tuple(pres.coordinate(z, i)
-                             for i in range(pres.betti)) == pres.project(z)
-
-    def test_coordinate_non_cycle_rejected(self, star3_model):
-        pres = homology(star3_model, 1)
-        with pytest.raises(HomologyError):
-            pres.coordinate({0: 1}, 0)
-
     def test_basis_free_presentation_guarded(self, star3_model):
         from graphconf import permutation_action_map
         pres = homology(star3_model, 1, basis=False)
@@ -394,9 +369,11 @@ class TestTorsionPresentation:
                     z[cell] = z.get(cell, 0) + coeff * v
             z = {c: v for c, v in z.items() if v}
             assert pres.project(z) == tuple(a)
-            for vec in pres.cycle_basis + [z]:
-                assert tuple(pres.coordinate(vec, i) for i in range(2)) == \
-                    pres.project(vec)
+            # the trace reads entry i of homology_coords
+            for i, vec in enumerate(pres.cycle_basis):
+                assert pres.homology_coords(vec) == {i: 1}
+            coords = pres.homology_coords(z)
+            assert tuple(coords.get(i, 0) for i in range(2)) == tuple(a)
 
     def test_support_presentation_reads_ambient_columns(self):
         # a support keeping some 2-cells presents the cokernel of their
@@ -432,16 +409,21 @@ class TestTorsionPresentation:
                      for col in cx.boundary(2).columns()]
             pivots, _, uinv_cols = smith_diagonalize(
                 SparseIntMatrix.view(len(basis), image), track_u=True)
-            gens = homology_generators(basis, pivots, uinv_cols)
+            pivot_rows = {r for r, _, _ in pivots}
+            rows = [r for r in range(len(basis)) if r not in pivot_rows]
+            rows += [r for r, _, d in pivots if d > 1]
+            gens = homology_generators(basis, rows, uinv_cols)
             assert len(gens) == 2 + 3
             pres = homology(cx, 1)
             assert gens == pres.generators
             assert gens[:2] == pres.cycle_basis
             y = [pres.kernel_coords(vec) for vec in gens]   # all cycles
+            boundaries = [pres.kernel_coords(col)
+                          for col in cx.boundary(2).columns()]
 
             def torsion_left(extra):
                 divisors = smith_normal_form(SparseIntMatrix.from_columns(
-                    pres.cycle_rank, list(pres._image_cols) + extra))
+                    pres.cycle_rank, boundaries + extra))
                 return len(divisors), [d for d in divisors if d > 1]
 
             # each torsion generator is killed only by its own divisor

@@ -62,11 +62,21 @@ def connected_multigraphs(draw, max_vertices=5, max_extra_edges=2):
 @PROPERTY_SETTINGS
 @given(connected_multigraphs(), st.integers(0, 3))
 def test_model_and_oracle_agree_integrally(g, n):
+    """Both models have the same integral homology.  The model's
+    presentation with a basis agrees with the basis-free one, its
+    projector sends generator i to the unit vector i (free and torsion
+    generators alike), and it sends every boundary to zero."""
     model, oracle = build_model(g, n), build_abrams_oracle(g, n)
     for q in range(min(n, 2) + 1):
         mine = homology(model, q, basis=False)
         theirs = homology(oracle, q, basis=False)
         assert (mine.betti, mine.torsion) == (theirs.betti, theirs.torsion), q
+        pres = homology(model, q)
+        assert (pres.betti, pres.torsion) == (mine.betti, mine.torsion), q
+        for i, vec in enumerate(pres.generators):
+            assert pres.homology_coords(vec) == {i: 1}, q
+        for col in model.boundary(q + 1).columns():
+            assert pres.project(col) == (0,) * pres.betti, q
 
 
 @PROPERTY_SETTINGS

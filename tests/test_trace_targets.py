@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps graphconf functions by name, and its count
-hooks read their parameters by position or name; a renamed or deleted
-target or parameter would silently leave its layer or count empty."""
+hooks read their parameters by position or name and attributes of their
+arguments and results; a renamed or deleted target, parameter or attribute
+would silently leave its layer or count empty."""
 
 import importlib
 import importlib.util
@@ -9,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from graphconf import Subgraph, build_model, make_star, subcomplex_supported_in
+from graphconf import (
+    Subgraph,
+    build_model,
+    homology,
+    kernel_with_coords,
+    make_star,
+    subcomplex_supported_in,
+)
 from graphconf.stability import pushed_cycle_space
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -72,3 +80,21 @@ def test_support_kernel_reads_only_the_supported_columns(monkeypatch):
     [matrix] = seen
     assert matrix.cols == len(inj[1]) < len(model.codes[1])
     assert matrix.nnz == subcx.boundary(1).nnz
+
+
+def test_hooked_attributes_exist():
+    """The count hooks read these attributes off results and arguments:
+    ``cycle_rank`` (span) and ``cycle_basis`` (trace) of a presentation,
+    ``nnz`` of a boundary, ``total_cells`` of a model, and ``top_dimension``
+    and the ``_boundaries`` memo of a complex (which boundaries are built
+    rather than served from the memo)."""
+    model = build_model(make_star(3), 2)
+    assert model.total_cells == sum(model.f_vector())
+    assert model.top_dimension == len(model.f_vector()) - 1
+    assert 1 not in model._boundaries
+    pres = homology(model, 1)
+    d1 = model.boundary(1)
+    assert model._boundaries[1] is d1
+    assert d1.nnz == sum(len(col) for col in d1.columns()) > 0
+    assert pres.cycle_rank == len(kernel_with_coords(d1)[1]) > 0
+    assert len(pres.cycle_basis) == pres.betti > 0
