@@ -102,19 +102,26 @@ def pushed_cycle_space(model, sub, q, ranks=None):
     return pres.generators
 
 
-def _support_generators(model, q, orbits, ranks):
-    """Pushed homology generators of the supports in ``orbits``, pairs of
-    a representative support and the automorphisms carrying it to the
-    others.  Every representative is presented at once, and its cycle rank
-    appended to ``ranks`` once per support of its orbit (automorphic
-    supports have equal ranks).  Returns the number of generators over all
-    supports and an iterator over the supports' generator lists that
-    pushes a further support through its chain map only when reached."""
-    presented = []
+def _orbit_span_check(model, q, orbits, pres):
+    """The span check of the generators of every support in ``orbits``,
+    pairs of a representative support and the automorphisms carrying it to
+    the others.  Returns the ``GeneratedCheck``, the candidate count (the
+    sum over the supports of their cycle ranks) and the generator count
+    (the number of generators over all supports).  Every representative is
+    presented first, since both counts need them all; automorphic supports
+    have equal ranks and equally many generators.  Supports are then pushed
+    through their chain maps one at a time, and the generators so far are
+    checked when their count first reaches b_q + t and each time it
+    doubles.  A superset of a generating set generates, so the first prefix
+    that generates over Z settles the verdict; a prefix that does not
+    proves nothing, so a failing check ends on all the generators."""
+    presented, ranks = [], []
     for rep, maps in orbits:
-        rank = []
-        presented.append((pushed_cycle_space(model, rep, q, rank), maps))
-        ranks.extend(rank * (1 + len(maps)))
+        presented.append((pushed_cycle_space(model, rep, q, ranks), maps))
+    candidate_count = sum(rank * (1 + len(maps))
+                          for rank, (_, maps) in zip(ranks, presented))
+    generator_count = sum(len(gens) * (1 + len(maps))
+                          for gens, maps in presented)
 
     def pushes():
         for gens, maps in presented:
@@ -123,30 +130,18 @@ def _support_generators(model, q, orbits, ranks):
                 for vmap, emap in maps:
                     yield permutation_action_map(model, vmap, emap).push(q, gens)
 
-    return sum(len(gens) * (1 + len(maps)) for gens, maps in presented), pushes()
-
-
-def _orbit_span_check(model, q, orbits, pres, ranks):
-    """The span check of the generators of every support in ``orbits``,
-    with the number of those generators.  Supports are taken one at a
-    time, and the generators so far are checked when their count first
-    reaches b_q + t and each time it doubles.  A superset of a generating
-    set generates, so the first prefix that generates over Z settles the
-    verdict; a prefix that does not proves nothing, so a failing check
-    ends on all the generators."""
-    count, pushes = _support_generators(model, q, orbits, ranks)
     candidates, checked = [], -1
     target = pres.betti + len(pres.torsion)
-    for gens in pushes:
+    for gens in pushes():
         candidates.extend(gens)
         if len(candidates) >= target:
             verdict = generated_check(model, q, candidates, presentation=pres)
             if verdict.generates_over_Z:
-                return verdict, count
+                return verdict, candidate_count, generator_count
             checked, target = len(candidates), 2 * len(candidates)
     if checked < len(candidates):
         verdict = generated_check(model, q, candidates, presentation=pres)
-    return verdict, count
+    return verdict, candidate_count, generator_count
 
 
 def verify_tree_generators(tree, n, q, budget=DEFAULT_CELL_BUDGET):
@@ -159,7 +154,8 @@ def verify_tree_generators(tree, n, q, budget=DEFAULT_CELL_BUDGET):
     model = build_model(tree, n, budget=budget)
     pres = homology(model, q, basis=False)
     supports = _generator_supports(tree, q)
-    check, _ = _orbit_span_check(model, q, [(s, ()) for s in supports], pres, [])
+    check, _, _ = _orbit_span_check(model, q, [(s, ()) for s in supports],
+                                    pres)
     return check, supports
 
 
@@ -198,73 +194,56 @@ class GenerationReport:
 def generation_degree_check(descriptor, n, q, d, sizes,
                             budget=DEFAULT_CELL_BUDGET, search_d_min=True):
     """Span check: do classes supported in degree-d images generate H_q of
-    the size-``sizes`` member?  Reports the minimal witnessed degree and the
-    verdict at the family's asserted bound (clamped to the window)."""
+    the size-``sizes`` member?  The degree ``d`` is one integer, applied to
+    every coordinate of the family.  The minimal witnessed degree walks down
+    from ``d`` while the next degree generates.  The verdict at the
+    family's asserted bound (clamped to the window) is read off a degree
+    already checked when it can be: supports nest, so a pass at or below
+    the bound persists up to it, and a failure at or above it persists
+    down to it; otherwise one more check runs at the bound.  The candidate
+    and generator counts are those of degree ``d``."""
     t0 = time.perf_counter()
     if isinstance(sizes, int):
         sizes = (sizes,) * descriptor.arity
     sizes = tuple(sizes)
-    degree = (d,) * descriptor.arity if isinstance(d, int) else tuple(d)
-    if len(degree) != descriptor.arity or len(set(degree)) > 1:
-        # the d_min search and the asserted bound take one degree for
-        # every coordinate
-        raise StabilityError(
-            f"degree {degree} must repeat one value over the "
-            f"{descriptor.arity} coordinates")
-    if any(dd > k for dd, k in zip(degree, sizes)):
+    if d > min(sizes):
         raise StabilityError("degree must not exceed the sizes componentwise")
 
     instance = realize_family(descriptor, sizes)
     model = build_model(instance.graph, n, budget=budget)
     pres = homology(model, q, basis=False)
 
-    per_degree = {}
-    counts = {}
+    def span_check(deg):
+        return _orbit_span_check(
+            model, q, support_orbits(instance, (deg,) * descriptor.arity), pres)
 
-    def verdict_at(deg):
-        if deg not in per_degree:
-            ranks = []
-            per_degree[deg], generators = _orbit_span_check(
-                model, q, support_orbits(instance, (deg,) * descriptor.arity),
-                pres, ranks)
-            counts[deg] = (sum(ranks), generators)
-        return per_degree[deg]
-
-    scalar_d = degree[0]
-    head = verdict_at(scalar_d)
-
-    d_min = None
-    if head.generates_over_Z and search_d_min:
-        d_min = scalar_d
-        for lower in range(scalar_d - 1, -1, -1):
-            if verdict_at(lower).generates_over_Z:
-                d_min = lower
-            else:
-                break
-    elif head.generates_over_Z:
-        d_min = scalar_d
+    head, candidate_count, generator_count = span_check(d)
+    per_degree = {d: head}
+    d_min = d if head.generates_over_Z else None
+    while search_d_min and d_min:       # None when d fails; stops at 0
+        below = per_degree[d_min - 1] = span_check(d_min - 1)[0]
+        if not below.generates_over_Z:
+            break
+        d_min -= 1
 
     bound = descriptor.generation_bound(n)
     clamped = None
     passes = None
     if bound is not None:
         clamped = min(bound, min(sizes))
-        known_pass = [dd for dd, v in per_degree.items()
-                      if v.generates_over_Z and dd <= clamped]
-        known_fail = [dd for dd, v in per_degree.items()
-                      if not v.generates_over_Z and dd >= clamped]
-        if known_pass:
-            passes = True      # supports nest, so a pass persists upward
-        elif known_fail:
+        if any(v.generates_over_Z and dd <= clamped
+               for dd, v in per_degree.items()):
+            passes = True
+        elif any(not v.generates_over_Z and dd >= clamped
+                 for dd, v in per_degree.items()):
             passes = False
         else:
-            passes = verdict_at(clamped).generates_over_Z
-
-    candidate_count, generator_count = counts[scalar_d]
+            per_degree[clamped] = span_check(clamped)[0]
+            passes = per_degree[clamped].generates_over_Z
 
     return GenerationReport(
         family_kind=descriptor.kind,
-        n=n, q=q, sizes=sizes, degree=degree,
+        n=n, q=q, sizes=sizes, degree=(d,) * descriptor.arity,
         generates_over_Q=head.generates_over_Q,
         generates_over_Z=head.generates_over_Z,
         missing_rank=head.missing_rank,

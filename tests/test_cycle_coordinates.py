@@ -19,6 +19,7 @@ from graphconf import (
     make_h_graph,
     make_spider,
     make_star,
+    permutation_action_map,
     rank_of_columns,
     smith_normal_form,
     subcomplex_supported_in,
@@ -145,6 +146,18 @@ def lattice_span_check(pres, candidates):
     return GeneratedCheck(missing == 0,
                           missing == 0 and all(d == 1 for d in divisors),
                           missing)
+
+
+def orbit_generators(model, q, orbits):
+    """Each support's generators, orbit by orbit: the representative's
+    own, then their push through each orbit map in turn."""
+    per_support = []
+    for rep, maps in orbits:
+        gens = pushed_cycle_space(model, rep, q)
+        per_support.append(gens)
+        per_support += [permutation_action_map(model, vmap, emap).push(q, gens)
+                        for vmap, emap in maps]
+    return per_support
 
 
 def whole_lattice(model, sub, q):

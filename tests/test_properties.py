@@ -40,9 +40,10 @@ from graphconf import (
 )
 from graphconf.graphs import support_orbits
 from graphconf.linalg import smith_diagonalize
-from graphconf.stability import _orbit_span_check, _support_generators
+from graphconf.stability import _orbit_span_check
 
-from test_cycle_coordinates import lattice_span_check, whole_lattice
+from test_cycle_coordinates import (lattice_span_check, orbit_generators,
+                                    whole_lattice)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -269,7 +270,8 @@ def test_stop_early_span_check_keeps_the_lattice_verdict(members):
     """At n = 2, q = 1 and every degree up to the sizes, the span check
     that stops at the first generating prefix of supports gives the
     verdict of all the supports' generators in cycle-lattice coordinates,
-    and counts every generator.  Both verdicts occur."""
+    and counts every support's cycle rank and generators.  Both verdicts
+    occur."""
     seen = set()
 
     @settings(PROPERTY_SETTINGS, max_examples=30)
@@ -279,11 +281,13 @@ def test_stop_early_span_check_keeps_the_lattice_verdict(members):
         pres = homology(model, 1, basis=False)
         for degrees in product(*(range(k + 1) for k in inst.sizes)):
             orbits = support_orbits(inst, degrees)
-            count, pushes = _support_generators(model, 1, orbits, [])
-            every = [vec for gens in pushes for vec in gens]
+            every = [vec for gens in orbit_generators(model, 1, orbits)
+                     for vec in gens]
             want = lattice_span_check(pres, every)
-            assert _orbit_span_check(model, 1, orbits, pres, []) == \
-                (want, count) and count == len(every), degrees
+            candidates = sum(len(whole_lattice(model, sub, 1))
+                             for sub in support_subgraphs(inst, degrees))
+            assert _orbit_span_check(model, 1, orbits, pres) == \
+                (want, candidates, len(every)), degrees
             seen.add(want.generates_over_Z)
 
     check()

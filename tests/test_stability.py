@@ -5,6 +5,7 @@ import pytest
 
 from graphconf import (
     BudgetExceeded,
+    GeneratedCheck,
     Graph,
     SparseIntMatrix,
     SummandSpec,
@@ -31,11 +32,11 @@ from graphconf import (
 )
 from graphconf import stability
 from graphconf.graphs import support_orbits
-from graphconf.stability import (_orbit_span_check, _support_generators,
-                                 pushed_cycle_space)
+from graphconf.stability import _orbit_span_check, pushed_cycle_space
 
 from test_cycle_coordinates import (check_generates_support,
-                                    lattice_span_check, whole_lattice)
+                                    lattice_span_check, orbit_generators,
+                                    whole_lattice)
 from test_homology import torsion_complex
 
 
@@ -154,6 +155,38 @@ class TestGenerationDegree:
         assert data["f_vector"][0] > 0
 
 
+class TestDegreeBookkeeping:
+    """On the star family at n = 2 and K = 5 (asserted bound 2n = 4), with
+    the span check scripted to pass at the degrees in ``passing``: every
+    degree asked is reported in ``per_degree`` and asked once, the d_min
+    search walks down until a degree fails, and a degree already checked
+    settles the bound when it can."""
+
+    @pytest.mark.parametrize("d,search,passing,asked,d_min,passes", [
+        (4, True, {2, 3, 4, 5}, [4, 3, 2, 1], 2, True),
+        (4, False, {2, 3, 4, 5}, [4], 4, True),
+        (5, True, set(), [5], None, False),
+        (3, True, {4, 5}, [3, 4], None, True),
+    ])
+    def test_degrees_asked(self, star_family, monkeypatch, d, search,
+                           passing, asked, d_min, passes):
+        seen = []
+
+        def scripted(model, q, orbits, pres):
+            [(rep, _)] = orbits
+            seen.append(len(rep.edges))     # a degree-k support has k edges
+            ok = seen[-1] in passing
+            return GeneratedCheck(ok, ok, 0 if ok else 1), 0, 0
+
+        monkeypatch.setattr(stability, "_orbit_span_check", scripted)
+        rep = generation_degree_check(star_family, 2, 1, d, 5,
+                                      search_d_min=search)
+        assert seen == asked
+        assert set(seen) == set(rep.per_degree)
+        assert (rep.asserted_bound, rep.bound_clamped) == (4, 4)
+        assert (rep.d_min, rep.passes_asserted_bound) == (d_min, passes)
+
+
 def transport_family(name):
     point = Graph(vertices=(0,), edges=(), basepoint=0)
     segment = make_path_graph(1)
@@ -189,25 +222,22 @@ class TestSupportOrbits:
             orbits = support_orbits(inst, degrees)
             assert sum(1 + len(maps) for _, maps in orbits) == len(supports)
             assert len(orbits) == (len(supports) if name == "interval" else 1)
-            ranks, own_ranks = [], []
-            count, pushes = _support_generators(model, 1, orbits, ranks)
-            moved = [vec for gens in pushes for vec in gens]
-            own = [pushed_cycle_space(model, sub, 1, own_ranks)
-                   for sub in supports]
-            assert count == len(moved) == sum(len(b) for b in own)
+            ranks = []
+            per_support = orbit_generators(model, 1, orbits)
+            moved = [vec for gens in per_support for vec in gens]
+            own = [pushed_cycle_space(model, sub, 1, ranks) for sub in supports]
             whole = [whole_lattice(model, sub, 1) for sub in supports]
-            assert ranks == own_ranks == [len(b) for b in whole]
-            start = 0
-            for sub, basis in zip(supports, own):
-                chunk = moved[start:start + len(basis)]
-                start += len(basis)
+            assert ranks == [len(b) for b in whole]
+            for sub, basis, chunk in zip(supports, own, per_support):
+                assert len(chunk) == len(basis)
                 for vec in chunk:
                     assert not model.boundary(1) @ vec
                 check_generates_support(model, sub, 1, chunk)
             got = generated_check(model, 1, moved, presentation=pres)
             assert got == generated_check(model, 1, [v for b in whole for v in b],
                                           presentation=pres)
-            assert _orbit_span_check(model, 1, orbits, pres, []) == (got, count)
+            assert _orbit_span_check(model, 1, orbits, pres) == \
+                (got, sum(ranks), len(moved))
             verdicts.append(got.generates_over_Z)
         assert True in verdicts and False in verdicts
 
@@ -219,11 +249,12 @@ class TestSupportOrbits:
         model = build_model(inst.graph, 2)
         pres = homology(model, 1, basis=False)
         orbits = support_orbits(inst, (4,))
-        [(_, maps)] = orbits
-        count, pushes = _support_generators(model, 1, orbits, [])
-        every = [vec for gens in pushes for vec in gens]
+        [(rep, maps)] = orbits
+        every = [vec for gens in orbit_generators(model, 1, orbits)
+                 for vec in gens]
         want = lattice_span_check(pres, every)
-        assert want.generates_over_Z and count == len(every)
+        assert want.generates_over_Z
+        candidates = (1 + len(maps)) * len(whole_lattice(model, rep, 1))
         pushed = []
 
         def counting(*args):
@@ -231,7 +262,8 @@ class TestSupportOrbits:
             return permutation_action_map(*args)
 
         monkeypatch.setattr(stability, "permutation_action_map", counting)
-        assert _orbit_span_check(model, 1, orbits, pres, []) == (want, count)
+        assert _orbit_span_check(model, 1, orbits, pres) == \
+            (want, candidates, len(every))
         assert 0 < len(pushed) < len(maps)
 
     def test_a_prefix_generating_only_over_q_settles_nothing(self,
@@ -252,8 +284,8 @@ class TestSupportOrbits:
         monkeypatch.setattr(stability, "pushed_cycle_space", presented)
         prefix = lattice_span_check(pres, chunks["first"])
         assert prefix.generates_over_Q and not prefix.generates_over_Z
-        got = _orbit_span_check(cx, 1, [("first", []), ("second", [])], pres, [])
-        assert got == (lattice_span_check(pres, g), 6)
+        got = _orbit_span_check(cx, 1, [("first", []), ("second", [])], pres)
+        assert got == (lattice_span_check(pres, g), 2 * pres.cycle_rank, 6)
         assert got[0].generates_over_Z
 
 

@@ -85,9 +85,11 @@ def test_support_kernel_reads_only_the_supported_columns(monkeypatch):
 def test_hooked_attributes_exist():
     """The count hooks read these attributes off results and arguments:
     ``cycle_rank`` (span) and ``cycle_basis`` (trace) of a presentation,
-    ``nnz`` of a boundary, ``total_cells`` of a model, and ``top_dimension``
+    ``nnz`` of a boundary, ``total_cells`` of a model, ``top_dimension``
     and the ``_boundaries`` memo of a complex (which boundaries are built
-    rather than served from the memo)."""
+    rather than served from the memo), and ``len`` of the list of chains
+    ``pushed_cycle_space`` returns (pushed vectors), which appends one cycle
+    rank to a ``ranks`` list."""
     model = build_model(make_star(3), 2)
     assert model.total_cells == sum(model.f_vector())
     assert model.top_dimension == len(model.f_vector()) - 1
@@ -98,3 +100,11 @@ def test_hooked_attributes_exist():
     assert d1.nnz == sum(len(col) for col in d1.columns()) > 0
     assert pres.cycle_rank == len(kernel_with_coords(d1)[1]) > 0
     assert len(pres.cycle_basis) == pres.betti > 0
+    graph = model.graph
+    sub = Subgraph(graph, frozenset(graph.vertices),
+                   frozenset(range(graph.n_edges)))
+    ranks = []
+    pushed = pushed_cycle_space(model, sub, 1, ranks)
+    assert isinstance(pushed, list) and pushed
+    assert all(isinstance(vec, dict) for vec in pushed)
+    assert len(ranks) == 1 and ranks[0] >= len(pushed)
