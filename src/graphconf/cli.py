@@ -206,8 +206,9 @@ def _cmd_homology(args):
 def _cmd_oracle_compare(args):
     graph = smooth(_load_graph(args))
     qmax = args.qmax if args.qmax is not None else min(args.n, 2)
-    cx = build_model(graph, args.n, budget=args.budget)
-    model_betti = betti_numbers(cx, qmax)
+    # the model is freed before the oracle is built
+    model_betti = betti_numbers(build_model(graph, args.n, budget=args.budget),
+                                qmax)
     oracle_betti = oracle_betti_numbers(graph, args.n, qmax,
                                         budget=args.budget)
     match = model_betti == oracle_betti

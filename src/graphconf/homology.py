@@ -12,6 +12,7 @@ from .linalg import (
     kernel_with_coords,
     lattice_coords,
     rank_of_columns,
+    reduce_left_to_right,
     smith_diagonalize,
     smith_normal_form,
     vec_axpy,
@@ -187,26 +188,31 @@ def homology_generators(kernel_basis, rows, uinv_cols):
 
 
 def betti_numbers(complex_, qmax=None):
-    """Rational Betti numbers b_0..b_qmax via exact boundary ranks.
-
-    The loop runs bottom-up and assembles d_(q+1) without the rows of the
-    pivot columns P that the elimination of d_q found.  Those columns are
-    linearly independent, so no nonzero q-cycle is supported on P, and
-    deleting the coordinates in P is injective on Z_q.  The image of
-    d_(q+1) lies in Z_q, so its rank is unchanged by the deletion.  For
-    q = 1, P is the spanning forest of the 1-skeleton.  Each boundary is
-    assembled for the loop alone and freed after its rank is taken.
+    """Rational Betti numbers b_0..b_qmax via exact boundary ranks, by
+    "clear and compress".  d_1 is ranked on the spanning forest F of the
+    1-skeleton, then every d_q with q >= 2 from the top dimension down
+    (also when ``qmax`` is smaller) by ``reduce_left_to_right``.  Clearing:
+    a pivot row i of d_(q+1) is the lowest row of a cycle, so column i of
+    d_q is a combination of the columns left of it, and is skipped.
+    Compression: d_2 is assembled without F's rows, which is injective on
+    Z_1 since F's columns are independent.  Each boundary is assembled for
+    the loop alone.  ``homology`` keeps the engine, which prefers unit
+    pivots: the lowest-row rule meets a non-unit in d_2 of K_5 and K_3,3
+    at n = 3, where a presentation would then need a kernel basis.
     """
     f = complex_.f_vector()
     top = len(f) - 1
     if qmax is None:
         qmax = top
     ranks = [0] * (top + 2)            # ranks[q] = rank d_q; d_0 = 0
-    pivots = []
-    for q in range(1, min(top, qmax + 1) + 1):
-        dropped = set(pivots)
-        pivots = []
-        ranks[q] = rank_of_columns(complex_.boundary(q, dropped).columns(), pivots)
+    forest, cleared = [], ()
+    if top > 0:
+        ranks[1] = rank_of_columns(complex_.boundary(1, set()).columns(), forest)
+    for q in range(top, 1, -1) if qmax else ():
+        cleared = set(reduce_left_to_right(
+            complex_.boundary(q, set(forest) if q == 2 else set()).columns(),
+            cleared))
+        ranks[q] = len(cleared)
     return [f[q] - ranks[q] - ranks[q + 1] if q <= top else 0
             for q in range(qmax + 1)]
 

@@ -16,6 +16,10 @@ non-pivot columns and the block is the identity.  All three skip the
 engine on a graph's incidence matrix (every nonzero column e_i - e_j): one
 union-find, ``_spanning_forest``, gives the forest the engine would pivot
 on, and the rank, kernel and Smith form follow.
+
+``reduce_left_to_right``, the standard persistence reduction at each
+column's lowest row, ranks the Betti loop's d_q for q >= 2; lowest rows do
+not favour unit pivots, so presentations keep the engine.
 """
 
 from __future__ import annotations
@@ -422,6 +426,39 @@ def rank_of_columns(columns, pivots=None, non_units=None):
     if non_units is not None:
         non_units.extend(v for _, _, v in found if v != 1)
     return len(found)
+
+
+def reduce_left_to_right(columns, skip=(), non_units=None):
+    """Pivot rows of the standard (persistence) reduction, as many as the
+    rank over Q.  Left to right, each column not in ``skip`` is reduced at
+    its lowest (largest) row against the earlier reduced column with that
+    lowest row, until its lowest row is new or it vanishes; a pivot that
+    does not divide the entry scales the column by a cofactor first.  When
+    ``non_units`` is a list, each lowest entry's |value| other than 1 is
+    appended: if none is, every step was an integral column operation with
+    a unit pivot.  The input columns are left unchanged."""
+    reduced = {}                       # lowest row -> reduced column
+    for j, col in enumerate(columns):
+        if not col or j in skip:
+            continue
+        low, owned = max(col), False
+        while low in reduced:
+            other = reduced[low]
+            v, a = other[low], col[low]
+            if a % v:
+                g = gcd(v, a)
+                col = vec_scale_add(col, v // g, other, -(a // g))
+            else:
+                col = vec_axpy(col if owned else dict(col), other, a // v)
+            owned = True
+            if not col:
+                break
+            low = max(col)
+        else:
+            reduced[low] = col
+            if non_units is not None and abs(col[low]) != 1:
+                non_units.append(abs(col[low]))
+    return list(reduced)
 
 
 # -- kernel with coordinates ---------------------------------------------

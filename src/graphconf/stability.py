@@ -206,8 +206,8 @@ def generation_degree_check(descriptor, n, q, d, sizes,
     if isinstance(sizes, int):
         sizes = (sizes,) * descriptor.arity
     sizes = tuple(sizes)
-    if d > min(sizes):
-        raise StabilityError("degree must not exceed the sizes componentwise")
+    if not 0 <= d <= min(sizes):
+        raise StabilityError("degree must lie between 0 and every size")
 
     instance = realize_family(descriptor, sizes)
     model = build_model(instance.graph, n, budget=budget)

@@ -3,9 +3,10 @@ before loops are subdivided, parallel edges allowed) with n <= 3 particles
 (n = 4 for Gal's Euler characteristic on small graphs), on the exact
 polynomial fit, on the copy permutations of random wedge family members,
 on the span check that stops at a generating prefix of supports, on
-graph walks against networkx, and on the forest path that kernels and
-Smith forms of incidence matrices take.  Examples are derandomized, so
-every run checks the same inputs."""
+graph walks against networkx, on the forest path that kernels and Smith
+forms of incidence matrices take, on the left-to-right reduction of random
+sparse integer matrices, and on two particles on random 3-connected
+graphs.  Examples are derandomized, so every run checks the same inputs."""
 
 from collections import Counter
 from fractions import Fraction
@@ -34,12 +35,13 @@ from graphconf import (
     normalize_loops,
     pushed_cycle_space,
     realize_family,
+    smith_normal_form,
     smooth,
     support_subgraphs,
     wedge_family,
 )
 from graphconf.graphs import support_orbits
-from graphconf.linalg import smith_diagonalize
+from graphconf.linalg import reduce_left_to_right, smith_diagonalize
 from graphconf.stability import _orbit_span_check
 
 from test_cycle_coordinates import (lattice_span_check, orbit_generators,
@@ -63,15 +65,21 @@ def connected_multigraphs(draw, max_vertices=5, max_extra_edges=2):
 @PROPERTY_SETTINGS
 @given(connected_multigraphs(), st.integers(0, 3))
 def test_model_and_oracle_agree_integrally(g, n):
-    """Both models have the same integral homology.  The model's
-    presentation with a basis agrees with the basis-free one, its
+    """Both models have the same integral homology, and the Betti loop of
+    each gives its presentations' Betti numbers in every degree.  The
+    model's presentation with a basis agrees with the basis-free one, its
     projector sends generator i to the unit vector i (free and torsion
     generators alike), and it sends every boundary to zero."""
     model, oracle = build_model(g, n), build_abrams_oracle(g, n)
-    for q in range(min(n, 2) + 1):
+    qtop = max(model.top_dimension, oracle.top_dimension)
+    loops = betti_numbers(model, qtop), betti_numbers(oracle, qtop)
+    for q in range(qtop + 1):
         mine = homology(model, q, basis=False)
         theirs = homology(oracle, q, basis=False)
         assert (mine.betti, mine.torsion) == (theirs.betti, theirs.torsion), q
+        assert (loops[0][q], loops[1][q]) == (mine.betti, theirs.betti), q
+        if q > min(n, 2):
+            continue
         pres = homology(model, q)
         assert (pres.betti, pres.torsion) == (mine.betti, mine.torsion), q
         for i, vec in enumerate(pres.generators):
@@ -292,6 +300,10 @@ def test_stop_early_span_check_keeps_the_lattice_verdict(members):
 
     check()
     assert seen == {True, False}
+    # K_2,4 is planar but only 2-connected: b_1 = 11, not 2 * 3 + 1
+    k24 = Graph(vertices=tuple(range(6)),
+                edges=tuple((i, j) for i in range(2) for j in range(2, 6)))
+    assert betti_numbers(build_model(k24, 2))[1] == 11
 
 
 def to_networkx(g):
@@ -421,3 +433,81 @@ def test_h0_coordinates_name_the_component(g, n):
     valence = Counter(v for e in g.edges for v in e)
     if max(valence.values(), default=0) >= 3:
         assert pres.betti == 1
+
+
+sparse_entries = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=7, max_cols=7):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    return SparseIntMatrix.from_dense(
+        draw(st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)))
+
+
+@PROPERTY_SETTINGS
+@given(sparse_matrices())
+def test_left_to_right_rank_is_the_smith_rank(m):
+    columns = m.columns()
+    saved = [dict(col) for col in columns]
+    pivot_rows = reduce_left_to_right(columns)
+    assert len(pivot_rows) == len(set(pivot_rows)) == len(smith_normal_form(m))
+    assert set(pivot_rows) <= set(range(m.rows))
+    assert columns == saved
+
+
+@PROPERTY_SETTINGS
+@given(sparse_matrices(), st.data())
+def test_clearing_by_pivot_rows_keeps_the_rank(b, data):
+    """A has rows in the left kernel of B, so A B = 0: the columns of A at
+    B's pivot rows are dropped without changing A's rank."""
+    _, left_kernel, _ = kernel_with_coords(SparseIntMatrix.from_dense(
+        [list(row) for row in zip(*b.to_dense())]))
+    assume(left_kernel)
+    a = SparseIntMatrix.from_dense([
+        [sum(c * y.get(i, 0) for c, y in zip(coeffs, left_kernel))
+         for i in range(b.rows)]
+        for coeffs in data.draw(st.lists(
+            st.lists(sparse_entries, min_size=len(left_kernel),
+                     max_size=len(left_kernel)), min_size=1, max_size=6))])
+    assert a.multiply(b).is_zero()
+    pivot_rows = reduce_left_to_right(b.columns())
+    assert len(reduce_left_to_right(a.columns(), set(pivot_rows))) == \
+        len(smith_normal_form(a))
+
+
+@st.composite
+def three_connected_graphs(draw):
+    """K_4..K_7 with edges removed, in a drawn order, whenever the graph
+    stays 3-connected: random 3-connected simple graphs, planar and not."""
+    g = nx.complete_graph(draw(st.integers(4, 7)))
+    for e in draw(st.permutations(sorted(g.edges()))):
+        g.remove_edge(*e)
+        if nx.node_connectivity(g) < 3:
+            g.add_edge(*e)
+    return g
+
+
+def test_two_particles_on_3_connected_graphs():
+    """b_1(Conf_2 G) = 2 b_1(G) + [G planar] and b_2 = chi - 1 + b_1, with
+    b_0 = 1, as measured on 3-connected graphs."""
+    seen = set()
+
+    @PROPERTY_SETTINGS
+    @given(three_connected_graphs())
+    def check(nxg):
+        planar = nx.check_planarity(nxg)[0]
+        seen.add(planar)
+        g = Graph(vertices=tuple(nxg.nodes()), edges=tuple(nxg.edges()))
+        b1 = g.n_edges - g.n_vertices + 1
+        b = betti_numbers(build_model(g, 2))
+        assert b == [1, 2 * b1 + planar, conf_euler(g, 2) - 1 + 2 * b1 + planar]
+
+    check()
+    assert seen == {True, False}
+    # K_2,4 is planar but only 2-connected: b_1 = 11, not 2 * 5 + 1
+    k24 = Graph(vertices=tuple(range(6)),
+                edges=tuple((i, j) for i in range(2) for j in range(2, 6)))
+    assert betti_numbers(build_model(k24, 2))[1] == 11

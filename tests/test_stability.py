@@ -131,6 +131,15 @@ class TestGenerationDegree:
         with pytest.raises(StabilityError):
             generation_degree_check(star_family, 2, 1, 6, 5)
 
+    def test_negative_degree_rejected_before_any_model(self, star_family,
+                                                       monkeypatch):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built for a negative degree")
+
+        monkeypatch.setattr(stability, "build_model", no_model)
+        with pytest.raises(StabilityError):
+            generation_degree_check(star_family, 2, 1, -1, 3)
+
     def test_copy_labels_on_the_base_change_nothing(self, interval):
         # a realized member carries copy labels; used as a base, its
         # labelled vertices and edges stay in every support
