@@ -35,9 +35,10 @@ Both use the boundary convention, moves ordered by particle label,
 
 and ``CubeComplex.boundary`` is the one place where either model's boundary
 columns are assembled: from the face tables in the main model, and from
-``_oracle_faces`` in the oracle.  The Betti loop asks it for each d_q
-without the rows the previous elimination pivoted on; such a matrix is
-built afresh and not memoized.
+``_oracle_faces`` in the oracle.  Only a bare ``boundary(q)`` is memoized,
+for chain maps and tests; the Betti loop's d_q without the rows and columns
+settled before, and presentations' columns at their cells, are built for
+the caller and not kept.
 """
 
 from __future__ import annotations
@@ -118,20 +119,27 @@ class CubeComplex:
 
     # -- boundary --------------------------------------------------------
 
-    def boundary(self, q, dropped=None):
+    def boundary(self, q, dropped=None, cells=None):
         """Boundary matrix C_q -> C_(q-1); rows index (q-1)-cells.
 
-        It is built once and memoized.  With a set ``dropped`` the matrix is
+        A bare ``boundary(q)`` is built once and memoized.  With q-cell
+        positions ``cells``, read once, only those columns are returned, in
+        that order: read off the memo when d_q is there, otherwise assembled
+        for the caller and not kept.  With a set ``dropped`` the matrix is
         assembled afresh without those rows, and neither read from nor kept
         in the memo."""
         if q < 0:
             return SparseIntMatrix(0, 0)
-        if dropped is None and q in self._boundaries:
-            return self._boundaries[q]
+        memo = self._boundaries.get(q) if dropped is None else None
+        if memo is not None:
+            return memo if cells is None else memo.select_columns(cells)
+        kept = dropped is None and cells is None
+        codes = self.codes[q] if q <= self.top_dimension else ()
+        codes = codes if cells is None else [codes[j] for j in cells]
         if q == 0 or q > self.top_dimension:
             rows = len(self.codes[q - 1]) if 1 <= q <= self.top_dimension + 1 else 0
-            mat = SparseIntMatrix(rows, len(self.codes[q]) if q <= self.top_dimension else 0)
-            return mat if dropped is not None else self._boundaries.setdefault(q, mat)
+            mat = SparseIntMatrix(rows, len(codes))
+            return self._boundaries.setdefault(q, mat) if kept else mat
         if self.tables is not None:
             faces = self.tables.faces
         else:
@@ -140,7 +148,7 @@ class CubeComplex:
         index = self.code_index(q - 1)
         skip = dropped or ()
         cols = []
-        for cell in self.codes[q]:
+        for cell in codes:
             col = {}
             for sign, face0, face1 in faces(cell):
                 i1 = index[face1]
@@ -155,7 +163,7 @@ class CubeComplex:
                         del col[i0]
             cols.append(col)
         mat = SparseIntMatrix.view(len(self.codes[q - 1]), cols)
-        if dropped is None:
+        if kept:
             self._boundaries[q] = mat
         return mat
 

@@ -53,20 +53,29 @@ class HomologyPresentation:
         """Cycles whose classes are a basis of the free part."""
         return self.generators[:self.betti]
 
-    def kernel_coords(self, zvec):
-        """Coordinates of a cycle in the chosen basis of the cycle lattice."""
+    def boundary_columns(self, chains):
+        """d_q's columns at the cells of the given chains, by cell."""
+        cells = list({c for vec in chains for c in vec})
+        return dict(zip(cells, self.complex.boundary(self.q, cells=cells).columns()))
+
+    def kernel_coords(self, zvec, d_q=None):
+        """Coordinates of a cycle in the chosen basis of the cycle lattice.
+        ``d_q`` holds d_q's columns by cell, as ``boundary_columns`` gives them."""
         if self._support is not None and not self._support.issuperset(zvec):
             raise HomologyError("cycle is not supported on the support")
-        if self.complex.boundary(self.q) @ zvec:
+        d_q, image = d_q or self.boundary_columns([zvec]), {}
+        for c, v in zvec.items():
+            vec_axpy(image, d_q[c], -v)
+        if image:
             raise HomologyError("vector is not a cycle")
         return lattice_coords(self._coords, zvec)
 
-    def homology_coords(self, zvec):
+    def homology_coords(self, zvec, d_q=None):
         """Coordinates of a cycle's class: its cycle-lattice coordinates
         carried through ``_projector`` (the free part first; torsion
         entries are not reduced mod their divisors)."""
         out = {}
-        for k, v in self.kernel_coords(zvec).items():
+        for k, v in self.kernel_coords(zvec, d_q).items():
             for i, u in self._projector.get(k, {}).items():
                 out[i] = out.get(i, 0) + u * v
         return {i: v for i, v in out.items() if v}
@@ -104,6 +113,15 @@ def homology(complex_, q, basis=True, support=None):
     reading a row that U does not store as a unit row.  U^-1's columns
     there are the generators (``homology_generators``).
 
+    Clearing over Z, for q >= 1 (at q = 0, d_1's Smith form is the forest
+    walk): ``reduce_left_to_right`` on d_(q+2) gives columns d_(q+2) x
+    with x integral, each with a distinct lowest row.  If one has the
+    entry +-1 at its lowest row i, d_(q+1) applied to it is 0 and writes
+    column i of d_(q+1) as an integral combination of the columns left of
+    it; by induction on i, the columns at such rows add nothing to the
+    image lattice and are left out.  Columns at non-unit lowest rows stay.
+    Each boundary is assembled for the cells read and not kept.
+
     With ``support``, a per-degree cell injection as
     ``subcomplex_supported_in`` returns it, this is H_q of the supported
     subcomplex.  Supported cells are closed under faces, so their columns
@@ -114,20 +132,19 @@ def homology(complex_, q, basis=True, support=None):
     """
     if q < 0:
         raise HomologyError("degree must be nonnegative")
-    if support is None:
-        f_q = len(complex_.codes[q]) if q <= complex_.top_dimension else 0
-        supported = None
-    else:
-        cells = support[q] if q < len(support) else []
-        f_q = len(cells)
-        supported = frozenset(cells)
+
+    def cells_of(k):
+        if support is None:
+            return range(len(complex_.codes[k]) if k <= complex_.top_dimension else 0)
+        return support[k] if k < len(support) else []
+
+    cells = cells_of(q)
+    f_q = len(cells)
+    supported = None if support is None else frozenset(cells)
     if f_q == 0:
         return HomologyPresentation(complex_, q, 0, (), [], 0,
                                     _support=supported)
-    d_q = complex_.boundary(q)
-    if support is not None:
-        d_q = d_q.select_columns(cells)
-
+    d_q = complex_.boundary(q, cells=cells)
     coords = None
     if not basis:
         pivots, non_units = [], []
@@ -137,14 +154,19 @@ def homology(complex_, q, basis=True, support=None):
             coords = ({j: i for i, j in enumerate(free)}, None)
     if coords is None:
         rk, kernel_basis, coords = kernel_with_coords(d_q)
-    d_up = complex_.boundary(q + 1)
+    del d_q
     if support is not None:
         coords = ({cells[j]: i for j, i in coords[0].items()}, coords[1])
-        d_up = d_up.select_columns(support[q + 1] if q + 1 < len(support) else [])
+    up = cells_of(q + 1)
+    if q:
+        non_units = []
+        cleared = set(reduce_left_to_right(complex_.boundary(
+            q + 2, cells=cells_of(q + 2)).columns(), non_units))
+        cleared.difference_update(non_units)
+        up = [j for j in up if j not in cleared]
     z = f_q - rk
-    image_cols = [lattice_coords(coords, col) for col in d_up.columns()]
-
-    m = SparseIntMatrix.view(z, image_cols)
+    m = SparseIntMatrix.view(z, [lattice_coords(coords, col) for col in
+                                 complex_.boundary(q + 1, cells=up).columns()])
     pivots, u_rows, uinv_cols = smith_diagonalize(m, track_u=True)
     pivot_rows = {r for r, _, _ in pivots}
     rows = [r for r in range(z) if r not in pivot_rows]
@@ -193,12 +215,12 @@ def betti_numbers(complex_, qmax=None):
     1-skeleton, then every d_q with q >= 2 from the top dimension down
     (also when ``qmax`` is smaller) by ``reduce_left_to_right``.  Clearing:
     a pivot row i of d_(q+1) is the lowest row of a cycle, so column i of
-    d_q is a combination of the columns left of it, and is skipped.
+    d_q is a combination of the columns left of it, and is not assembled.
     Compression: d_2 is assembled without F's rows, which is injective on
     Z_1 since F's columns are independent.  Each boundary is assembled for
-    the loop alone.  ``homology`` keeps the engine, which prefers unit
-    pivots: the lowest-row rule meets a non-unit in d_2 of K_5 and K_3,3
-    at n = 3, where a presentation would then need a kernel basis.
+    the loop alone.  ``homology`` ranks d_q with the engine, which prefers
+    unit pivots: the lowest-row rule meets a non-unit in d_2 of K_5 and
+    K_3,3 at n = 3, where a presentation would then need a kernel basis.
     """
     f = complex_.f_vector()
     top = len(f) - 1
@@ -209,9 +231,9 @@ def betti_numbers(complex_, qmax=None):
     if top > 0:
         ranks[1] = rank_of_columns(complex_.boundary(1, set()).columns(), forest)
     for q in range(top, 1, -1) if qmax else ():
-        cleared = set(reduce_left_to_right(
-            complex_.boundary(q, set(forest) if q == 2 else set()).columns(),
-            cleared))
+        kept = (j for j in range(f[q]) if j not in cleared)
+        cleared = set(reduce_left_to_right(complex_.boundary(
+            q, set(forest) if q == 2 else None, kept).columns()))
         ranks[q] = len(cleared)
     return [f[q] - ranks[q] - ranks[q + 1] if q <= top else 0
             for q in range(qmax + 1)]
@@ -232,19 +254,25 @@ class GeneratedCheck:
     missing_rank: int
 
 
-def generated_check(complex_, q, candidate_cycles, presentation=None):
+def generated_check(complex_, q, candidate_cycles, presentation=None,
+                    columns=None):
     """Do the candidates' classes, together with the boundary image, span?
 
     Over Q: the classes span H_q tensor Q.  Over Z: they generate H_q =
     Z^b + sum of Z/d_i.  Checked in homology coordinates, through the Smith
     divisors of the candidates' coordinates beside one column d_i e_i per
     torsion divisor; U carries Z_q / B_q onto that group, so this is the
-    verdict of [image | candidates] in cycle-lattice coordinates.
+    verdict of [image | candidates] in cycle-lattice coordinates.  When
+    ``columns`` is a list, the candidates' homology coordinates are
+    appended to it and the check runs on the whole list: a caller that
+    checks a growing set passes only the new candidates each time.
     """
     pres = presentation or homology(complex_, q, basis=False)
+    columns = [] if columns is None else columns
     # homology_coords validates the cycle condition
-    cols = [pres.homology_coords(zvec) for zvec in candidate_cycles]
-    cols += [{pres.betti + i: d} for i, d in enumerate(pres.torsion)]
+    d_q = pres.boundary_columns(candidate_cycles)
+    columns.extend(pres.homology_coords(zvec, d_q) for zvec in candidate_cycles)
+    cols = columns + [{pres.betti + i: d} for i, d in enumerate(pres.torsion)]
     rows = pres.betti + len(pres.torsion)
     divisors = smith_normal_form(SparseIntMatrix.view(rows, cols))
     missing = rows - len(divisors)
@@ -319,7 +347,8 @@ class ChainMap:
         coordinate i of the image of z_i."""
         images = self.push(presentation.q,
                            presentation.require_basis().cycle_basis)
-        return sum(presentation.homology_coords(vec).get(i, 0)
+        d_q = presentation.boundary_columns(images)
+        return sum(presentation.homology_coords(vec, d_q).get(i, 0)
                    for i, vec in enumerate(images))
 
 

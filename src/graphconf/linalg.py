@@ -18,8 +18,9 @@ union-find, ``_spanning_forest``, gives the forest the engine would pivot
 on, and the rank, kernel and Smith form follow.
 
 ``reduce_left_to_right``, the standard persistence reduction at each
-column's lowest row, ranks the Betti loop's d_q for q >= 2; lowest rows do
-not favour unit pivots, so presentations keep the engine.
+column's lowest row, ranks the Betti loop's d_q for q >= 2 and clears
+presentations' image columns; lowest rows do not favour unit pivots, so
+presentations keep the engine for their kernels.
 """
 
 from __future__ import annotations
@@ -428,18 +429,19 @@ def rank_of_columns(columns, pivots=None, non_units=None):
     return len(found)
 
 
-def reduce_left_to_right(columns, skip=(), non_units=None):
+def reduce_left_to_right(columns, non_units=None):
     """Pivot rows of the standard (persistence) reduction, as many as the
-    rank over Q.  Left to right, each column not in ``skip`` is reduced at
-    its lowest (largest) row against the earlier reduced column with that
-    lowest row, until its lowest row is new or it vanishes; a pivot that
-    does not divide the entry scales the column by a cofactor first.  When
-    ``non_units`` is a list, each lowest entry's |value| other than 1 is
+    rank over Q.  Left to right, each column is reduced at its lowest
+    (largest) row against the earlier reduced column with that lowest row,
+    until its lowest row is new or it vanishes; a pivot that does not
+    divide the entry scales the column by a cofactor first, so a reduced
+    column is an integral combination of the input columns.  When
+    ``non_units`` is a list, each lowest row whose entry is not +-1 is
     appended: if none is, every step was an integral column operation with
     a unit pivot.  The input columns are left unchanged."""
     reduced = {}                       # lowest row -> reduced column
-    for j, col in enumerate(columns):
-        if not col or j in skip:
+    for col in columns:
+        if not col:
             continue
         low, owned = max(col), False
         while low in reduced:
@@ -457,7 +459,7 @@ def reduce_left_to_right(columns, skip=(), non_units=None):
         else:
             reduced[low] = col
             if non_units is not None and abs(col[low]) != 1:
-                non_units.append(abs(col[low]))
+                non_units.append(low)
     return list(reduced)
 
 

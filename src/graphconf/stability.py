@@ -112,7 +112,8 @@ def _orbit_span_check(model, q, orbits, pres):
     have equal ranks and equally many generators.  Supports are then pushed
     through their chain maps one at a time, and the generators so far are
     checked when their count first reaches b_q + t and each time it
-    doubles.  A superset of a generating set generates, so the first prefix
+    doubles; each check projects only the generators new since the last
+    one.  A superset of a generating set generates, so the first prefix
     that generates over Z settles the verdict; a prefix that does not
     proves nothing, so a failing check ends on all the generators."""
     presented, ranks = [], []
@@ -130,17 +131,17 @@ def _orbit_span_check(model, q, orbits, pres):
                 for vmap, emap in maps:
                     yield permutation_action_map(model, vmap, emap).push(q, gens)
 
-    candidates, checked = [], -1
+    columns, fresh, verdict = [], [], None
     target = pres.betti + len(pres.torsion)
     for gens in pushes():
-        candidates.extend(gens)
-        if len(candidates) >= target:
-            verdict = generated_check(model, q, candidates, presentation=pres)
+        fresh.extend(gens)
+        if len(columns) + len(fresh) >= target:
+            verdict = generated_check(model, q, fresh, pres, columns)
             if verdict.generates_over_Z:
                 return verdict, candidate_count, generator_count
-            checked, target = len(candidates), 2 * len(candidates)
-    if checked < len(candidates):
-        verdict = generated_check(model, q, candidates, presentation=pres)
+            fresh, target = [], 2 * len(columns)
+    if fresh or verdict is None:
+        verdict = generated_check(model, q, fresh, pres, columns)
     return verdict, candidate_count, generator_count
 
 

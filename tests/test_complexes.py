@@ -204,6 +204,20 @@ class TestBoundaryPath:
             assert cx.boundary(q) is full
 
     @pytest.mark.parametrize("build", [build_model, build_abrams_oracle])
+    def test_selected_columns_are_served_or_assembled_unkept(self, star3, build):
+        cx = build(star3, 2)
+        for q in range(0, cx.top_dimension + 2):
+            cells = list(range(len(cx.codes[q]) if q <= cx.top_dimension else 0))
+            cells = cells[1::2] + cells[::2]
+            part = cx.boundary(q, cells=cells)
+            assert q not in cx._boundaries
+            full = cx.boundary(q)
+            assert (part.rows, part.cols) == (full.rows, len(cells))
+            assert part.columns() == [full.columns()[j] for j in cells]
+            assert cx.boundary(q, cells=cells).columns() == part.columns()
+            assert cx.boundary(q) is full
+
+    @pytest.mark.parametrize("build", [build_model, build_abrams_oracle])
     def test_zero_boundaries_are_memoized(self, star3, build):
         cx = build(star3, 2)
         for q in (0, cx.top_dimension + 1, cx.top_dimension + 2):

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -27,6 +28,8 @@ from graphconf.complexes import MODEL_KIND, CubeComplex
 from graphconf.linalg import SparseIntMatrix, smith_diagonalize
 from conftest import full_subgraph
 from test_cycle_coordinates import lattice_span_check
+
+homology_module = importlib.import_module("graphconf.homology")
 
 
 @pytest.fixture(scope="module")
@@ -473,3 +476,55 @@ class TestTorsionPresentation:
                 seen.add((want.generates_over_Q, want.generates_over_Z))
             assert lattice_span_check(pres, g).generates_over_Z
         assert seen == {(False, False), (True, False), (True, True)}
+
+
+def planted_complex(*boundaries):
+    """A complex whose boundaries d_1, d_2, ... are the given dense
+    matrices, planted in the memo; C_0 has as many cells as d_1 has rows."""
+    sizes = [len(boundaries[0])] + [len(d[0]) for d in boundaries]
+    cells = [[("c", q, i) for i in range(size)] for q, size in enumerate(sizes)]
+    cx = CubeComplex(make_path_graph(1), 1, (), MODEL_KIND, cells)
+    cx._boundaries = {q: SparseIntMatrix.from_dense(d)
+                      for q, d in enumerate(boundaries, 1)}
+    return cx
+
+
+class TestClearingOverZ:
+    """Column i of d_(q+1) is left out of a presentation when a reduced
+    column of d_(q+2) has its lowest entry +-1 at row i: it is then an
+    integral combination of earlier columns, so the image lattice stays."""
+
+    @staticmethod
+    def smith_columns(monkeypatch):
+        seen = []
+        real = homology_module.smith_diagonalize
+        monkeypatch.setattr(homology_module, "smith_diagonalize",
+                            lambda m, **kw: seen.append(m.cols) or real(m, **kw))
+        return seen
+
+    def test_a_non_unit_lowest_entry_clears_nothing(self, monkeypatch):
+        # d_2 = [2 1] kills H_1 = Z; d_3 = (-1, 2)^T reduces to its lowest
+        # entry 2 at row 1, and leaving out the column 1 there would give Z/2
+        cx = planted_complex([[0]], [[2, 1]], [[-1], [2]])
+        seen = self.smith_columns(monkeypatch)
+        for basis in (False, True):
+            pres = homology(cx, 1, basis=basis)
+            assert (pres.betti, pres.torsion, pres.cycle_rank) == (0, (), 1)
+        assert seen == [2, 2]
+
+    def test_a_unit_lowest_entry_clears_its_column(self, monkeypatch):
+        # column 2 = column 0 + column 1 of d_2, and d_3 = (1, 1, -1)^T says
+        # so with the unit -1 at row 2: H_1 = Z/2 from two image columns
+        d1, d2 = [[0, 0]], [[1, 0, 1], [0, 2, 2]]
+        cx = planted_complex(d1, d2, [[1], [1], [-1]])
+        uncleared = planted_complex(d1, d2)
+        seen = self.smith_columns(monkeypatch)
+        for basis in (False, True):
+            pres, want = homology(cx, 1, basis=basis), homology(uncleared, 1, basis=basis)
+            assert (pres.betti, pres.torsion, pres.cycle_rank) == (0, (2,), 2)
+            assert (want.betti, want.torsion, want.cycle_rank) == (0, (2,), 2)
+            assert pres.generators == want.generators
+            assert pres._projector == want._projector
+            for col in cx.boundary(2).columns():
+                assert pres.homology_coords(col) in ({}, {0: 2}, {0: -2})
+        assert seen == [2, 3, 2, 3]

@@ -275,6 +275,38 @@ class TestSupportOrbits:
             (want, candidates, len(every))
         assert 0 < len(pushed) < len(maps)
 
+    def test_checks_project_each_pushed_generator_once(self, star_family,
+                                                       monkeypatch):
+        # on the star with 6 leaves at n = 2, the 20 generators of the
+        # degree-3 supports miss H_1 (b_1 = 19), checked at 19 and at 20
+        inst = realize_family(star_family, (6,))
+        model = build_model(inst.graph, 2)
+        pres = homology(model, 1, basis=False)
+        orbits = support_orbits(inst, (3,))
+        every = [vec for gens in orbit_generators(model, 1, orbits)
+                 for vec in gens]
+        projected, checked = [], []
+        real_coords, real_check = pres.homology_coords, stability.generated_check
+        monkeypatch.setattr(pres, "homology_coords",
+                            lambda zvec, *rest: projected.append(zvec)
+                            or real_coords(zvec, *rest))
+        monkeypatch.setattr(stability, "generated_check",
+                            lambda *args, **kw: checked.append(len(args[2]))
+                            or real_check(*args, **kw))
+        verdict, _, generators = _orbit_span_check(model, 1, orbits, pres)
+        assert not verdict.generates_over_Z
+        assert projected == every and generators == 20
+        assert checked == [19, 1]     # each check hands over new candidates
+
+    def test_presentations_and_checks_leave_no_memo(self, star_family):
+        inst = realize_family(star_family, (4,))
+        model = build_model(inst.graph, 2)
+        pres = homology(model, 1, basis=False)
+        orbits = support_orbits(inst, (4,))
+        pushed_cycle_space(model, orbits[0][0], 1)
+        assert _orbit_span_check(model, 1, orbits, pres)[0].generates_over_Z
+        assert not model._boundaries
+
     def test_a_prefix_generating_only_over_q_settles_nothing(self,
                                                                monkeypatch):
         # H_1 = Z^2 + Z/2 + Z/6 + Z/12; the first support's generators reach
