@@ -17,33 +17,37 @@ Canonical cell keys:
       moves:            ((particle, edge, end), ...) sorted by particle
   oracle cell  (loc_1, ..., loc_n) with loc < V a vertex, V + e an edge.
 
-Oracle cells are stored as their keys.  A main-model cell is stored as one
-integer, ``z << 2n | mask``: the 0-cells are numbered in sorted key order,
-each 0-cell's candidate moves are sorted by (particle, edge, end), and the
-mask picks the cell's moves among them.  Move sets of one 0-cell come in
-lexicographic order, so the cells keep the order of their keys.  Face
-tables, made once per 0-cell and candidate, give the 0-cell a move lands
-in and the bits the other candidates take there: a face costs a few
-integer operations, and every lookup hashes an int.  Automorphisms act as
-a permutation of the 0-cells plus a relabelling of candidates, and support
-in a subgraph is decided once per 0-cell.  ``CubeComplex.cells`` decodes
-the keys on first use, for reports and tests.
+Both models store a cell as an integer code; ``codes[q]`` holds the
+q-cells in key order, in an ``array('q')`` unless a code could exceed 63
+bits.  An oracle cell is the number sum_i loc_i L^(n-i), L = V + E, and
+the cells are enumerated in that order.  A main-model 0-cell is the same
+kind of number of its flat particle locations (``_ModelTables``), and the
+0-cells are numbered in key order.  Each 0-cell's candidate moves are
+sorted by (particle, edge, end), and the q-cell ``z << 2n | mask`` picks
+its moves among them; move sets of one 0-cell come in lexicographic order,
+so a cell's position is its 0-cell's offset plus its mask's rank in its
+clash pattern.  Face tables, made once per 0-cell and candidate, give the
+0-cell a move lands in and the bits the other candidates take there.
+Automorphisms act as a permutation of the 0-cells plus a relabelling of
+candidates, and support in a subgraph is decided once per 0-cell.
+``CubeComplex.cells`` decodes the keys on first use, for reports and tests.
 
 Both use the boundary convention, moves ordered by particle label,
 
   d C = sum_i (-1)^(i+1) (landed face_i - resting face_i),
 
 and ``CubeComplex.boundary`` is the one place where either model's boundary
-columns are assembled: from the face tables in the main model, and from
-``_oracle_faces`` in the oracle.  Only a bare ``boundary(q)`` is memoized,
-for chain maps and tests; the Betti loop's d_q without the rows and columns
-settled before, and presentations' columns at their cells, are built for
-the caller and not kept.
+columns are assembled, from its tables' ``face_rows``.  Only a bare
+``boundary(q)`` is memoized, for chain maps and tests; the Betti loop's d_q
+without the rows and columns settled before, and presentations' columns at
+their cells, are built for the caller and not kept, as is the oracle's
+position dict.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from array import array
+from itertools import accumulate, combinations, permutations
 
 from .graphs import GraphError, Subgraph, subdivide
 from .linalg import SparseIntMatrix
@@ -63,25 +67,44 @@ ORACLE_KIND = "abrams-oracle"
 DEFAULT_CELL_BUDGET = 5_000_000
 
 
+def _code_store(bound):
+    """An empty store for integer codes below ``bound`` (None: no bound):
+    an array of signed 64-bit integers when they fit, a list otherwise."""
+    return array("q") if bound is not None and bound <= 1 << 63 else []
+
+
+def _digits(code, radix, n):
+    """The n base-``radix`` digits of ``code``, most significant first."""
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        code, out[i] = divmod(code, radix)
+    return out
+
+
 class CubeComplex:
     """A finite cube complex with exact integer boundary matrices.
 
-    ``codes[q]`` holds the stored q-cells in order: integer codes read
-    through ``tables`` (a ``_ModelTables``) in the main model, location
-    tuples in the oracle.  ``cells`` gives the canonical keys.
+    ``codes[q]`` holds the q-cells in order, as codes read through
+    ``tables`` (``_ModelTables`` or ``_OracleTables``), or as keys in a
+    complex built by hand.  In the main model 0-cell z's q-cells are
+    ``codes[q][offsets[q][z]:offsets[q][z + 1]]``: all of its q-cells, or
+    none off a support.  ``cells`` gives the canonical keys.
     """
 
-    def __init__(self, graph, n, sinks, kind, cells_by_dim, tables=None):
+    def __init__(self, graph, n, sinks, kind, cells_by_dim, tables=None,
+                 offsets=None):
         self.graph = graph
         self.n = n
         self.sinks = frozenset(sinks)
         self.kind = kind
+        if tables is None and kind == ORACLE_KIND:
+            tables = _OracleTables(graph, n)
         self.tables = tables
-        self.codes = [tuple(cs) for cs in cells_by_dim]
+        self.codes = list(cells_by_dim)
         while self.codes and not self.codes[-1]:
             self.codes.pop()
+        self.offsets = None if offsets is None else offsets[:len(self.codes)]
         self._cells = None
-        self._positions = {}
         self._boundaries = {}
 
     # -- structure -------------------------------------------------------
@@ -102,8 +125,8 @@ class CubeComplex:
 
     @property
     def cells(self):
-        """Canonical cell keys per dimension, in the order of ``codes``;
-        the main model decodes them on first use."""
+        """Canonical cell keys per dimension, in the order of ``codes``,
+        decoded on first use."""
         if self.tables is None:
             return self.codes
         if self._cells is None:
@@ -112,10 +135,12 @@ class CubeComplex:
         return self._cells
 
     def code_index(self, q):
-        """Stored cell -> position in ``codes[q]``, built on first use."""
-        if q not in self._positions:
-            self._positions[q] = {c: i for i, c in enumerate(self.codes[q])}
-        return self._positions[q]
+        """Function: stored q-cell -> its position in ``codes[q]``, KeyError
+        for any other code.  Arithmetic in the main model; otherwise a dict
+        built for the caller and not kept."""
+        if self.offsets is None:
+            return {c: i for i, c in enumerate(self.codes[q])}.__getitem__
+        return self.tables.position(self.offsets[q])
 
     # -- boundary --------------------------------------------------------
 
@@ -127,7 +152,8 @@ class CubeComplex:
         that order: read off the memo when d_q is there, otherwise assembled
         for the caller and not kept.  With a set ``dropped`` the matrix is
         assembled afresh without those rows, and neither read from nor kept
-        in the memo."""
+        in the memo.  Faces that coincide, as a loop edge's ends do in the
+        oracle, cancel."""
         if q < 0:
             return SparseIntMatrix(0, 0)
         memo = self._boundaries.get(q) if dropped is None else None
@@ -140,23 +166,17 @@ class CubeComplex:
             rows = len(self.codes[q - 1]) if 1 <= q <= self.top_dimension + 1 else 0
             mat = SparseIntMatrix(rows, len(codes))
             return self._boundaries.setdefault(q, mat) if kept else mat
-        if self.tables is not None:
-            faces = self.tables.faces
-        else:
-            vid = {v: i for i, v in enumerate(self.graph.vertices)}
-            faces = partial(_oracle_faces, self.graph, vid=vid)
-        index = self.code_index(q - 1)
+        rows_of = self.tables.face_rows(self.code_index(q - 1) if self.offsets is None
+                                        else self.offsets[q - 1])
         skip = dropped or ()
         cols = []
         for cell in codes:
             col = {}
-            for sign, face0, face1 in faces(cell):
-                i1 = index[face1]
+            for sign, i0, i1 in rows_of(cell):
                 if i1 not in skip:
                     col[i1] = col.get(i1, 0) + sign
                     if not col[i1]:
                         del col[i1]
-                i0 = index[face0]
                 if i0 not in skip:
                     col[i0] = col.get(i0, 0) - sign
                     if not col[i0]:
@@ -177,88 +197,89 @@ class CubeComplex:
 # -- main model ---------------------------------------------------------
 
 
-def _freeze_state(vocc, eocc):
-    vkey = tuple(sorted((v, tuple(sorted(ps))) for v, ps in vocc.items() if ps))
-    ekey = tuple(sorted((e, tuple(ps)) for e, ps in eocc.items() if ps))
-    return vkey, ekey
-
-
-def _zero_cells(graph, n, sinks, budget=None):
-    """Unsorted keys of the 0-cells; raises ``BudgetExceeded`` as soon as
-    there are more than ``budget`` of them."""
-    cells = []
+def _zero_locations(graph, n, sinks, budget=None):
+    """Location numbers (``_ModelTables``) of the 0-cells in key order;
+    raises ``BudgetExceeded`` as soon as there are more than ``budget``.  A
+    key lists the occupied vertices by label, then the occupied edges, each
+    with its particle tuple, so the keys that share a start come in one
+    run: first the one that ends there, then each later place with each
+    tuple in lexicographic order."""
+    nv, n_edges = graph.n_vertices, graph.n_edges
+    radix = nv + n_edges * n
+    by_label = sorted(range(nv), key=graph.vertices.__getitem__)
+    single = [v not in sinks for v in graph.vertices]
     limit = float("inf") if budget is None else budget
-    vocc = {}
-    eocc = {}
-    vertices = graph.vertices
-    n_edges = graph.n_edges
+    out = []
+    where = [0] * n
 
-    def place(p):
-        if p > n:
-            cells.append(_freeze_state(vocc, eocc))
-            if len(cells) > limit:
+    def fill(j, rest):
+        """Place ``rest`` from place j on: vertices by label, then edges."""
+        if not rest:
+            code = 0
+            for loc in where:
+                code = code * radix + loc
+            out.append(code)
+            if len(out) > limit:
                 raise BudgetExceeded(
                     f"model of Conf_{n} exceeds the {budget}-cell budget")
             return
-        for v in vertices:
-            if v in sinks or not vocc.get(v):
-                vocc.setdefault(v, []).append(p)
-                place(p + 1)
-                vocc[v].pop()
-                if not vocc[v]:
-                    del vocc[v]
-        for e in range(n_edges):
-            tup = eocc.setdefault(e, [])
-            for pos in range(len(tup) + 1):
-                tup.insert(pos, p)
-                place(p + 1)
-                tup.pop(pos)
-            if not tup:
-                del eocc[e]
+        if j < nv:
+            fill(nv, rest)
+        for k in range(j, nv if j < nv else nv + n_edges):
+            on_edge = k >= nv
+            sizes = range(1, 2 if not on_edge and single[by_label[k]] else len(rest) + 1)
+            pick = permutations if on_edge else combinations
+            for t in sorted(t for r in sizes for t in pick(rest, r)):
+                for s, p in enumerate(t, nv + (k - nv) * n):
+                    where[p] = s if on_edge else by_label[k]
+                fill(k + 1, tuple(p for p in rest if p not in t))
 
-    place(1)
-    return cells
+    fill(0, tuple(range(n)))
+    return out
 
 
 class _ModelTables:
     """Numbered 0-cells of the main model and their face tables.
 
-    0-cell z has key ``zero[z]`` and candidate moves ``moves[z]``: the
-    (particle, edge, end) slides from an extremal slot onto a sink or a
-    free vertex, sorted.  A q-cell is the code ``z << shift | mask`` with a
-    mask of q candidates that move distinct particles, no two onto one
-    non-sink vertex (a particle has at most two candidates, so ``shift`` =
-    2n bits suffice).  ``landed[z][b]`` is the code of the 0-cell that
+    0-cell z is stored as ``zero[z]``, the number sum_i loc_i R^(n-i) of
+    its flat particle locations: a vertex's index, or V + e n + s for slot
+    s of edge e (V vertices, R = V + E n).  ``_zero_locations`` lists them
+    in key order without building keys; ``zero_key`` decodes one.  Its
+    candidate moves ``moves[z]`` are the (particle, edge, end) slides from
+    an extremal slot onto a sink or a free vertex, sorted.  A q-cell is the
+    code ``z << shift | mask`` with a mask of q candidates that move
+    distinct particles, no two onto one non-sink vertex (a particle has at
+    most two candidates, so ``shift`` = 2n bits suffice).  ``rank[z]`` maps each
+    such mask to its place among the masks of its size, and is shared by
+    the 0-cells of one clash pattern.  ``landed[z][b]`` is the 0-cell that
     candidate b lands in, and ``renumber[z][b][c]`` the bit there of
-    candidate c (0 if c cannot move together with b).  ``zero_index`` finds
-    a 0-cell by its flat ``locations``.
+    candidate c (0 if c cannot move together with b).
     """
 
-    def __init__(self, graph, n, zero):
-        self.n = n
-        self.vid = {v: i for i, v in enumerate(graph.vertices)}
-        self.zero = zero
-        self.zero_index = {tuple(self.locations(*key)): z
-                           for z, key in enumerate(zero)}
+    def __init__(self, graph, n):
+        self.n, self.vertices, self.n_vertices = n, graph.vertices, graph.n_vertices
+        self.radix = graph.n_vertices + graph.n_edges * n
+        self.zero = _code_store(self.radix ** n)
         self.shift = 2 * n
         self.low = (1 << self.shift) - 1
-        self.moves = []
-        self.landed = []
-        self.renumber = []
-        self._bits = {}
+        self.moves, self.landed, self.renumber, self.rank = [], [], [], []
+        self._bits, self._zero_keys, self._zero_index = {}, {}, None
 
-    def locations(self, vkey, ekey):
-        """Flat form of a 0-cell: per particle, the index of its vertex, or
-        V + e n + s for slot s of edge e (V vertices)."""
-        n, vid = self.n, self.vid
-        where = [0] * n
-        for v, ps in vkey:
-            for p in ps:
-                where[p - 1] = vid[v]
-        for e, tup in ekey:
-            for s, p in enumerate(tup, len(vid) + e * n):
-                where[p - 1] = s
-        return where
+    def zero_key(self, code):
+        """Canonical key (vertex occupancy, edge tuples) of a 0-cell's
+        location number."""
+        nv, n = self.n_vertices, self.n
+        vocc, slots = {}, []
+        for p, loc in enumerate(_digits(code, self.radix, n), 1):
+            if loc < nv:
+                vocc.setdefault(self.vertices[loc], []).append(p)
+            else:
+                slots.append((loc, p))
+        eocc = {}
+        for loc, p in sorted(slots):
+            eocc.setdefault((loc - nv) // n, []).append(p)
+        return (tuple(sorted((v, tuple(ps)) for v, ps in vocc.items())),
+                tuple((e, tuple(ps)) for e, ps in eocc.items()))
 
     def bits(self, mask):
         """Set bit positions of ``mask``, ascending."""
@@ -269,42 +290,77 @@ class _ModelTables:
         return out
 
     def key(self, code):
-        """Canonical nested-tuple key of a cell code."""
+        """Canonical nested-tuple key of a cell code; each 0-cell's key is
+        decoded once and kept."""
         z = code >> self.shift
+        if z not in self._zero_keys:
+            self._zero_keys[z] = self.zero_key(self.zero[z])
         moves = self.moves[z]
-        return self.zero[z] + (tuple(moves[b] for b in self.bits(code & self.low)),)
+        return self._zero_keys[z] + (tuple(moves[b] for b in self.bits(code & self.low)),)
 
-    def faces(self, code):
-        """(sign, resting face, landed face) per move axis, axes in particle
-        order: the resting face drops the move's bit, the landed face reads
-        the table."""
-        z = code >> self.shift
-        landed, renumber = self.landed[z], self.renumber[z]
-        bits = self.bits(code & self.low)
-        out = []
-        sign = 1
-        for b in bits:
-            bit_of = renumber[b]
-            face = landed[b]
-            for c in bits:
-                face |= bit_of[c]
-            out.append((sign, code ^ (1 << b), face))
-            sign = -sign
-        return out
+    def position(self, offsets):
+        """Code -> position among the cells that ``offsets`` numbers;
+        KeyError for an inadmissible mask or a 0-cell without cells there."""
+        shift, low, rank = self.shift, self.low, self.rank
+
+        def at(code):
+            z = code >> shift
+            i = offsets[z] + rank[z][code & low]
+            if i < offsets[z + 1]:
+                return i
+            raise KeyError(code)
+        return at
+
+    def face_rows(self, offsets):
+        """Code -> (sign, resting row, landed row) per move axis in particle
+        order, rows numbered by ``offsets`` one degree down: the resting
+        face drops the move's bit, the landed face reads the tables."""
+        shift, low, bits = self.shift, self.low, self.bits
+        ranks, landed_of, renumber_of = self.rank, self.landed, self.renumber
+
+        def rows(code):
+            z, mask = code >> shift, code & low
+            base, rank, landed, renumber = offsets[z], ranks[z], landed_of[z], renumber_of[z]
+            ms = bits(mask)
+            out = []
+            sign = 1
+            for b in ms:
+                bit_of, there, face = renumber[b], landed[b], 0
+                for c in ms:
+                    face |= bit_of[c]
+                out.append((sign, base + rank[mask ^ 1 << b],
+                            offsets[there] + ranks[there][face]))
+                sign = -sign
+            return out
+        return rows
 
     def cell_map(self, vertex_map, edge_map, reversed_edges):
         """Code -> image code under a graph automorphism: a permutation of
         the 0-cells plus a relabelling of each one's candidates, worked out
         per 0-cell on first use.  Raises KeyError when a cell has no image."""
         shift, low, bits = self.shift, self.low, self.bits
+        n, nv, radix, vertices = self.n, self.n_vertices, self.radix, self.vertices
+        vid = {v: i for i, v in enumerate(vertices)}
+        if self._zero_index is None:     # dropped after the build
+            self._zero_index = {c: z for z, c in enumerate(self.zero)}
+        zero_index = self._zero_index
         by_zero = {}
 
         def zero_image(z):
-            vkey, ekey = self.zero[z]
-            image = self.zero_index[tuple(self.locations(
-                [(vertex_map[v], ps) for v, ps in vkey],
-                [(edge_map[e], ps[::-1] if edge_map[e] in reversed_edges else ps)
-                 for e, ps in ekey]))]
+            where = _digits(self.zero[z], radix, n)
+            image = 0
+            for loc in where:
+                if loc < nv:
+                    loc = vid[vertex_map[vertices[loc]]]
+                else:
+                    e, s = divmod(loc - nv, n)
+                    f = edge_map[e]
+                    if f in reversed_edges:     # count the slots of e from the end
+                        first = nv + e * n
+                        s = sum(first <= other < first + n for other in where) - 1 - s
+                    loc = nv + f * n + s
+                image = image * radix + loc
+            image = zero_index[image]
             bit_of = {mv: 1 << b for b, mv in enumerate(self.moves[image])}
             relabel = {}                 # a candidate without image has no key
             for b, (p, e, end) in enumerate(self.moves[z]):
@@ -327,7 +383,8 @@ class _ModelTables:
 def _admissible_masks(clash, n):
     """Masks of the admissible move sets, by size and in lexicographic order
     of their bit positions, for candidates where ``clash[i]`` marks the
-    later candidates that cannot move together with candidate i."""
+    later candidates that cannot move together with candidate i; and each
+    mask's rank among those of its size."""
     masks = [[] for _ in range(n + 1)]
     masks[0].append(0)
 
@@ -338,7 +395,7 @@ def _admissible_masks(clash, n):
                 extend(mask | 1 << i, i + 1, blocked | clash[i], q + 1)
 
     extend(0, 0, 0, 1)
-    return masks
+    return masks, {m: i for ms in masks for i, m in enumerate(ms)}
 
 
 def build_model(graph, n, sinks=(), budget=DEFAULT_CELL_BUDGET):
@@ -358,100 +415,136 @@ def build_model(graph, n, sinks=(), budget=DEFAULT_CELL_BUDGET):
     if not sinks <= set(graph.vertices):
         raise ModelError("sinks must be vertices of the graph")
 
-    zero = sorted(_zero_cells(graph, n, sinks, budget))
-    tables = _ModelTables(graph, n, zero)
-    shift = tables.shift
-    edges = graph.edges
-    intern = {}
-    patterns = {}
-    cells_by_dim = [[] for _ in range(n + 1)]
+    tables = _ModelTables(graph, n)
+    tables.zero.extend(_zero_locations(graph, n, sinks, budget))
+    nv, radix, shift = tables.n_vertices, tables.radix, tables.shift
+    weight = [radix ** (n - 1 - i) for i in range(n)]
+    vid = {v: i for i, v in enumerate(graph.vertices)}
+    ends = [(vid[a], vid[b]) for a, b in graph.edges]
+    sink = [v in sinks for v in graph.vertices]
+    intern, patterns = {}, {}
+    cells_by_dim = [_code_store(None if budget is None else budget << shift)
+                    for _ in range(n + 1)]
+    offsets = [array("q", [0]) for _ in range(n + 1)]
     total = 0
-    for z, (vkey, ekey) in enumerate(tables.zero):
-        occupied = {v for v, _ in vkey}
+    for z, code in enumerate(tables.zero):
+        where = _digits(code, radix, n)
+        occupied = {loc for loc in where if loc < nv}
+        on_edge = {}                     # edge -> particle indices by slot
+        for i in sorted(range(n), key=where.__getitem__):
+            if where[i] >= nv:
+                on_edge.setdefault((where[i] - nv) // n, []).append(i)
         cands = []
-        for e, tup in ekey:
-            a, b = edges[e]
-            if a in sinks or a not in occupied:
-                cands.append((tup[0], e, 0))
-            if b in sinks or b not in occupied:
-                cands.append((tup[-1], e, 1))
+        for e, tup in on_edge.items():
+            a, b = ends[e]
+            if sink[a] or a not in occupied:
+                cands.append((tup[0] + 1, e, 0))
+            if sink[b] or b not in occupied:
+                cands.append((tup[-1] + 1, e, 1))
         cands.sort()
         tables.moves.append(tuple(intern.setdefault(c, c) for c in cands))
+        # where each candidate lands: p slides onto the vertex; at end 0 the
+        # others on e move down a slot
+        tables.landed.append([code + (ends[e][end] - where[p - 1]) * weight[p - 1]
+                              - (0 if end else sum(weight[i] for i in on_edge[e][1:]))
+                              for p, e, end in cands])
         # clash[i]: the later candidates that move the same particle as i,
         # or onto the same non-sink vertex
         by_particle, by_target = {}, {}
         for i, (p, e, end) in enumerate(cands):
             by_particle[p] = by_particle.get(p, 0) | 1 << i
-            if edges[e][end] not in sinks:
-                by_target[edges[e][end]] = by_target.get(edges[e][end], 0) | 1 << i
-        clash = tuple((by_particle[p] | by_target.get(edges[e][end], 0)) >> (i + 1) << (i + 1)
+            if not sink[ends[e][end]]:
+                by_target[ends[e][end]] = by_target.get(ends[e][end], 0) | 1 << i
+        clash = tuple((by_particle[p] | by_target.get(ends[e][end], 0)) >> (i + 1) << (i + 1)
                       for i, (p, e, end) in enumerate(cands))
-        masks = patterns.get(clash)
-        if masks is None:
-            masks = patterns[clash] = _admissible_masks(clash, n)
+        if clash not in patterns:
+            patterns[clash] = _admissible_masks(clash, n)
+        masks, rank = patterns[clash]
+        tables.rank.append(rank)
         base = z << shift
         for q, ms in enumerate(masks):
             cells_by_dim[q].extend(map(base.__or__, ms))
+            offsets[q].append(len(cells_by_dim[q]))
             total += len(ms)
         if budget is not None and total > budget:
             raise BudgetExceeded(
                 f"model of Conf_{n} exceeds the {budget}-cell budget")
 
-    vid, zero_index = tables.vid, tables.zero_index
-    for z, (vkey, ekey) in enumerate(tables.zero):
-        cands = tables.moves[z]
-        landed, renumber = [], []
-        where = tables.locations(vkey, ekey)
-        on_edge = dict(ekey)
-        for p, e, end in cands:
-            # p slides onto the vertex; at end 0 the others on e move up a slot
-            there = where.copy()
-            there[p - 1] = vid[edges[e][end]]
-            if end == 0:
-                for s, other in enumerate(on_edge[e][1:], len(vid) + e * n):
-                    there[other - 1] = s
-            there = zero_index[tuple(there)]
+    zero_index = {c: z for z, c in enumerate(tables.zero)}
+    for z, cands in enumerate(tables.moves):
+        landed = tables.landed[z] = tuple(zero_index[c] for c in tables.landed[z])
+        renumber = []
+        for there in landed:
             moves = tables.moves[there]
-            landed.append(there << shift)
             bit_of = tuple(1 << moves.index(c) if c in moves else 0 for c in cands)
             renumber.append(intern.setdefault(bit_of, bit_of))
-        tables.landed.append(landed)
-        tables.renumber.append(renumber)
-    return CubeComplex(graph, n, sinks, MODEL_KIND, cells_by_dim, tables)
+        tables.renumber.append(tuple(renumber))
+    return CubeComplex(graph, n, sinks, MODEL_KIND, cells_by_dim, tables, offsets)
 
 
 # -- discretized oracle ---------------------------------------------------
 
 
+class _OracleTables:
+    """The discretized model's cell (loc_1, ..., loc_n) is the code
+    sum_i loc_i L^(n-i), L = V + E locations of the subdivided graph."""
+
+    def __init__(self, graph, n):
+        self.n, self.n_vertices = n, graph.n_vertices
+        self.radix = graph.n_vertices + graph.n_edges
+        vid = {v: i for i, v in enumerate(graph.vertices)}
+        self.ends = [(vid[a], vid[b]) for a, b in graph.edges]
+
+    def key(self, code):
+        return tuple(_digits(code, self.radix, self.n))
+
+    def face_rows(self, index):
+        """Code -> (sign, row of face0, row of face1) per edge slot in
+        particle order, rows by the function ``index``: face0 puts the
+        particle at the edge's first end, face1 at its second."""
+        n_vertices, radix, ends = self.n_vertices, self.radix, self.ends
+        weights = [radix ** (self.n - 1 - i) for i in range(self.n)]
+
+        def rows(code):
+            out = []
+            sign = 1
+            for w in weights:
+                loc = code // w % radix
+                if loc >= n_vertices:
+                    a, b = ends[loc - n_vertices]
+                    out.append((sign, index(code + (a - loc) * w),
+                                index(code + (b - loc) * w)))
+                    sign = -sign
+            return out
+        return rows
+
+
 def _oracle_cells_by_dim(graph, n, budget=None):
-    """Cells of the discretized model on an already subdivided graph."""
-    n_vertices = graph.n_vertices
-    vid = {v: i for i, v in enumerate(graph.vertices)}
-    edge_ends = [(vid[a], vid[b]) for a, b in graph.edges]
-    locations = list(range(n_vertices + graph.n_edges))
-    cells_by_dim = [[] for _ in range(n + 1)]
+    """Cell codes (``_OracleTables``) of the discretized model on an already
+    subdivided graph, by dimension and in increasing order."""
+    tables = _OracleTables(graph, n)
+    n_vertices, radix, edge_ends = tables.n_vertices, tables.radix, tables.ends
+    cells_by_dim = [_code_store(radix ** n) for _ in range(n + 1)]
     blocked = set()
     used_edges = set()
-    assignment = []
     total = 0
 
-    def place(p, dim):
+    def place(p, dim, code):
         nonlocal total
         if p > n:
-            cells_by_dim[dim].append(tuple(assignment))
+            cells_by_dim[dim].append(code)
             total += 1
             if budget is not None and total > budget:
                 raise BudgetExceeded(
                     f"oracle complex of Conf_{n} exceeds the {budget}-cell budget")
             return
-        for loc in locations:
+        code *= radix
+        for loc in range(radix):
             if loc < n_vertices:
                 if loc in blocked:
                     continue
                 blocked.add(loc)
-                assignment.append(loc)
-                place(p + 1, dim)
-                assignment.pop()
+                place(p + 1, dim, code + loc)
                 blocked.discard(loc)
             else:
                 e = loc - n_vertices
@@ -463,35 +556,13 @@ def _oracle_cells_by_dim(graph, n, budget=None):
                 used_edges.add(e)
                 blocked.add(a)
                 blocked.add(b)
-                assignment.append(loc)
-                place(p + 1, dim + 1)
-                assignment.pop()
+                place(p + 1, dim + 1, code + loc)
                 blocked.discard(a)
                 blocked.discard(b)
                 used_edges.discard(e)
 
-    place(1, 0)
-    for q in range(len(cells_by_dim)):
-        cells_by_dim[q].sort()
+    place(1, 0, 0)
     return cells_by_dim
-
-
-def _oracle_faces(graph, cell, vid):
-    """Yield (sign, face0, face1) per edge slot of an oracle cell; ``vid``
-    numbers the vertices of the graph."""
-    n_vertices = len(vid)
-    faces = []
-    axis = 0
-    for slot, loc in enumerate(cell):
-        if loc < n_vertices:
-            continue
-        a, b = graph.edges[loc - n_vertices]
-        face0 = cell[:slot] + (vid[a],) + cell[slot + 1:]
-        face1 = cell[:slot] + (vid[b],) + cell[slot + 1:]
-        sign = 1 if axis % 2 == 0 else -1
-        faces.append((sign, face0, face1))
-        axis += 1
-    return faces
 
 
 def oracle_subdivision(graph, n):
@@ -524,21 +595,28 @@ def build_abrams_oracle(graph, n, budget=DEFAULT_CELL_BUDGET):
 def subcomplex_supported_in(complex_, sub):
     """Cells of ``complex_`` with every particle on ``sub``, plus the index
     injection into the ambient complex (one list per dimension).  Whether a
-    cell is supported depends on its 0-cell only."""
+    cell is supported depends on its 0-cell only, so a supported 0-cell
+    keeps its block of cells in every degree, and the subcomplex has its
+    own offsets over the same masks' ranks."""
     if complex_.kind != MODEL_KIND:
         raise ModelError("supports are taken in the main model")
     if not isinstance(sub, Subgraph) or sub.graph is not complex_.graph:
         raise GraphError("support must be a subgraph of the complex's graph")
-    vset = sub.vertices
-    eset = sub.edges
     tables = complex_.tables
-    supported = [all(v in vset for v, _ in vkey) and all(e in eset for e, _ in ekey)
-                 for vkey, ekey in tables.zero]
-    shift = tables.shift
-    injection = [[i for i, c in enumerate(codes) if supported[c >> shift]]
-                 for codes in complex_.codes]
-    cells_by_dim = [[codes[i] for i in inj]
-                    for codes, inj in zip(complex_.codes, injection)]
+    allowed = [v in sub.vertices for v in complex_.graph.vertices]
+    allowed += [e in sub.edges for e in range(complex_.graph.n_edges) for _ in range(tables.n)]
+    supported = [z for z, code in enumerate(tables.zero) if all(
+        map(allowed.__getitem__, _digits(code, tables.radix, tables.n)))]
+    injection, cells_by_dim, offsets = [], [], []
+    for codes, off in zip(complex_.codes, complex_.offsets):
+        injection.append([i for z in supported for i in range(off[z], off[z + 1])])
+        cells = codes[:0]                # the ambient codes' storage
+        cells.extend(map(codes.__getitem__, injection[-1]))
+        cells_by_dim.append(cells)
+        sizes = [0] * len(tables.zero)
+        for z in supported:
+            sizes[z] = off[z + 1] - off[z]
+        offsets.append(array("q", accumulate(sizes, initial=0)))
     subcx = CubeComplex(complex_.graph, complex_.n, complex_.sinks,
-                        MODEL_KIND, cells_by_dim, tables)
+                        MODEL_KIND, cells_by_dim, tables, offsets)
     return subcx, injection[: subcx.top_dimension + 1]

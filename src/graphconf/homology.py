@@ -306,7 +306,7 @@ class ChainMap:
         codes, position = self.complex.codes[q], self.complex.code_index(q)
         image = self._cell_image
         try:
-            return [position[image(codes[i])] for i in indices]
+            return [position(image(codes[i])) for i in indices]
         except KeyError as exc:
             raise HomologyError(
                 "automorphism does not preserve the complex") from exc

@@ -476,6 +476,32 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert json.loads(out)["error"] == "budget-exceeded"
 
+    def test_oracle_budget_exceeded(self, capsys, graph_file):
+        code = main(["model", "--graph", graph_file, "--n", "3", "--oracle",
+                     "--budget", "5"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "budget-exceeded"
+
+    def test_oracle_compare_keeps_the_budget_for_the_oracle(self, capsys,
+                                                           graph_file):
+        # star3 at n = 4: the model has 12,744 cells, the oracle 30,216
+        assert main(["model", "--graph", graph_file, "--n", "4",
+                     "--budget", "20000"]) == 0
+        capsys.readouterr()
+        code = main(["oracle-compare", "--graph", graph_file, "--n", "4",
+                     "--budget", "20000"])
+        assert code == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "budget-exceeded"
+        assert "oracle" in report["detail"]
+
+    def test_raised_budget_keeps_wide_codes(self, capsys, graph_file):
+        # a budget past 2^59 makes n = 2 model codes wider than 63 bits
+        code = main(["model", "--graph", graph_file, "--n", "2",
+                     "--budget", str(1 << 62)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["total_cells"] == 144
+
     def test_tree_generators_keeps_the_budget(self, capsys, tmp_path):
         path = tmp_path / "star4.json"
         path.write_text(make_star(4).to_json())

@@ -1,4 +1,5 @@
 import time
+from array import array
 from itertools import combinations, product
 
 import pytest
@@ -20,6 +21,7 @@ from graphconf import (
     Graph,
     Subgraph,
 )
+from graphconf.complexes import _code_store
 from conftest import full_subgraph
 
 
@@ -135,6 +137,27 @@ class TestModel:
         with pytest.raises(BudgetExceeded):
             build_model(star3, 7, budget=10)
         assert time.perf_counter() - started < 0.5
+
+
+class TestCodeWidth:
+    """Codes live in 64-bit arrays only when the largest possible code fits:
+    ``budget << 2n`` in the model, L^n in the oracle."""
+
+    def test_store_follows_the_largest_code(self):
+        assert isinstance(_code_store(1 << 63), array)
+        assert type(_code_store((1 << 63) + 1)) is list
+        assert type(_code_store(None)) is list
+
+    def test_raised_budget_keeps_wide_codes_in_lists(self, star3):
+        narrow = build_model(star3, 2)
+        wide = build_model(star3, 2, budget=1 << 62)
+        assert all(isinstance(cs, array) for cs in narrow.codes)
+        assert all(type(cs) is list for cs in wide.codes)
+        assert wide.cells == narrow.cells
+        for q in range(1, wide.top_dimension + 1):
+            assert wide.boundary(q).columns() == narrow.boundary(q).columns()
+        assert betti_numbers(build_model(star3, 2, budget=None)) == \
+            betti_numbers(narrow) == [1, 1, 0]
 
 
 class TestOracle:

@@ -1,11 +1,12 @@
 """The main model's integer cells and face tables against the nested-tuple
 rule they replaced.
 
-The reference below rebuilds every cell as a canonical nested tuple, finds
-its faces by rebuilding the landed 0-cell's key, and maps cells under an
-automorphism key by key.  The integer encoding must give the same cells in
-the same order, the same boundary matrices entry for entry, the same chain
-map images and the same supported subcomplexes.
+The reference below lists the 0-cells as canonical nested tuples, rebuilds
+every cell from them, finds its faces by rebuilding the landed 0-cell's
+key, and maps cells under an automorphism key by key.  The integer
+encoding must give the same cells in the same order, the same boundary
+matrices entry for entry, the same chain map images and the same
+supported subcomplexes.
 """
 
 import random
@@ -20,11 +21,47 @@ from graphconf import (
     permutation_action_map,
     subcomplex_supported_in,
 )
-from graphconf.complexes import _zero_cells
 
 from conftest import corpus_graphs
 from test_acceptance import corpus_model
 from test_extra_properties import random_connected_graph
+
+
+def _freeze_state(vocc, eocc):
+    vkey = tuple(sorted((v, tuple(sorted(ps))) for v, ps in vocc.items() if ps))
+    ekey = tuple(sorted((e, tuple(ps)) for e, ps in eocc.items() if ps))
+    return vkey, ekey
+
+
+def reference_zero_cells(graph, n, sinks):
+    """Unsorted nested keys of the 0-cells: each particle in turn sits on a
+    sink, on a free vertex, or in any slot of any edge."""
+    cells = []
+    vocc = {}
+    eocc = {}
+
+    def place(p):
+        if p > n:
+            cells.append(_freeze_state(vocc, eocc))
+            return
+        for v in graph.vertices:
+            if v in sinks or not vocc.get(v):
+                vocc.setdefault(v, []).append(p)
+                place(p + 1)
+                vocc[v].pop()
+                if not vocc[v]:
+                    del vocc[v]
+        for e in range(graph.n_edges):
+            tup = eocc.setdefault(e, [])
+            for pos in range(len(tup) + 1):
+                tup.insert(pos, p)
+                place(p + 1)
+                tup.pop(pos)
+            if not tup:
+                del eocc[e]
+
+    place(1)
+    return cells
 
 
 def reference_move_sets(graph, sinks, vkey, ekey):
@@ -88,7 +125,7 @@ def reference_faces(graph, cell):
 def reference_cells(graph, n, sinks):
     """Cells by dimension, unordered (the canonical order is sorted)."""
     by_dim = [[] for _ in range(n + 1)]
-    for vkey, ekey in _zero_cells(graph, n, frozenset(sinks)):
+    for vkey, ekey in reference_zero_cells(graph, n, frozenset(sinks)):
         by_dim[0].append((vkey, ekey, ()))
         for moves in reference_move_sets(graph, frozenset(sinks), vkey, ekey):
             by_dim[len(moves)].append((vkey, ekey, moves))

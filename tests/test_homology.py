@@ -287,6 +287,20 @@ class TestPermutationAction:
         with pytest.raises(HomologyError):
             cm.matrix(1)
 
+    def test_image_off_a_support_raises(self, star3_model):
+        # swapping two legs maps the cells on the first leg off a support
+        # made of that leg
+        graph = star3_model.graph
+        sub, _ = subcomplex_supported_in(
+            star3_model, Subgraph(graph, frozenset({0, 1}), frozenset({0})))
+        cm = permutation_action_map(sub, {0: 0, 1: 2, 2: 1, 3: 3})
+        for q in range(sub.top_dimension + 1):
+            with pytest.raises(HomologyError):
+                cm.images(q, range(len(sub.codes[q])))
+        identity = permutation_action_map(sub, {v: v for v in graph.vertices})
+        assert identity.images(1, range(len(sub.codes[1]))) == \
+            list(range(len(sub.codes[1])))
+
     def test_trace_maps_only_the_basis_support(self, star3_model):
         pres = homology(star3_model, 1)
         cm = permutation_action_map(star3_model, {0: 0, 1: 3, 2: 1, 3: 2})

@@ -134,6 +134,18 @@ class TestAgainstAbramsSubdivision:
             assert discretized_betti(LOOP, n, n + 1, n) == model
 
 
+def test_loop_edge_faces_cancel():
+    """A loop edge kept through subdivision: both faces of its 1-cell are
+    the same vertex, so the cell is a cycle, and Conf_1 of the loop graph
+    is a circle with a whisker."""
+    assert discretized_betti(LOOP, 1, 1, 1) == [1, 1]
+    fine = subdivide(LOOP, 1)
+    loop = fine.n_vertices + fine.edges.index((1, 1))
+    cx = CubeComplex(fine, 1, frozenset(), ORACLE_KIND,
+                     _oracle_cells_by_dim(fine, 1))
+    assert cx.boundary(1).columns()[cx.cells[1].index((loop,))] == {}
+
+
 class TestTooCoarseDisagrees:
     """One piece per edge is too coarse; the cross-check must notice."""
 

@@ -1,6 +1,7 @@
 """Property checks on random connected multigraphs (at most 5 vertices
 before loops are subdivided, parallel edges allowed) with n <= 3 particles
-(n = 4 for Gal's Euler characteristic on small graphs), on the exact
+(n = 4 for Gal's Euler characteristic on small graphs), including the
+arithmetic positions of the stored cells, on the exact
 polynomial fit, on the copy permutations of random wedge family members,
 on the span check that stops at a generating prefix of supports, on
 graph walks against networkx, on the forest path that kernels and Smith
@@ -211,6 +212,58 @@ def test_cleared_presentations_keep_the_smith_form_of_the_whole_image():
 
     check()
     assert cleared == {False, True}
+
+
+def raises_key_error(lookup, code):
+    try:
+        lookup(code)
+    except KeyError:
+        return True
+    return False
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(), st.integers(0, 3), st.data())
+def test_cell_positions_are_arithmetic(g, n, data):
+    """A main-model cell's position, its 0-cell's offset plus its mask's
+    rank, is its index in ``codes[q]``: in a model with random sinks and in
+    one support subcomplex of it.  A code that is not a cell raises
+    KeyError: a cell off the support, and a mask of a 0-cell's candidates
+    that is not admissible.  The oracle's codes come in increasing order,
+    as do their location tuples, and its positions are their indices."""
+    sinks = data.draw(st.frozensets(st.sampled_from(g.vertices)))
+    model = build_model(g, n, sinks=sorted(sinks))
+    edges = data.draw(st.frozensets(st.integers(0, g.n_edges - 1))
+                      if g.n_edges else st.just(frozenset()))
+    vertices = data.draw(st.frozensets(st.sampled_from(g.vertices)))
+    vertices |= {v for e in edges for v in g.edges[e]}
+    sub, injection = subcomplex_supported_in(
+        model, Subgraph(g, frozenset(vertices), edges))
+    for q, codes in enumerate(model.codes):
+        at = model.code_index(q)
+        assert [at(c) for c in codes] == list(range(len(codes)))
+        if q > sub.top_dimension:
+            continue
+        sub_at = sub.code_index(q)
+        assert [sub_at(codes[i]) for i in injection[q]] == \
+            list(range(len(sub.codes[q])))
+        off = set(range(len(codes))).difference(injection[q])
+        assert all(raises_key_error(sub_at, codes[i]) for i in off)
+    cells = {c for codes in model.codes for c in codes}
+    tables = model.tables
+    for z, moves in enumerate(tables.moves):
+        for mask in range(1 << len(moves)):
+            code = z << tables.shift | mask
+            q = bin(mask).count("1")
+            if code not in cells and q <= model.top_dimension:
+                assert raises_key_error(model.code_index(q), code)
+    oracle = build_abrams_oracle(g, n)
+    for q, codes in enumerate(oracle.codes):
+        keys = oracle.cells[q]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        at = oracle.code_index(q)
+        assert [at(c) for c in codes] == list(range(len(codes)))
 
 
 def binomial_polynomial(j):
