@@ -29,7 +29,8 @@ so a cell's position is its 0-cell's offset plus its mask's rank in its
 clash pattern.  Face tables, made once per 0-cell and candidate, give the
 0-cell a move lands in and the bits the other candidates take there.
 Automorphisms act as a permutation of the 0-cells plus a relabelling of
-candidates, and support in a subgraph is decided once per 0-cell.
+candidates, and support in a subgraph is decided once per 0-cell; a
+support is the per-degree list of its cells' positions.
 ``CubeComplex.cells`` decodes the keys on first use, for reports and tests.
 
 Both use the boundary convention, moves ordered by particle label,
@@ -37,17 +38,15 @@ Both use the boundary convention, moves ordered by particle label,
   d C = sum_i (-1)^(i+1) (landed face_i - resting face_i),
 
 and ``CubeComplex.boundary`` is the one place where either model's boundary
-columns are assembled, from its tables' ``face_rows``.  Only a bare
-``boundary(q)`` is memoized, for chain maps and tests; the Betti loop's d_q
-without the rows and columns settled before, and presentations' columns at
-their cells, are built for the caller and not kept, as is the oracle's
-position dict.
+columns are assembled, from its tables' ``face_rows``.  Every call builds
+the columns its caller asks for and keeps nothing, nor does the oracle keep
+its position dict.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, combinations, permutations
+from itertools import combinations, permutations
 
 from .graphs import GraphError, Subgraph, subdivide
 from .linalg import SparseIntMatrix
@@ -87,8 +86,8 @@ class CubeComplex:
     ``codes[q]`` holds the q-cells in order, as codes read through
     ``tables`` (``_ModelTables`` or ``_OracleTables``), or as keys in a
     complex built by hand.  In the main model 0-cell z's q-cells are
-    ``codes[q][offsets[q][z]:offsets[q][z + 1]]``: all of its q-cells, or
-    none off a support.  ``cells`` gives the canonical keys.
+    ``codes[q][offsets[q][z]:offsets[q][z + 1]]``.  ``cells`` gives the
+    canonical keys.  No boundary is kept.
     """
 
     def __init__(self, graph, n, sinks, kind, cells_by_dim, tables=None,
@@ -103,9 +102,8 @@ class CubeComplex:
         self.codes = list(cells_by_dim)
         while self.codes and not self.codes[-1]:
             self.codes.pop()
-        self.offsets = None if offsets is None else offsets[:len(self.codes)]
+        self.offsets = offsets
         self._cells = None
-        self._boundaries = {}
 
     # -- structure -------------------------------------------------------
 
@@ -135,8 +133,9 @@ class CubeComplex:
         return self._cells
 
     def code_index(self, q):
-        """Function: stored q-cell -> its position in ``codes[q]``, KeyError
-        for any other code.  Arithmetic in the main model; otherwise a dict
+        """Function: stored q-cell -> its position in ``codes[q]``.
+        Arithmetic in the main model, where an inadmissible mask raises
+        KeyError; otherwise a dict lookup, KeyError for any other code,
         built for the caller and not kept."""
         if self.offsets is None:
             return {c: i for i, c in enumerate(self.codes[q])}.__getitem__
@@ -144,53 +143,46 @@ class CubeComplex:
 
     # -- boundary --------------------------------------------------------
 
-    def boundary(self, q, dropped=None, cells=None):
+    def boundary(self, q, dropped=(), cells=None):
         """Boundary matrix C_q -> C_(q-1); rows index (q-1)-cells.
 
-        A bare ``boundary(q)`` is built once and memoized.  With q-cell
-        positions ``cells``, read once, only those columns are returned, in
-        that order: read off the memo when d_q is there, otherwise assembled
-        for the caller and not kept.  With a set ``dropped`` the matrix is
-        assembled afresh without those rows, and neither read from nor kept
-        in the memo.  Faces that coincide, as a loop edge's ends do in the
+        Only the columns at the q-cell positions ``cells`` (read once; all
+        q-cells by default) are assembled, in that order, without the rows
+        in ``dropped``.  Each call returns a fresh matrix and keeps
+        nothing.  Faces that coincide, as a loop edge's ends do in the
         oracle, cancel."""
         if q < 0:
             return SparseIntMatrix(0, 0)
-        memo = self._boundaries.get(q) if dropped is None else None
-        if memo is not None:
-            return memo if cells is None else memo.select_columns(cells)
-        kept = dropped is None and cells is None
         codes = self.codes[q] if q <= self.top_dimension else ()
         codes = codes if cells is None else [codes[j] for j in cells]
-        if q == 0 or q > self.top_dimension:
-            rows = len(self.codes[q - 1]) if 1 <= q <= self.top_dimension + 1 else 0
-            mat = SparseIntMatrix(rows, len(codes))
-            return self._boundaries.setdefault(q, mat) if kept else mat
+        rows = len(self.codes[q - 1]) if 1 <= q <= self.top_dimension + 1 else 0
+        if q == 0 or not codes:
+            return SparseIntMatrix(rows, len(codes))
         rows_of = self.tables.face_rows(self.code_index(q - 1) if self.offsets is None
                                         else self.offsets[q - 1])
-        skip = dropped or ()
         cols = []
         for cell in codes:
             col = {}
             for sign, i0, i1 in rows_of(cell):
-                if i1 not in skip:
+                if i1 not in dropped:
                     col[i1] = col.get(i1, 0) + sign
                     if not col[i1]:
                         del col[i1]
-                if i0 not in skip:
+                if i0 not in dropped:
                     col[i0] = col.get(i0, 0) - sign
                     if not col[i0]:
                         del col[i0]
             cols.append(col)
-        mat = SparseIntMatrix.view(len(self.codes[q - 1]), cols)
-        if kept:
-            self._boundaries[q] = mat
-        return mat
+        return SparseIntMatrix.view(rows, cols)
 
     def boundary_square_is_zero(self):
+        """d_(q-1) d_q = 0 for every q, each d_q assembled once."""
+        below = self.boundary(1)
         for q in range(2, self.top_dimension + 1):
-            if not self.boundary(q - 1).multiply(self.boundary(q)).is_zero():
+            d_q = self.boundary(q)
+            if not below.multiply(d_q).is_zero():
                 return False
+            below = d_q
         return True
 
 
@@ -299,17 +291,11 @@ class _ModelTables:
         return self._zero_keys[z] + (tuple(moves[b] for b in self.bits(code & self.low)),)
 
     def position(self, offsets):
-        """Code -> position among the cells that ``offsets`` numbers;
-        KeyError for an inadmissible mask or a 0-cell without cells there."""
+        """Code -> position among the cells that ``offsets`` numbers: its
+        0-cell's offset plus its mask's rank; KeyError for an inadmissible
+        mask."""
         shift, low, rank = self.shift, self.low, self.rank
-
-        def at(code):
-            z = code >> shift
-            i = offsets[z] + rank[z][code & low]
-            if i < offsets[z + 1]:
-                return i
-            raise KeyError(code)
-        return at
+        return lambda code: offsets[code >> shift] + rank[code >> shift][code & low]
 
     def face_rows(self, offsets):
         """Code -> (sign, resting row, landed row) per move axis in particle
@@ -589,15 +575,16 @@ def build_abrams_oracle(graph, n, budget=DEFAULT_CELL_BUDGET):
     return CubeComplex(fine, n, frozenset(), ORACLE_KIND, cells_by_dim)
 
 
-# -- subcomplexes ---------------------------------------------------------
+# -- supports ------------------------------------------------------------
 
 
 def subcomplex_supported_in(complex_, sub):
-    """Cells of ``complex_`` with every particle on ``sub``, plus the index
-    injection into the ambient complex (one list per dimension).  Whether a
-    cell is supported depends on its 0-cell only, so a supported 0-cell
-    keeps its block of cells in every degree, and the subcomplex has its
-    own offsets over the same masks' ranks."""
+    """Positions of the cells of ``complex_`` with every particle on
+    ``sub``, one ascending list per degree up to the last nonempty one:
+    the cell injection of the support.  Whether a cell is supported
+    depends on its 0-cell only, so a supported 0-cell keeps its block of
+    cells in every degree, and the supported cells are closed under
+    faces."""
     if complex_.kind != MODEL_KIND:
         raise ModelError("supports are taken in the main model")
     if not isinstance(sub, Subgraph) or sub.graph is not complex_.graph:
@@ -607,16 +594,8 @@ def subcomplex_supported_in(complex_, sub):
     allowed += [e in sub.edges for e in range(complex_.graph.n_edges) for _ in range(tables.n)]
     supported = [z for z, code in enumerate(tables.zero) if all(
         map(allowed.__getitem__, _digits(code, tables.radix, tables.n)))]
-    injection, cells_by_dim, offsets = [], [], []
-    for codes, off in zip(complex_.codes, complex_.offsets):
-        injection.append([i for z in supported for i in range(off[z], off[z + 1])])
-        cells = codes[:0]                # the ambient codes' storage
-        cells.extend(map(codes.__getitem__, injection[-1]))
-        cells_by_dim.append(cells)
-        sizes = [0] * len(tables.zero)
-        for z in supported:
-            sizes[z] = off[z + 1] - off[z]
-        offsets.append(array("q", accumulate(sizes, initial=0)))
-    subcx = CubeComplex(complex_.graph, complex_.n, complex_.sinks,
-                        MODEL_KIND, cells_by_dim, tables, offsets)
-    return subcx, injection[: subcx.top_dimension + 1]
+    injection = [[i for z in supported for i in range(off[z], off[z + 1])]
+                 for off in complex_.offsets]
+    while injection and not injection[-1]:
+        injection.pop()
+    return injection

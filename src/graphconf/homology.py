@@ -123,12 +123,12 @@ def homology(complex_, q, basis=True, support=None):
     Each boundary is assembled for the cells read and not kept.
 
     With ``support``, a per-degree cell injection as
-    ``subcomplex_supported_in`` returns it, this is H_q of the supported
-    subcomplex.  Supported cells are closed under faces, so their columns
-    of the ambient d_q and d_(q+1) are the subcomplex's boundaries up to
-    the numbering of rows: those columns are read directly, and cycles,
-    generators and coordinates stay in the ambient cell numbering.  Such
-    a presentation rejects a cycle with an entry off the supported cells.
+    ``subcomplex_supported_in`` returns it, this is H_q of the cells it
+    lists.  Supported cells are closed under faces, so the ambient d_q and
+    d_(q+1) at them are the support's own boundaries up to the numbering
+    of rows: those columns are read directly, and cycles, generators and
+    coordinates stay in the ambient cell numbering.  Such a presentation
+    rejects a cycle with an entry off the supported cells.
     """
     if q < 0:
         raise HomologyError("degree must be nonnegative")
@@ -229,11 +229,11 @@ def betti_numbers(complex_, qmax=None):
     ranks = [0] * (top + 2)            # ranks[q] = rank d_q; d_0 = 0
     forest, cleared = [], ()
     if top > 0:
-        ranks[1] = rank_of_columns(complex_.boundary(1, set()).columns(), forest)
+        ranks[1] = rank_of_columns(complex_.boundary(1).columns(), forest)
     for q in range(top, 1, -1) if qmax else ():
         kept = (j for j in range(f[q]) if j not in cleared)
         cleared = set(reduce_left_to_right(complex_.boundary(
-            q, set(forest) if q == 2 else None, kept).columns()))
+            q, set(forest) if q == 2 else (), kept).columns()))
         ranks[q] = len(cleared)
     return [f[q] - ranks[q] - ranks[q + 1] if q <= top else 0
             for q in range(qmax + 1)]

@@ -93,11 +93,6 @@ class SparseIntMatrix:
     def columns(self):
         return self._cols
 
-    def select_columns(self, indices):
-        """The columns at ``indices`` as a matrix sharing this one's column
-        dicts: nothing is copied, so neither matrix may be written to."""
-        return SparseIntMatrix.view(self.rows, [self._cols[j] for j in indices])
-
     def entries(self):
         for j, col in enumerate(self._cols):
             for r, v in col.items():

@@ -90,13 +90,13 @@ def _generator_supports(tree, q):
 
 
 def pushed_cycle_space(model, sub, q, ranks=None):
-    """Cycles of the supported subcomplex whose classes generate its H_q,
-    in the ambient model's chain group.  When ``ranks`` is a list, the rank
-    of the subcomplex's cycle lattice Z_q is appended to it.  The
-    generators with the support's d_(q+1) columns span Z_q of the support,
-    and any chain map carries those columns into im d_(q+1), so a span
-    check on the generators gives the same verdict as one on all of Z_q."""
-    pres = homology(model, q, support=subcomplex_supported_in(model, sub)[1])
+    """Cycles on the support ``sub`` whose classes generate its H_q, in the
+    ambient model's chain group.  When ``ranks`` is a list, the rank of the
+    support's cycle lattice Z_q is appended to it.  The generators with
+    the support's d_(q+1) columns span Z_q of the support, and any chain
+    map carries those columns into im d_(q+1), so a span check on the
+    generators gives the same verdict as one on all of Z_q."""
+    pres = homology(model, q, support=subcomplex_supported_in(model, sub))
     if ranks is not None:
         ranks.append(pres.cycle_rank)
     return pres.generators
@@ -147,8 +147,8 @@ def _orbit_span_check(model, q, orbits, pres):
 
 def verify_tree_generators(tree, n, q, budget=DEFAULT_CELL_BUDGET):
     """Check that products of basic (star and h) classes generate H_q over
-    the integers: the homology generators of the subcomplexes supported on
-    embedded pieces, pushed in, must span.  Returns the ``GeneratedCheck``
+    the integers: the homology generators of the supports made of embedded
+    pieces, in the ambient model, must span.  Returns the ``GeneratedCheck``
     and the supports."""
     if not tree.is_tree():
         raise StabilityError("the generating theorem applies to trees")

@@ -23,6 +23,56 @@ from graphconf import (
     wedge,
     wedge_family,
 )
+from graphconf.complexes import MODEL_KIND, CubeComplex
+from graphconf.linalg import SparseIntMatrix
+
+
+class PlantedComplex(CubeComplex):
+    """A complex on the cells ``cells_by_dim`` whose boundaries d_1, d_2,
+    ... are the given matrices (dense lists or ``SparseIntMatrix``).
+    ``boundary`` reads their columns at the asked cells without the
+    dropped rows, into a fresh matrix, as the cube models assemble theirs."""
+
+    def __init__(self, cells_by_dim, boundaries):
+        super().__init__(make_path_graph(1), 1, (), MODEL_KIND, cells_by_dim)
+        self.planted = [None] + [
+            d if isinstance(d, SparseIntMatrix) else SparseIntMatrix.from_dense(d)
+            for d in boundaries]
+
+    def boundary(self, q, dropped=(), cells=None):
+        if not 1 <= q < len(self.planted):
+            return super().boundary(q, dropped, cells)
+        d = self.planted[q]
+        cols = d.columns() if cells is None else [d.columns()[j] for j in cells]
+        return SparseIntMatrix.view(d.rows, [
+            {r: v for r, v in col.items() if r not in dropped} for col in cols])
+
+
+def kept_boundaries(complex_):
+    """Boundary matrices that the complex's attributes hold, directly or in
+    a dict or list."""
+    found = []
+    for value in vars(complex_).values():
+        inner = value.values() if isinstance(value, dict) else \
+            value if isinstance(value, list) else [value]
+        found += [m for m in inner if isinstance(m, SparseIntMatrix)]
+    return found
+
+
+def supported_reference(complex_, injection):
+    """The support with cell injection ``injection`` as a complex of its
+    own: its d_q is the ambient d_q at ``injection[q]``, with rows
+    renumbered through ``injection[q - 1]`` (a KeyError if a face is not
+    supported)."""
+    boundaries = []
+    for q in range(1, len(injection)):
+        row = {i: r for r, i in enumerate(injection[q - 1])}
+        boundaries.append(SparseIntMatrix.view(len(row), [
+            {row[i]: v for i, v in col.items()}
+            for col in complex_.boundary(q, cells=injection[q]).columns()]))
+    return PlantedComplex(
+        [[complex_.codes[q][i] for i in cells] for q, cells in enumerate(injection)],
+        boundaries)
 
 
 def full_subgraph(g):

@@ -253,8 +253,7 @@ def test_criterion_12_inclusion_is_injective():
     cx = build_model(ambient_graph, 2)
     sub_graph = Subgraph(ambient_graph, frozenset({0, 1, 2, 3}),
                          frozenset({0, 1, 2}))
-    sub_pres = homology(cx, 1,
-                        support=subcomplex_supported_in(cx, sub_graph)[1])
+    sub_pres = homology(cx, 1, support=subcomplex_supported_in(cx, sub_graph))
     pres = homology(cx, 1)
     rank_ = rank_of_columns(
         [{i: v for i, v in enumerate(pres.project(z)) if v}

@@ -332,6 +332,25 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
+        ("model", "--graph", "{graph}", "--n", "2", "--budget", "0"),
+        ("rep-stability", "--family", "{family}", "--n", "2", "--q", "1",
+         "--window", "3-5"),
+        ("model", "--graph", "{graph}", "--n", "2", "--sinks", "a"),
+        ("rep-stability", "--family", "{family}", "--n", "2", "--q", "1",
+         "--window", "3..3"),
+        ("homology", "--graph", "{graph}", "--n", "2", "--q", "-1"),
+        ("poly-fit", "--family", "{family}", "--n", "2", "--q", "1",
+         "--window", "3..7", "--degree", "-1"),
+    ], ids=["budget-zero", "window-without-dots", "sink-not-a-vertex",
+            "one-size-window", "negative-q", "negative-degree"])
+    def test_bad_option_value_is_config_error(self, capsys, graph_file,
+                                              star_family_file, argv):
+        files = {"{graph}": graph_file, "{family}": star_family_file}
+        assert main([files.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+
+    @pytest.mark.parametrize("argv", [
         ("model", "--graph"),
         ("homology", "--graph"),
         ("oracle-compare", "--graph"),

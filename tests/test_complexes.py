@@ -22,7 +22,7 @@ from graphconf import (
     Subgraph,
 )
 from graphconf.complexes import _code_store
-from conftest import full_subgraph
+from conftest import full_subgraph, kept_boundaries, supported_reference
 
 
 def brute_force_interval_conf2():
@@ -208,23 +208,23 @@ class TestOracle:
 
 
 class TestBoundaryPath:
-    """Both models assemble boundaries in ``CubeComplex.boundary``; the
-    Betti loop asks for each one without the previous pivot rows."""
+    """Both models assemble boundaries in ``CubeComplex.boundary``, afresh
+    on every call; the Betti loop asks for each one without the previous
+    pivot rows."""
 
     @pytest.mark.parametrize("build", [build_model, build_abrams_oracle])
     def test_dropped_rows_are_left_out(self, star3, build):
         cx = build(star3, 2)
         for q in range(1, cx.top_dimension + 1):
             full = cx.boundary(q)
-            memo = dict(cx._boundaries)
             dropped = set(range(0, full.rows, 3))
             pruned = cx.boundary(q, dropped)
-            assert cx._boundaries == memo
             assert (pruned.rows, pruned.cols) == (full.rows, full.cols)
             assert pruned.columns() == [
                 {r: v for r, v in col.items() if r not in dropped}
                 for col in full.columns()]
-            assert cx.boundary(q) is full
+            again = cx.boundary(q)
+            assert again is not full and again.columns() == full.columns()
 
     @pytest.mark.parametrize("build", [build_model, build_abrams_oracle])
     def test_selected_columns_are_served_or_assembled_unkept(self, star3, build):
@@ -233,29 +233,31 @@ class TestBoundaryPath:
             cells = list(range(len(cx.codes[q]) if q <= cx.top_dimension else 0))
             cells = cells[1::2] + cells[::2]
             part = cx.boundary(q, cells=cells)
-            assert q not in cx._boundaries
             full = cx.boundary(q)
             assert (part.rows, part.cols) == (full.rows, len(cells))
             assert part.columns() == [full.columns()[j] for j in cells]
-            assert cx.boundary(q, cells=cells).columns() == part.columns()
-            assert cx.boundary(q) is full
+            again = cx.boundary(q, cells=iter(cells))
+            assert again is not part and again.columns() == part.columns()
 
     @pytest.mark.parametrize("build", [build_model, build_abrams_oracle])
-    def test_zero_boundaries_are_memoized(self, star3, build):
+    def test_empty_boundaries_have_their_shapes(self, star3, build):
         cx = build(star3, 2)
-        for q in (0, cx.top_dimension + 1, cx.top_dimension + 2):
+        top = cx.top_dimension
+        for q in (-1, 0, top + 1, top + 2):
             zero = cx.boundary(q)
-            assert zero.is_zero() and cx.boundary(q) is zero
-            assert cx.boundary(q, set()) is not zero
+            assert zero.is_zero() and cx.boundary(q) is not zero
+        assert (cx.boundary(-1).rows, cx.boundary(-1).cols) == (0, 0)
         assert (cx.boundary(0).rows, cx.boundary(0).cols) == (0, len(cx.codes[0]))
-        top = cx.boundary(cx.top_dimension + 1)
-        assert (top.rows, top.cols) == (len(cx.codes[-1]), 0)
+        assert (cx.boundary(top + 1).rows, cx.boundary(top + 1).cols) == \
+            (len(cx.codes[-1]), 0)
+        assert (cx.boundary(top + 2).rows, cx.boundary(top + 2).cols) == (0, 0)
 
     @pytest.mark.parametrize("build", [build_model, build_abrams_oracle])
     def test_betti_loop_leaves_no_memo(self, h_graph, build):
         cx = build(h_graph, 2)
         assert betti_numbers(cx) == [1, 3, 0]
-        assert not cx._boundaries
+        assert cx.boundary_square_is_zero()
+        assert not kept_boundaries(cx)
 
 
 class TestModelAgreement:
@@ -301,30 +303,33 @@ class TestModelAgreement:
 
 
 class TestSubcomplex:
+    """A support is the injection of its cells' positions, degree by
+    degree up to the last nonempty one."""
+
     def test_whole_graph_identity(self, star3):
         cx = build_model(star3, 2)
-        sub, inj = subcomplex_supported_in(cx, full_subgraph(star3))
-        assert sub.f_vector() == cx.f_vector()
-        for q, level in enumerate(inj):
-            assert level == list(range(len(cx.cells[q])))
+        inj = subcomplex_supported_in(cx, full_subgraph(star3))
+        assert inj == [list(range(len(codes))) for codes in cx.codes]
 
     def test_single_edge_support_is_interval_model(self, star3, interval):
         cx = build_model(star3, 2)
         sub_graph = Subgraph(star3, frozenset({0, 1}), frozenset({0}))
-        sub, inj = subcomplex_supported_in(cx, sub_graph)
-        assert sub.f_vector() == build_model(interval, 2).f_vector()
-        assert sub.f_vector()[0] == 8
-        # injection indexes real cells of the ambient complex
-        for q, level in enumerate(inj):
-            for i, amb in enumerate(level):
-                assert cx.cells[q][amb] == sub.cells[q][i]
+        inj = subcomplex_supported_in(cx, sub_graph)
+        assert [len(level) for level in inj] == build_model(interval, 2).f_vector()
+        assert len(inj[0]) == 8
+        # exactly the cells with every particle on vertex 0, 1 or edge 0
+        for q, keys in enumerate(cx.cells):
+            assert (inj[q] if q < len(inj) else []) == [
+                i for i, (vocc, eocc, _) in enumerate(keys)
+                if {v for v, _ in vocc} <= {0, 1} and {e for e, _ in eocc} <= {0}]
+        # closed under faces: every face of a supported cell is supported
+        assert supported_reference(cx, inj).boundary_square_is_zero()
 
     def test_vertices_only_support(self, star3):
         cx = build_model(star3, 2)
         sub_graph = Subgraph(star3, frozenset({1, 2, 3}), frozenset())
-        sub, _ = subcomplex_supported_in(cx, sub_graph)
-        assert sub.top_dimension == 0
-        assert sub.f_vector() == [6]
+        inj = subcomplex_supported_in(cx, sub_graph)
+        assert [len(level) for level in inj] == [6]
 
     def test_wrong_parent_rejected(self, star3, h_graph):
         cx = build_model(star3, 2)

@@ -24,8 +24,6 @@ from graphconf import (
     smith_normal_form,
     subcomplex_supported_in,
 )
-from graphconf.complexes import MODEL_KIND, CubeComplex
-from graphconf.graphs import make_path_graph
 from graphconf.linalg import SparseIntMatrix
 from graphconf.stability import (
     _generator_supports,
@@ -35,7 +33,7 @@ from graphconf.stability import (
     pushed_cycle_space,
 )
 
-from conftest import corpus_graphs
+from conftest import PlantedComplex, corpus_graphs, supported_reference
 from test_extra_properties import random_connected_graph
 
 
@@ -101,9 +99,7 @@ class TestRestrictedCoordinates:
         # entry 2 there, so restriction is not the coordinate map.  With it,
         # the boundary (-6, 4) would read as 4 and H_1 as Z/4.
         cells = [[("v",)], [("e", 0), ("e", 1)], [("f",)]]
-        cx = CubeComplex(make_path_graph(1), 1, (), MODEL_KIND, cells)
-        cx._boundaries = {1: SparseIntMatrix.from_dense([[2, 3]]),
-                          2: SparseIntMatrix.from_dense([[-6], [4]])}
+        cx = PlantedComplex(cells, [[[2, 3]], [[-6], [4]]])
         found = linalg._eliminate({0: {0: 2}, 1: {0: 3}},
                                   V={0: {0: 1}, 1: {1: 1}})
         assert [v for _, _, v in found] == [1]
@@ -162,8 +158,10 @@ def orbit_generators(model, q, orbits):
 
 def whole_lattice(model, sub, q):
     """A basis of the support's cycle lattice Z_q, taken with
-    ``kernel_with_coords`` on the subcomplex's own d_q and pushed in."""
-    subcx, inj = subcomplex_supported_in(model, sub)
+    ``kernel_with_coords`` on the support's own d_q (``supported_reference``)
+    and pushed in."""
+    inj = subcomplex_supported_in(model, sub)
+    subcx = supported_reference(model, inj)
     if q > subcx.top_dimension or not subcx.cells[q]:
         return []
     return [{inj[q][i]: v for i, v in vec.items()}
@@ -173,11 +171,13 @@ def whole_lattice(model, sub, q):
 def check_generates_support(model, sub, q, pushed):
     """``pushed`` are cycles supported on ``sub``, one per nonzero class
     of the Smith form of the support's H_q (free and torsion, no unit
-    divisor), and together with the subcomplex's d_(q+1) columns they have
-    all-unit Smith divisors in its Z_q coordinates.  The presentation of
-    the support read off the ambient columns has the subcomplex's Betti
-    number and torsion.  Returns rank Z_q."""
-    subcx, inj = subcomplex_supported_in(model, sub)
+    divisor), and together with the support's own d_(q+1) columns
+    (``supported_reference``) they have all-unit Smith divisors in its Z_q
+    coordinates.  The presentation of the support read off the ambient
+    columns has the reference's Betti number and torsion.  Returns rank
+    Z_q."""
+    inj = subcomplex_supported_in(model, sub)
+    subcx = supported_reference(model, inj)
     pres = homology(model, q, support=inj)
     if q > subcx.top_dimension or not subcx.cells[q]:
         assert pushed == [] and pres.cycle_rank == 0

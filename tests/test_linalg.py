@@ -10,7 +10,6 @@ from graphconf import (
     LinAlgError,
     SparseIntMatrix,
     build_model,
-    homology,
     kernel_with_coords,
     lattice_coords,
     linalg,
@@ -18,7 +17,7 @@ from graphconf import (
     rank_of_columns,
     smith_normal_form,
 )
-from graphconf.linalg import smith_diagonalize
+from graphconf.linalg import reduce_left_to_right, smith_diagonalize
 
 
 def minors_gcd_divisors(dense):
@@ -408,13 +407,17 @@ class TestEngine:
             smith_normal_form(m)
             assert m.columns() == saved
 
-    def test_memoized_boundaries_unchanged(self):
+    def test_assembled_boundaries_unchanged(self):
+        # d_1 takes the incidence forest, d_2 the engine
         cx = build_model(make_star(4), 2)
-        saved = {q: copy.deepcopy(cx.boundary(q).columns())
-                 for q in range(1, cx.top_dimension + 1)}
-        for q in range(cx.top_dimension + 1):
-            homology(cx, q)
-        assert {q: cx.boundary(q).columns() for q in saved} == saved
+        boundaries = [cx.boundary(q) for q in range(1, cx.top_dimension + 1)]
+        saved = copy.deepcopy([d.columns() for d in boundaries])
+        for d in boundaries:
+            rank_of_columns(d.columns(), [], [])
+            kernel_with_coords(d)
+            smith_normal_form(d)
+            reduce_left_to_right(d.columns(), [])
+        assert [d.columns() for d in boundaries] == saved
 
 
 class TestIncidenceForest:

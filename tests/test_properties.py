@@ -26,14 +26,17 @@ from graphconf import (
     betti_numbers,
     build_abrams_oracle,
     build_model,
+    class_representative,
     conf_euler,
     dimension_polynomial_check,
     generated_check,
     homology,
+    homology_character,
     interval_family,
     kernel_with_coords,
     linalg,
     normalize_loops,
+    partitions,
     pushed_cycle_space,
     realize_family,
     smith_normal_form,
@@ -47,6 +50,7 @@ from graphconf.linalg import (lattice_coords, reduce_left_to_right,
                               smith_diagonalize)
 from graphconf.stability import _orbit_span_check
 
+from conftest import kept_boundaries
 from test_cycle_coordinates import (lattice_span_check, orbit_generators,
                                     whole_lattice)
 
@@ -166,10 +170,10 @@ def smith_of_the_whole_image(model, q, cells_of):
     """(betti, torsion, cycle_rank) of H_q on the cells ``cells_of`` picks,
     from the Smith form of every d_(q+1) column in cycle coordinates."""
     cells = cells_of(q)
-    rank, _, coords = kernel_with_coords(model.boundary(q).select_columns(cells))
+    rank, _, coords = kernel_with_coords(model.boundary(q, cells=cells))
     where = {c: j for j, c in enumerate(cells)}
     image = [lattice_coords(coords, {where[c]: v for c, v in col.items()})
-             for col in model.boundary(q + 1).select_columns(cells_of(q + 1)).columns()]
+             for col in model.boundary(q + 1, cells=cells_of(q + 1)).columns()]
     z = len(cells) - rank
     divisors = smith_normal_form(SparseIntMatrix.view(z, image))
     return z - len(divisors), tuple(d for d in divisors if d > 1), z
@@ -191,7 +195,7 @@ def test_cleared_presentations_keep_the_smith_form_of_the_whole_image():
         edges = data.draw(st.frozensets(st.integers(0, g.n_edges - 1))
                           if g.n_edges else st.just(frozenset()))
         support = subcomplex_supported_in(
-            model, Subgraph(g, frozenset(g.vertices), edges))[1]
+            model, Subgraph(g, frozenset(g.vertices), edges))
         ambient = [range(len(cells)) for cells in model.codes]
         top = model.top_dimension
         for q in range(top + 1):
@@ -199,16 +203,15 @@ def test_cleared_presentations_keep_the_smith_form_of_the_whole_image():
                 got = {(pres.betti, pres.torsion, pres.cycle_rank)
                        for pres in (homology(model, q, basis, given_support)
                                     for basis in (False, True))}
-                assert not model._boundaries
+                assert not kept_boundaries(model)
 
                 def cells_of(k):
                     return cells[k] if k < len(cells) else []
                 assert got == {smith_of_the_whole_image(model, q, cells_of)}, q
                 non_units = []
-                lowest = reduce_left_to_right(model.boundary(q + 2).select_columns(
-                    cells_of(q + 2)).columns(), non_units)
+                lowest = reduce_left_to_right(model.boundary(
+                    q + 2, cells=cells_of(q + 2)).columns(), non_units)
                 cleared.add(q > 0 and len(lowest) > len(non_units))
-                model._boundaries.clear()
 
     check()
     assert cleared == {False, True}
@@ -226,29 +229,15 @@ def raises_key_error(lookup, code):
 @given(connected_multigraphs(), st.integers(0, 3), st.data())
 def test_cell_positions_are_arithmetic(g, n, data):
     """A main-model cell's position, its 0-cell's offset plus its mask's
-    rank, is its index in ``codes[q]``: in a model with random sinks and in
-    one support subcomplex of it.  A code that is not a cell raises
-    KeyError: a cell off the support, and a mask of a 0-cell's candidates
-    that is not admissible.  The oracle's codes come in increasing order,
-    as do their location tuples, and its positions are their indices."""
+    rank, is its index in ``codes[q]``, in a model with random sinks.  A
+    mask of a 0-cell's candidates that is not admissible raises KeyError.
+    The oracle's codes come in increasing order, as do their location
+    tuples, and its positions are their indices."""
     sinks = data.draw(st.frozensets(st.sampled_from(g.vertices)))
     model = build_model(g, n, sinks=sorted(sinks))
-    edges = data.draw(st.frozensets(st.integers(0, g.n_edges - 1))
-                      if g.n_edges else st.just(frozenset()))
-    vertices = data.draw(st.frozensets(st.sampled_from(g.vertices)))
-    vertices |= {v for e in edges for v in g.edges[e]}
-    sub, injection = subcomplex_supported_in(
-        model, Subgraph(g, frozenset(vertices), edges))
     for q, codes in enumerate(model.codes):
         at = model.code_index(q)
         assert [at(c) for c in codes] == list(range(len(codes)))
-        if q > sub.top_dimension:
-            continue
-        sub_at = sub.code_index(q)
-        assert [sub_at(codes[i]) for i in injection[q]] == \
-            list(range(len(sub.codes[q])))
-        off = set(range(len(codes))).difference(injection[q])
-        assert all(raises_key_error(sub_at, codes[i]) for i in off)
     cells = {c for codes in model.codes for c in codes}
     tables = model.tables
     for z, moves in enumerate(tables.moves):
@@ -364,6 +353,37 @@ def test_support_orbit_maps_reach_every_support(inst, data):
     for (vmap, emap), sub in zip(maps, supports[1:]):
         assert {vmap[v] for v in rep.vertices} == sub.vertices
         assert {emap[e] for e in rep.edges} == sub.edges
+
+
+def test_lefschetz_numbers_are_euler_characteristics():
+    """A permutation g of the k <= 3 copies of a random summand wedged at a
+    point onto a random base, at n <= 2: the alternating sum of its traces
+    on H_i over every degree 0..top is the Lefschetz number, the Euler
+    characteristic of Conf_n of the part g fixes, the member with m_1(g)
+    copies (Gal's formula).  H_0 is traced like any degree; some examples
+    have a disconnected configuration space."""
+    seen = set()
+
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(connected_multigraphs(max_vertices=3), connected_multigraphs(max_vertices=3),
+           st.integers(0, 2), st.integers(1, 3), st.data())
+    def check(base, summand, n, k, data):
+        family = wedge_family(base, [SummandSpec(
+            summand, (data.draw(st.sampled_from(summand.vertices)),),
+            (data.draw(st.sampled_from(base.vertices)),))])
+        inst = realize_family(family, (k,))
+        model = build_model(inst.graph, n)
+        presentations = [homology(model, q) for q in range(model.top_dimension + 1)]
+        for mu in partitions(k):
+            g = class_representative(mu)
+            lefschetz = sum((-1) ** q * homology_character(model, pres, inst, g)
+                            for q, pres in enumerate(presentations))
+            fixed = realize_family(family, (mu.count(1),)).graph
+            assert lefschetz == conf_euler(fixed, n), mu
+        seen.add(bool(presentations) and presentations[0].betti > 1)
+
+    check()
+    assert seen == {False, True}
 
 
 @st.composite

@@ -38,6 +38,7 @@ from test_cycle_coordinates import (check_generates_support,
                                     lattice_span_check, orbit_generators,
                                     whole_lattice)
 from test_homology import torsion_complex
+from conftest import kept_boundaries
 
 
 class TestTreeGenerators:
@@ -305,7 +306,7 @@ class TestSupportOrbits:
         orbits = support_orbits(inst, (4,))
         pushed_cycle_space(model, orbits[0][0], 1)
         assert _orbit_span_check(model, 1, orbits, pres)[0].generates_over_Z
-        assert not model._boundaries
+        assert not kept_boundaries(model)
 
     def test_a_prefix_generating_only_over_q_settles_nothing(self,
                                                                monkeypatch):
