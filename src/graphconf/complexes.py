@@ -19,18 +19,19 @@ Canonical cell keys:
 
 Both models store a cell as an integer code; ``codes[q]`` holds the
 q-cells in key order, in an ``array('q')`` unless a code could exceed 63
-bits.  An oracle cell is the number sum_i loc_i L^(n-i), L = V + E, and
-the cells are enumerated in that order.  A main-model 0-cell is the same
-kind of number of its flat particle locations (``_ModelTables``), and the
-0-cells are numbered in key order.  Each 0-cell's candidate moves are
-sorted by (particle, edge, end), and the q-cell ``z << 2n | mask`` picks
-its moves among them; move sets of one 0-cell come in lexicographic order,
-so a cell's position is its 0-cell's offset plus its mask's rank in its
-clash pattern.  Face tables, made once per 0-cell and candidate, give the
-0-cell a move lands in and the bits the other candidates take there.
-Automorphisms act as a permutation of the 0-cells plus a relabelling of
-candidates, and support in a subgraph is decided once per 0-cell; a
-support is the per-degree list of its cells' positions.
+bits, and each model's tables number them.  An oracle cell is the number
+sum_i loc_i L^(n-i), L = V + E; the cells are enumerated in that order,
+and ``_OracleTables`` finds positions in a dict built for each assembly.
+A main-model 0-cell is the same kind of number of its flat particle
+locations (``_ModelTables``), and the 0-cells are numbered in key order.  Each 0-cell's candidate moves are sorted by
+(particle, edge, end), and the q-cell ``z << 2n | mask`` picks its moves
+among them; move sets of one 0-cell come in lexicographic order, so a
+cell's position is its 0-cell's offset, kept per degree, plus its mask's
+rank in its clash pattern.  Face tables, made once per 0-cell and
+candidate, give the 0-cell a move lands in and the bits the other
+candidates take there.  Automorphisms act as a permutation of the 0-cells
+plus a relabelling of candidates, and support in a subgraph is decided
+once per 0-cell; a support is the per-degree list of its cells' positions.
 ``CubeComplex.cells`` decodes the keys on first use, for reports and tests.
 
 Both use the boundary convention, moves ordered by particle label,
@@ -39,8 +40,7 @@ Both use the boundary convention, moves ordered by particle label,
 
 and ``CubeComplex.boundary`` is the one place where either model's boundary
 columns are assembled, from its tables' ``face_rows``.  Every call builds
-the columns its caller asks for and keeps nothing, nor does the oracle keep
-its position dict.
+the columns its caller asks for and keeps nothing.
 """
 
 from __future__ import annotations
@@ -84,25 +84,20 @@ class CubeComplex:
     """A finite cube complex with exact integer boundary matrices.
 
     ``codes[q]`` holds the q-cells in order, as codes read through
-    ``tables`` (``_ModelTables`` or ``_OracleTables``), or as keys in a
-    complex built by hand.  In the main model 0-cell z's q-cells are
-    ``codes[q][offsets[q][z]:offsets[q][z + 1]]``.  ``cells`` gives the
-    canonical keys.  No boundary is kept.
+    ``tables`` (``_ModelTables`` or ``_OracleTables``, which number them),
+    or as keys in a complex built by hand.  ``cells`` gives the canonical
+    keys.  No boundary is kept.
     """
 
-    def __init__(self, graph, n, sinks, kind, cells_by_dim, tables=None,
-                 offsets=None):
+    def __init__(self, graph, n, sinks, kind, cells_by_dim, tables=None):
         self.graph = graph
         self.n = n
         self.sinks = frozenset(sinks)
         self.kind = kind
-        if tables is None and kind == ORACLE_KIND:
-            tables = _OracleTables(graph, n)
         self.tables = tables
         self.codes = list(cells_by_dim)
         while self.codes and not self.codes[-1]:
             self.codes.pop()
-        self.offsets = offsets
         self._cells = None
 
     # -- structure -------------------------------------------------------
@@ -132,15 +127,6 @@ class CubeComplex:
             self._cells = [tuple(map(key, cs)) for cs in self.codes]
         return self._cells
 
-    def code_index(self, q):
-        """Function: stored q-cell -> its position in ``codes[q]``.
-        Arithmetic in the main model, where an inadmissible mask raises
-        KeyError; otherwise a dict lookup, KeyError for any other code,
-        built for the caller and not kept."""
-        if self.offsets is None:
-            return {c: i for i, c in enumerate(self.codes[q])}.__getitem__
-        return self.tables.position(self.offsets[q])
-
     # -- boundary --------------------------------------------------------
 
     def boundary(self, q, dropped=(), cells=None):
@@ -158,8 +144,7 @@ class CubeComplex:
         rows = len(self.codes[q - 1]) if 1 <= q <= self.top_dimension + 1 else 0
         if q == 0 or not codes:
             return SparseIntMatrix(rows, len(codes))
-        rows_of = self.tables.face_rows(self.code_index(q - 1) if self.offsets is None
-                                        else self.offsets[q - 1])
+        rows_of = self.tables.face_rows(q - 1)
         cols = []
         for cell in codes:
             col = {}
@@ -174,16 +159,6 @@ class CubeComplex:
                         del col[i0]
             cols.append(col)
         return SparseIntMatrix.view(rows, cols)
-
-    def boundary_square_is_zero(self):
-        """d_(q-1) d_q = 0 for every q, each d_q assembled once."""
-        below = self.boundary(1)
-        for q in range(2, self.top_dimension + 1):
-            d_q = self.boundary(q)
-            if not below.multiply(d_q).is_zero():
-                return False
-            below = d_q
-        return True
 
 
 # -- main model ---------------------------------------------------------
@@ -243,9 +218,10 @@ class _ModelTables:
     distinct particles, no two onto one non-sink vertex (a particle has at
     most two candidates, so ``shift`` = 2n bits suffice).  ``rank[z]`` maps each
     such mask to its place among the masks of its size, and is shared by
-    the 0-cells of one clash pattern.  ``landed[z][b]`` is the 0-cell that
-    candidate b lands in, and ``renumber[z][b][c]`` the bit there of
-    candidate c (0 if c cannot move together with b).
+    the 0-cells of one clash pattern; ``offsets[q][z]`` is the position of
+    0-cell z's first q-cell.  ``landed[z][b]`` is the 0-cell that candidate
+    b lands in, and ``renumber[z][b][c]`` the bit there of candidate c (0
+    if c cannot move together with b).
     """
 
     def __init__(self, graph, n):
@@ -255,6 +231,7 @@ class _ModelTables:
         self.shift = 2 * n
         self.low = (1 << self.shift) - 1
         self.moves, self.landed, self.renumber, self.rank = [], [], [], []
+        self.offsets = [array("q", [0]) for _ in range(n + 1)]
         self._bits, self._zero_keys, self._zero_index = {}, {}, None
 
     def zero_key(self, code):
@@ -290,18 +267,11 @@ class _ModelTables:
         moves = self.moves[z]
         return self._zero_keys[z] + (tuple(moves[b] for b in self.bits(code & self.low)),)
 
-    def position(self, offsets):
-        """Code -> position among the cells that ``offsets`` numbers: its
-        0-cell's offset plus its mask's rank; KeyError for an inadmissible
-        mask."""
-        shift, low, rank = self.shift, self.low, self.rank
-        return lambda code: offsets[code >> shift] + rank[code >> shift][code & low]
-
-    def face_rows(self, offsets):
-        """Code -> (sign, resting row, landed row) per move axis in particle
-        order, rows numbered by ``offsets`` one degree down: the resting
-        face drops the move's bit, the landed face reads the tables."""
-        shift, low, bits = self.shift, self.low, self.bits
+    def face_rows(self, q):
+        """(q+1)-cell code -> (sign, resting row, landed row) per move axis
+        in particle order, rows at q-cell positions: the resting face drops
+        the move's bit, the landed face reads the tables."""
+        shift, low, bits, offsets = self.shift, self.low, self.bits, self.offsets[q]
         ranks, landed_of, renumber_of = self.rank, self.landed, self.renumber
 
         def rows(code):
@@ -321,10 +291,12 @@ class _ModelTables:
         return rows
 
     def cell_map(self, vertex_map, edge_map, reversed_edges):
-        """Code -> image code under a graph automorphism: a permutation of
-        the 0-cells plus a relabelling of each one's candidates, worked out
-        per 0-cell on first use.  Raises KeyError when a cell has no image."""
-        shift, low, bits = self.shift, self.low, self.bits
+        """Code -> position of its image under a graph automorphism, among
+        the cells of its degree: the image 0-cell's offset plus the rank of
+        the relabelled mask.  The automorphism permutes the 0-cells and
+        relabels each one's candidates, worked out per 0-cell on first use.
+        Raises KeyError when a cell has no image."""
+        shift, low, bits, offsets = self.shift, self.low, self.bits, self.offsets
         n, nv, radix, vertices = self.n, self.n_vertices, self.radix, self.vertices
         vid = {v: i for i, v in enumerate(vertices)}
         if self._zero_index is None:     # dropped after the build
@@ -353,15 +325,16 @@ class _ModelTables:
                 mv = (p, edge_map[e], 1 - end if edge_map[e] in reversed_edges else end)
                 if mv in bit_of:
                     relabel[b] = bit_of[mv]
-            by_zero[z] = found = (image << shift, relabel)
+            by_zero[z] = found = (image, self.rank[image], relabel)
             return found
 
         def cell_image(code):
             z = code >> shift
-            image, relabel = by_zero.get(z) or zero_image(z)
-            for b in bits(code & low):
-                image |= relabel[b]
-            return image
+            image, rank, relabel = by_zero.get(z) or zero_image(z)
+            ms, mask = bits(code & low), 0
+            for b in ms:
+                mask |= relabel[b]
+            return offsets[len(ms)][image] + rank[mask]
 
         return cell_image
 
@@ -411,7 +384,6 @@ def build_model(graph, n, sinks=(), budget=DEFAULT_CELL_BUDGET):
     intern, patterns = {}, {}
     cells_by_dim = [_code_store(None if budget is None else budget << shift)
                     for _ in range(n + 1)]
-    offsets = [array("q", [0]) for _ in range(n + 1)]
     total = 0
     for z, code in enumerate(tables.zero):
         where = _digits(code, radix, n)
@@ -450,7 +422,7 @@ def build_model(graph, n, sinks=(), budget=DEFAULT_CELL_BUDGET):
         base = z << shift
         for q, ms in enumerate(masks):
             cells_by_dim[q].extend(map(base.__or__, ms))
-            offsets[q].append(len(cells_by_dim[q]))
+            tables.offsets[q].append(len(cells_by_dim[q]))
             total += len(ms)
         if budget is not None and total > budget:
             raise BudgetExceeded(
@@ -465,7 +437,7 @@ def build_model(graph, n, sinks=(), budget=DEFAULT_CELL_BUDGET):
             bit_of = tuple(1 << moves.index(c) if c in moves else 0 for c in cands)
             renumber.append(intern.setdefault(bit_of, bit_of))
         tables.renumber.append(tuple(renumber))
-    return CubeComplex(graph, n, sinks, MODEL_KIND, cells_by_dim, tables, offsets)
+    return CubeComplex(graph, n, sinks, MODEL_KIND, cells_by_dim, tables)
 
 
 # -- discretized oracle ---------------------------------------------------
@@ -473,22 +445,26 @@ def build_model(graph, n, sinks=(), budget=DEFAULT_CELL_BUDGET):
 
 class _OracleTables:
     """The discretized model's cell (loc_1, ..., loc_n) is the code
-    sum_i loc_i L^(n-i), L = V + E locations of the subdivided graph."""
+    sum_i loc_i L^(n-i), L = V + E locations of the subdivided graph;
+    ``codes[q]`` holds the q-cells in order."""
 
-    def __init__(self, graph, n):
+    def __init__(self, graph, n, codes=()):
         self.n, self.n_vertices = n, graph.n_vertices
         self.radix = graph.n_vertices + graph.n_edges
         vid = {v: i for i, v in enumerate(graph.vertices)}
         self.ends = [(vid[a], vid[b]) for a, b in graph.edges]
+        self.codes = codes
 
     def key(self, code):
         return tuple(_digits(code, self.radix, self.n))
 
-    def face_rows(self, index):
-        """Code -> (sign, row of face0, row of face1) per edge slot in
-        particle order, rows by the function ``index``: face0 puts the
-        particle at the edge's first end, face1 at its second."""
+    def face_rows(self, q):
+        """(q+1)-cell code -> (sign, row of face0, row of face1) per edge
+        slot in particle order, rows from a position dict of the q-cells
+        built for the call: face0 puts the particle at the edge's first
+        end, face1 at its second."""
         n_vertices, radix, ends = self.n_vertices, self.radix, self.ends
+        index = {c: i for i, c in enumerate(self.codes[q])}.__getitem__
         weights = [radix ** (self.n - 1 - i) for i in range(self.n)]
 
         def rows(code):
@@ -571,8 +547,8 @@ def build_abrams_oracle(graph, n, budget=DEFAULT_CELL_BUDGET):
     if not graph.is_connected():
         raise ModelError("the model is built for connected graphs")
     fine = subdivide(graph, oracle_subdivision(graph, n))
-    cells_by_dim = _oracle_cells_by_dim(fine, n, budget)
-    return CubeComplex(fine, n, frozenset(), ORACLE_KIND, cells_by_dim)
+    cells = _oracle_cells_by_dim(fine, n, budget)
+    return CubeComplex(fine, n, (), ORACLE_KIND, cells, _OracleTables(fine, n, cells))
 
 
 # -- supports ------------------------------------------------------------
@@ -595,7 +571,7 @@ def subcomplex_supported_in(complex_, sub):
     supported = [z for z, code in enumerate(tables.zero) if all(
         map(allowed.__getitem__, _digits(code, tables.radix, tables.n)))]
     injection = [[i for z in supported for i in range(off[z], off[z + 1])]
-                 for off in complex_.offsets]
+                 for off in tables.offsets]
     while injection and not injection[-1]:
         injection.pop()
     return injection

@@ -80,11 +80,6 @@ class HomologyPresentation:
                 out[i] = out.get(i, 0) + u * v
         return {i: v for i, v in out.items() if v}
 
-    def project(self, zvec):
-        """Free-part homology coordinates of a cycle (exact integers)."""
-        coords = self.homology_coords(zvec)
-        return tuple(coords.get(i, 0) for i in range(self.betti))
-
     def require_basis(self):
         if self.betti and not self.generators:
             raise HomologyError(
@@ -302,11 +297,10 @@ class ChainMap:
                                                     reversed_edges)
 
     def images(self, q, indices):
-        """Indices of the images of the degree-q cells numbered ``indices``."""
-        codes, position = self.complex.codes[q], self.complex.code_index(q)
-        image = self._cell_image
+        """Positions of the images of the degree-q cells at ``indices``."""
+        codes, image = self.complex.codes[q], self._cell_image
         try:
-            return [position(image(codes[i])) for i in indices]
+            return [image(codes[i]) for i in indices]
         except KeyError as exc:
             raise HomologyError(
                 "automorphism does not preserve the complex") from exc
@@ -317,30 +311,6 @@ class ChainMap:
         cells = list({c for vec in vectors for c in vec})
         image = dict(zip(cells, self.images(q, cells))) if cells else {}
         return [{image[c]: v for c, v in vec.items()} for vec in vectors]
-
-    def matrix(self, q):
-        if q > self.complex.top_dimension:
-            return SparseIntMatrix(0, 0)
-        f = len(self.complex.codes[q])
-        return SparseIntMatrix.from_columns(
-            f, self.push(q, [{i: 1} for i in range(f)]))
-
-    def commutes_with_boundary(self):
-        for q in range(1, self.complex.top_dimension + 1):
-            d = self.complex.boundary(q)
-            left = self.matrix(q - 1).multiply(d)
-            right = d.multiply(self.matrix(q))
-            if left != right:
-                return False
-        return True
-
-    def homology_matrix(self, presentation):
-        cols = []
-        for vec in self.push(presentation.q,
-                             presentation.require_basis().cycle_basis):
-            coords = presentation.project(vec)
-            cols.append({i: v for i, v in enumerate(coords) if v})
-        return SparseIntMatrix.from_columns(presentation.betti, cols)
 
     def homology_trace(self, presentation):
         """Trace on free homology: the sum over basis cycles z_i of

@@ -59,17 +59,6 @@ class SparseIntMatrix:
         self._cols = [dict() for _ in range(cols)]
 
     @classmethod
-    def from_columns(cls, rows, columns):
-        m = cls(rows, len(columns))
-        for j, col in enumerate(columns):
-            for r, v in col.items():
-                if not 0 <= r < rows:
-                    raise LinAlgError("row index out of range")
-                if v:
-                    m._cols[j][r] = v
-        return m
-
-    @classmethod
     def view(cls, rows, columns):
         """A matrix over the given column dicts, which are neither copied nor
         checked: they must hold no zero and no row outside 0..rows-1, and
@@ -79,66 +68,12 @@ class SparseIntMatrix:
         m.cols = len(m._cols)
         return m
 
-    @classmethod
-    def from_dense(cls, rows_list):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        m = cls(rows, cols)
-        for r, row in enumerate(rows_list):
-            for c, v in enumerate(row):
-                if v:
-                    m._cols[c][r] = v
-        return m
-
     def columns(self):
         return self._cols
-
-    def entries(self):
-        for j, col in enumerate(self._cols):
-            for r, v in col.items():
-                yield r, j, v
 
     @property
     def nnz(self):
         return sum(len(c) for c in self._cols)
-
-    def is_zero(self):
-        return all(not c for c in self._cols)
-
-    def to_dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries():
-            out[r][c] = v
-        return out
-
-    def multiply(self, other):
-        """self @ other, both sparse."""
-        if self.cols != other.rows:
-            raise LinAlgError("shape mismatch in multiply")
-        out = SparseIntMatrix(self.rows, other.cols)
-        mine = self._cols
-        for j, col in enumerate(other._cols):
-            acc = {}
-            for r, v in col.items():
-                for i, w in mine[r].items():
-                    acc[i] = acc.get(i, 0) + v * w
-            out._cols[j] = {i: v for i, v in acc.items() if v}
-        return out
-
-    def __matmul__(self, vec):
-        """self @ vec for a sparse vector dict col -> value."""
-        acc = {}
-        mine = self._cols
-        for c, v in vec.items():
-            for r, w in mine[c].items():
-                acc[r] = acc.get(r, 0) + v * w
-        return {r: v for r, v in acc.items() if v}
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseIntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            self._cols == other._cols
 
 
 # -- vector helpers (dicts) ----------------------------------------------

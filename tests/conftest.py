@@ -27,6 +27,99 @@ from graphconf.complexes import MODEL_KIND, CubeComplex
 from graphconf.linalg import SparseIntMatrix
 
 
+# -- matrices and chain maps, as the tests read them ------------------------
+
+
+def from_columns(rows, columns):
+    """A matrix with copies of the given column dicts, zeros dropped; a
+    row outside 0..rows-1 is an error."""
+    assert all(0 <= r < rows for col in columns for r in col), "row out of range"
+    return SparseIntMatrix.view(rows, [{r: v for r, v in col.items() if v}
+                                       for col in columns])
+
+
+def from_dense(rows_list):
+    """A matrix with the entries of a list of rows."""
+    width = len(rows_list[0]) if rows_list else 0
+    return from_columns(len(rows_list), [
+        {r: row[c] for r, row in enumerate(rows_list)} for c in range(width)])
+
+
+def to_dense(m):
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for c, col in enumerate(m.columns()):
+        for r, v in col.items():
+            out[r][c] = v
+    return out
+
+
+def is_zero(m):
+    return not any(m.columns())
+
+
+def matvec(m, vec):
+    """m applied to a sparse vector dict column -> value."""
+    out = {}
+    for c, v in vec.items():
+        for r, w in m.columns()[c].items():
+            out[r] = out.get(r, 0) + v * w
+    return {r: v for r, v in out.items() if v}
+
+
+def multiply(a, b):
+    """a b, both sparse."""
+    assert a.cols == b.rows, "shape mismatch in multiply"
+    return SparseIntMatrix.view(a.rows, [matvec(a, col) for col in b.columns()])
+
+
+def boundary_square_is_zero(complex_):
+    """d_(q-1) d_q = 0 for every q, each d_q assembled once."""
+    below = complex_.boundary(1)
+    for q in range(2, complex_.top_dimension + 1):
+        d_q = complex_.boundary(q)
+        if not is_zero(multiply(below, d_q)):
+            return False
+        below = d_q
+    return True
+
+
+def chain_matrix(chain_map, q):
+    """The chain map's matrix in degree q."""
+    complex_ = chain_map.complex
+    if q > complex_.top_dimension:
+        return SparseIntMatrix(0, 0)
+    f = len(complex_.codes[q])
+    return from_columns(f, chain_map.push(q, [{i: 1} for i in range(f)]))
+
+
+def commutes_with_boundary(chain_map):
+    """f d = d f in every degree, compared by shape and columns."""
+    for q in range(1, chain_map.complex.top_dimension + 1):
+        d = chain_map.complex.boundary(q)
+        left = multiply(chain_matrix(chain_map, q - 1), d)
+        right = multiply(d, chain_matrix(chain_map, q))
+        if (left.rows, left.cols, left.columns()) != \
+                (right.rows, right.cols, right.columns()):
+            return False
+    return True
+
+
+def project(presentation, zvec):
+    """Free-part homology coordinates of a cycle (exact integers)."""
+    coords = presentation.homology_coords(zvec)
+    return tuple(coords.get(i, 0) for i in range(presentation.betti))
+
+
+def homology_matrix(chain_map, presentation):
+    """The chain map's matrix on the free part of H_q, in the basis of the
+    presentation's cycles."""
+    cols = []
+    for vec in chain_map.push(presentation.q,
+                              presentation.require_basis().cycle_basis):
+        cols.append(dict(enumerate(project(presentation, vec))))
+    return from_columns(presentation.betti, cols)
+
+
 class PlantedComplex(CubeComplex):
     """A complex on the cells ``cells_by_dim`` whose boundaries d_1, d_2,
     ... are the given matrices (dense lists or ``SparseIntMatrix``).
@@ -36,7 +129,7 @@ class PlantedComplex(CubeComplex):
     def __init__(self, cells_by_dim, boundaries):
         super().__init__(make_path_graph(1), 1, (), MODEL_KIND, cells_by_dim)
         self.planted = [None] + [
-            d if isinstance(d, SparseIntMatrix) else SparseIntMatrix.from_dense(d)
+            d if isinstance(d, SparseIntMatrix) else from_dense(d)
             for d in boundaries]
 
     def boundary(self, q, dropped=(), cells=None):

@@ -47,7 +47,7 @@ from graphconf import (
 from graphconf.cli import main
 
 import conftest
-from conftest import corpus_graphs
+from conftest import boundary_square_is_zero, corpus_graphs, project
 
 
 def report(number, ok, text):
@@ -85,7 +85,7 @@ def test_criterion_01_chain_complex_soundness(corpus):
     for name, graph in corpus.items():
         for n in (1, 2, 3):
             cx = corpus_model(name, graph, n)
-            assert cx.boundary_square_is_zero(), (name, n)
+            assert boundary_square_is_zero(cx), (name, n)
             checked += 1
     elapsed = time.time() - t0
     report(1, elapsed < 300,
@@ -256,7 +256,7 @@ def test_criterion_12_inclusion_is_injective():
     sub_pres = homology(cx, 1, support=subcomplex_supported_in(cx, sub_graph))
     pres = homology(cx, 1)
     rank_ = rank_of_columns(
-        [{i: v for i, v in enumerate(pres.project(z)) if v}
+        [{i: v for i, v in enumerate(project(pres, z)) if v}
          for z in sub_pres.cycle_basis])
     ok = sub_pres.betti == 1 and rank_ == 1
     report(12, ok,

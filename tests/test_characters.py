@@ -36,6 +36,8 @@ from graphconf.characters import (
 )
 from graphconf.homology import betti_numbers
 
+from conftest import homology_matrix, to_dense
+
 
 def count_standard_tableaux(lam):
     """Independent dimension oracle: count standard fillings recursively."""
@@ -207,7 +209,7 @@ class TestHomologyCharacters:
 
 def _diagonal_sum(chain_map, presentation):
     """Trace through the full-projection path: the induced matrix's diagonal."""
-    dense = chain_map.homology_matrix(presentation).to_dense()
+    dense = to_dense(homology_matrix(chain_map, presentation))
     return sum(dense[i][i] for i in range(presentation.betti))
 
 

@@ -341,8 +341,12 @@ class TestExitCodes:
         ("homology", "--graph", "{graph}", "--n", "2", "--q", "-1"),
         ("poly-fit", "--family", "{family}", "--n", "2", "--q", "1",
          "--window", "3..7", "--degree", "-1"),
+        ("generation-check", "--family", "{family}", "--n", "2", "--q", "1",
+         "--d", "9", "--K", "8"),
+        ("model", "--graph", "{graph}", "--n", "2", "--sinks", "9"),
     ], ids=["budget-zero", "window-without-dots", "sink-not-a-vertex",
-            "one-size-window", "negative-q", "negative-degree"])
+            "one-size-window", "negative-q", "negative-degree",
+            "degree-above-every-size", "sink-off-the-graph"])
     def test_bad_option_value_is_config_error(self, capsys, graph_file,
                                               star_family_file, argv):
         files = {"{graph}": graph_file, "{family}": star_family_file}
@@ -426,6 +430,46 @@ class TestExitCodes:
         path.write_text(json.dumps(payload))
         assert main(["model", "--graph", str(path), "--n", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: bad graph payload")
+
+    @pytest.mark.parametrize("argv,payload,message", [
+        (("tree-generators", "--graph", "{file}", "--n", "2"),
+         {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]]},
+         "applies to trees"),
+        (("model", "--graph", "{file}", "--n", "2"),
+         {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [2, 3]]},
+         "connected graphs"),
+        (("rep-stability", "--family", "{file}", "--n", "2", "--q", "1",
+          "--window", "2..3"),
+         {"kind": "wedge_fi", "base": {"vertices": [0], "edges": []},
+          "summands": [{"graph": {"vertices": [0, 1],
+                                  "edges": [[0, 1], [1, 1]]},
+                        "summand_vertices": [0], "base_vertices": [0],
+                        "summand_edges": [], "base_edges": []}]},
+         "normalize loops"),
+        (("rep-stability", "--family", "{file}", "--n", "2", "--q", "1",
+          "--window", "2..3"),
+         {"kind": "wedge_fi", "base": {"vertices": [0], "edges": []},
+          "summands": [{"graph": {"vertices": [0, 1], "edges": [[0, 1]]},
+                        "summand_vertices": [0, 1], "base_vertices": [0],
+                        "summand_edges": [], "base_edges": []}]},
+         "single vertex"),
+        (("generation-check", "--family", "{file}", "--n", "2", "--q", "1",
+          "--d", "1", "--K", "2"),
+         {"kind": "nope", "base": {"vertices": [0], "edges": []},
+          "summands": [{"graph": {"vertices": [0, 1], "edges": [[0, 1]]},
+                        "summand_vertices": [0], "base_vertices": [0],
+                        "summand_edges": [], "base_edges": []}]},
+         "unknown family kind"),
+    ], ids=["tree-check-on-a-cycle", "disconnected-graph", "looped-summand",
+            "summand-side-without-an-edge", "unknown-family-kind"])
+    def test_unusable_input_is_config_error(self, capsys, tmp_path, argv,
+                                            payload, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main([str(path) if a == "{file}" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+        assert message in captured.err
 
     def test_family_with_malformed_summand_is_config_error(
             self, capsys, tmp_path, star_family):

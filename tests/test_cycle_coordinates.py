@@ -33,7 +33,13 @@ from graphconf.stability import (
     pushed_cycle_space,
 )
 
-from conftest import PlantedComplex, corpus_graphs, supported_reference
+from conftest import (
+    PlantedComplex,
+    corpus_graphs,
+    from_columns,
+    project,
+    supported_reference,
+)
 from test_extra_properties import random_connected_graph
 
 
@@ -77,7 +83,7 @@ class TestRestrictedCoordinates:
                     restricted += 1
                     free = sorted(set(range(d_q.cols)) - set(pivots))
                     pos = {j: i for i, j in enumerate(free)}
-                    square = SparseIntMatrix.from_columns(len(free), [
+                    square = from_columns(len(free), [
                         {pos[j]: v for j, v in vec.items() if j in pos}
                         for vec in basis])
                     assert smith_normal_form(square) == [1] * len(basis), (name, q)
@@ -87,10 +93,10 @@ class TestRestrictedCoordinates:
                     assert (pres.betti, pres.torsion) == want, (name, q, flag)
                 pres = homology(cx, q)
                 for i, vec in enumerate(pres.cycle_basis):
-                    assert pres.project(vec) == tuple(
+                    assert project(pres, vec) == tuple(
                         int(i == j) for j in range(pres.betti)), (name, q)
                 for col in cx.boundary(q + 1).columns():
-                    assert not any(pres.project(col)), (name, q)
+                    assert not any(project(pres, col)), (name, q)
         assert restricted >= 60
 
     def test_gcd_pivot_takes_the_fallback(self):
@@ -192,7 +198,7 @@ def check_generates_support(model, sub, q, pushed):
               for vec in pushed]        # raises unless a supported cycle
     image = [sub_pres.kernel_coords(col)
              for col in subcx.boundary(q + 1).columns()]
-    divisors = smith_normal_form(SparseIntMatrix.from_columns(
+    divisors = smith_normal_form(from_columns(
         sub_pres.cycle_rank, image + coords))
     assert divisors == [1] * sub_pres.cycle_rank
     return sub_pres.cycle_rank

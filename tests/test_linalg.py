@@ -19,6 +19,8 @@ from graphconf import (
 )
 from graphconf.linalg import reduce_left_to_right, smith_diagonalize
 
+from conftest import from_columns, from_dense, matvec, multiply, to_dense
+
 
 def minors_gcd_divisors(dense):
     """Independent Smith divisor oracle: d_1...d_k = gcd of all k x k minors."""
@@ -91,18 +93,18 @@ def random_dense(rng, rows, cols, density=0.5, lo=-4, hi=4):
 
 class TestSparseMatrix:
     def test_multiply(self):
-        a = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
-        b = SparseIntMatrix.from_dense([[5, 6], [7, 8]])
-        assert a.multiply(b).to_dense() == [[19, 22], [43, 50]]
+        a = from_dense([[1, 2], [3, 4]])
+        b = from_dense([[5, 6], [7, 8]])
+        assert to_dense(multiply(a, b)) == [[19, 22], [43, 50]]
 
 
 class TestSmith:
     def test_small_example(self):
-        m = SparseIntMatrix.from_dense([[2, 4], [6, 8]])
+        m = from_dense([[2, 4], [6, 8]])
         assert smith_normal_form(m) == [2, 4]
 
     def test_identity(self):
-        m = SparseIntMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        m = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert smith_normal_form(m) == [1, 1, 1]
 
     def test_zero_matrix(self):
@@ -115,7 +117,7 @@ class TestSmith:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
             dense = random_dense(rng, rows, cols)
-            divisors = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            divisors = smith_normal_form(from_dense(dense))
             for a, b in zip(divisors, divisors[1:]):
                 assert b % a == 0
             assert divisors == minors_gcd_divisors(dense)
@@ -123,12 +125,12 @@ class TestSmith:
     def test_invariant_under_permutation(self):
         rng = random.Random(3)
         dense = random_dense(rng, 4, 5, density=0.8)
-        base = smith_normal_form(SparseIntMatrix.from_dense(dense))
+        base = smith_normal_form(from_dense(dense))
         for _ in range(5):
             rperm = rng.sample(range(4), 4)
             cperm = rng.sample(range(5), 5)
             sh = [[dense[r][c] for c in cperm] for r in rperm]
-            assert smith_normal_form(SparseIntMatrix.from_dense(sh)) == base
+            assert smith_normal_form(from_dense(sh)) == base
 
     def test_transform_tracking(self):
         rng = random.Random(11)
@@ -136,7 +138,7 @@ class TestSmith:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
             dense = random_dense(rng, rows, cols, density=0.7)
-            m = SparseIntMatrix.from_dense(dense)
+            m = from_dense(dense)
             pivots, u_rows, uinv_cols = smith_diagonalize(m, track_u=True)
             # U and its inverse really are mutually inverse
             for i in range(rows):
@@ -174,7 +176,7 @@ class TestSmithWithUnits:
                 for i in range(size)]
         cases = [diag] + [scrambled(rng, diag) for _ in range(8)]
         for dense in cases:
-            divisors = smith_normal_form(SparseIntMatrix.from_dense(dense))
+            divisors = smith_normal_form(from_dense(dense))
             assert divisors == minors_gcd_divisors(dense) == [1, 1, 1, 2, 6, 12]
 
     def test_random_mixed_pivots(self):
@@ -185,7 +187,7 @@ class TestSmithWithUnits:
             dense = [[entries[i] if i == j and i < len(entries) else 0
                       for j in range(cols)] for i in range(rows)]
             dense = scrambled(rng, dense, steps=rng.randint(0, 8))
-            assert smith_normal_form(SparseIntMatrix.from_dense(dense)) == \
+            assert smith_normal_form(from_dense(dense)) == \
                 minors_gcd_divisors(dense)
 
     def test_transforms_inverse(self):
@@ -195,7 +197,7 @@ class TestSmithWithUnits:
                 for i in range(size)]
         for dense in [diag] + [scrambled(rng, diag) for _ in range(6)]:
             pivots, u_rows, uinv_cols = smith_diagonalize(
-                SparseIntMatrix.from_dense(dense), track_u=True)
+                from_dense(dense), track_u=True)
             assert [d for *_, d in pivots] == [1, 1, 1, 2, 6, 12]
             for i in range(size):
                 row = u_rows.get(i, {i: 1})
@@ -212,7 +214,7 @@ class TestRank:
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             dense = random_dense(rng, rows, cols, density=0.6)
-            m = SparseIntMatrix.from_dense(dense)
+            m = from_dense(dense)
             assert rank_of_columns(m.columns()) == fraction_rank(dense)
 
     def test_incidence_fast_path(self):
@@ -237,7 +239,7 @@ class TestRank:
             cols = rng.randint(1, 7)
             cases.append(random_dense(rng, rows, cols, density=0.6))
         for dense in cases:
-            columns = [dict(c) for c in SparseIntMatrix.from_dense(dense).columns()]
+            columns = [dict(c) for c in from_dense(dense).columns()]
             pivots = []
             rk = rank_of_columns(columns, pivots)
             assert rk == len(pivots) == len(set(pivots)) == fraction_rank(dense)
@@ -321,7 +323,7 @@ class TestKernel:
         for _ in range(count):
             rows, cols = rng.randint(1, 7), rng.randint(2, 8)
             dense = random_dense(rng, rows, cols, density=0.6, lo=-6, hi=6)
-            m = SparseIntMatrix.from_dense(dense)
+            m = from_dense(dense)
             yield rng, dense, m, kernel_with_coords(m)
 
     def test_kernel_vectors_are_kernel(self):
@@ -330,7 +332,7 @@ class TestKernel:
             assert rk == fraction_rank(dense)
             assert len(basis) == m.cols - rk
             for i, vec in enumerate(basis):
-                assert not m @ vec
+                assert not matvec(m, vec)
                 assert lattice_coords(coords, vec) == {i: 1}
             pos, block = coords
             assert sorted(pos.values()) == list(range(len(basis)))
@@ -356,13 +358,13 @@ class TestKernel:
             if not basis:
                 continue
             assert smith_normal_form(
-                SparseIntMatrix.from_columns(m.cols, basis)) == [1] * len(basis)
+                from_columns(m.cols, basis)) == [1] * len(basis)
             for _ in range(3):
                 coeffs = {i: rng.randint(-5, 5) for i in range(len(basis))}
                 combo = {}
                 for i, c in coeffs.items():
                     linalg.vec_axpy(combo, basis[i], -c)
-                assert not m @ combo
+                assert not matvec(m, combo)
                 assert lattice_coords(coords, combo) == \
                     {i: c for i, c in coeffs.items() if c}
 
@@ -385,7 +387,7 @@ class TestEngine:
                             lambda a, b: gcd_steps.append(1) or real_xgcd(a, b))
         non_unit = 0
         for dense in self.matrices(29, 150):
-            m = SparseIntMatrix.from_dense(dense)
+            m = from_dense(dense)
             rk = fraction_rank(dense)
             divisors = smith_normal_form(m)
             assert rank_of_columns(m.columns()) == rk
@@ -396,7 +398,7 @@ class TestEngine:
 
     def test_inputs_unchanged(self):
         for dense in self.matrices(31, 120):
-            m = SparseIntMatrix.from_dense(dense)
+            m = from_dense(dense)
             saved = copy.deepcopy(m.columns())
             rank_of_columns(m.columns(), [])
             assert m.columns() == saved
@@ -430,16 +432,16 @@ class TestIncidenceForest:
                {3: 1, 1: -1}, {1: 1, 0: -1}]
 
     def test_fundamental_cycles(self):
-        m = SparseIntMatrix.from_columns(5, self.COLUMNS)
+        m = from_columns(5, self.COLUMNS)
         rank, basis, coords = kernel_with_coords(m)
         assert rank == 3
         assert basis == [{2: 1}, {3: 1, 0: -1, 1: -1}, {5: 1, 0: 1}]
         assert coords == ({2: 0, 3: 1, 5: 2}, None)
         for vec in basis:
-            assert not m @ vec
+            assert not matvec(m, vec)
 
     def test_smith_pivots_and_transforms(self):
-        m = SparseIntMatrix.from_columns(5, self.COLUMNS)
+        m = from_columns(5, self.COLUMNS)
         pivots, u_rows, uinv_cols = smith_diagonalize(m, track_u=True)
         assert sorted(pivots) == [(1, 0, 1), (2, 1, 1), (3, 4, 1)]
         assert u_rows == {0: {0: 1, 1: 1, 2: 1, 3: 1}}
@@ -452,7 +454,7 @@ class TestIncidenceForest:
             real = getattr(linalg, name)
             monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name, **k:
                                 calls.append(name) or real(*a, **k))
-        m = SparseIntMatrix.from_columns(5, self.COLUMNS)
+        m = from_columns(5, self.COLUMNS)
         kernel_with_coords(m)
         smith_diagonalize(m, track_u=True)
         smith_normal_form(m)

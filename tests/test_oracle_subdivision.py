@@ -18,7 +18,7 @@ from graphconf import (
     oracle_betti_numbers,
     subdivide,
 )
-from graphconf.complexes import (ORACLE_KIND, CubeComplex,
+from graphconf.complexes import (ORACLE_KIND, CubeComplex, _OracleTables,
                                  _oracle_cells_by_dim, oracle_subdivision)
 
 from conftest import corpus_graphs
@@ -34,8 +34,9 @@ def discretized_betti(graph, n, pieces, qmax):
     """Betti numbers of the discretized model with every edge of ``graph``
     cut into ``pieces`` edges."""
     fine = subdivide(graph, pieces)
-    cx = CubeComplex(fine, n, frozenset(), ORACLE_KIND,
-                     _oracle_cells_by_dim(fine, n))
+    cells = _oracle_cells_by_dim(fine, n)
+    cx = CubeComplex(fine, n, frozenset(), ORACLE_KIND, cells,
+                     _OracleTables(fine, n, cells))
     return betti_numbers(cx, qmax)
 
 
@@ -141,8 +142,9 @@ def test_loop_edge_faces_cancel():
     assert discretized_betti(LOOP, 1, 1, 1) == [1, 1]
     fine = subdivide(LOOP, 1)
     loop = fine.n_vertices + fine.edges.index((1, 1))
-    cx = CubeComplex(fine, 1, frozenset(), ORACLE_KIND,
-                     _oracle_cells_by_dim(fine, 1))
+    cells = _oracle_cells_by_dim(fine, 1)
+    cx = CubeComplex(fine, 1, frozenset(), ORACLE_KIND, cells,
+                     _OracleTables(fine, 1, cells))
     assert cx.boundary(1).columns()[cx.cells[1].index((loop,))] == {}
 
 
